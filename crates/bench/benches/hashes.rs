@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dbdedup_util::hash::adler32::RollingAdler32;
+use dbdedup_util::hash::crc32::crc32;
 use dbdedup_util::hash::murmur3::murmur3_x64_128;
 use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
 use dbdedup_util::hash::sha1::sha1;
@@ -17,6 +18,10 @@ fn bench_block_hashes(c: &mut Criterion) {
     });
     g.bench_function("sha1", |b| {
         b.iter(|| black_box(sha1(black_box(&data))));
+    });
+    // The segment-frame checksum: under every store put and cache-miss get.
+    g.bench_function("crc32", |b| {
+        b.iter(|| black_box(crc32(black_box(&data))));
     });
     g.finish();
 }

@@ -6,9 +6,12 @@
 //! fingerprint matches a fixed bit pattern in its low `n` bits, yielding an
 //! expected chunk size of `2ⁿ` bytes. Minimum and maximum chunk sizes bound
 //! the tail of the geometric length distribution, exactly as in
-//! LBFS-lineage dedup systems. The Rabin path is untouched by the kind
-//! refactor: its boundaries (and therefore every existing store, sim trace
-//! and oplog) stay byte-identical.
+//! LBFS-lineage dedup systems. Whether a position matches depends only on
+//! the window before it, so the scan finds every matching position with
+//! four interleaved rolling hashes over disjoint ranges of the record and
+//! applies the min/max rule afterwards; the boundaries (and therefore every
+//! existing store, sim trace and oplog) are byte-identical to the one-hash,
+//! byte-at-a-time loop this replaced (`tests/boundary_diff.rs`).
 //!
 //! [`ChunkerKind::Gear`] swaps the boundary function for the gear-hash
 //! scanner of [`crate::gear`] — same min/max bounds and tiling guarantees,
@@ -20,7 +23,7 @@
 
 use crate::gear::{self, GearParams};
 use dbdedup_util::hash::gear::GearTable;
-use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
+use dbdedup_util::hash::rabin::RabinTables;
 use std::sync::Arc;
 
 /// A chunk's position within its record.
@@ -102,9 +105,9 @@ impl ChunkerConfig {
 /// boundary- and sketch-identical to [`Self::GearScalar`] on every input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChunkerKind {
-    /// Windowed Rabin fingerprint scan, byte at a time — the paper's
-    /// configuration and the default. Existing stores, sims and traces
-    /// depend on its exact boundaries; it stays untouched.
+    /// Windowed Rabin fingerprint scan — the paper's configuration and
+    /// the default. Existing stores, sims and traces depend on its exact
+    /// boundaries; they never move.
     #[default]
     Rabin,
     /// Gear-hash scanner with skip-ahead past `min_size` and an 8-lane
@@ -197,9 +200,12 @@ impl ContentChunker {
         }
     }
 
-    /// The original windowed Rabin scan, byte for byte as it has always
-    /// run — the `Rabin` kind's boundary bytes are a compatibility
-    /// contract (`tests/boundary_diff.rs` pins them against golden hashes).
+    /// The windowed Rabin scan, split into *candidates* (every position
+    /// whose window fingerprint matches `mask`/`magic`) and *selection*
+    /// (min/max rule over them). The `Rabin` kind's boundaries are a
+    /// compatibility contract: `tests/boundary_diff.rs` pins them against
+    /// golden hashes and holds this scan to the byte-at-a-time loop it
+    /// replaced.
     fn chunk_rabin(
         &self,
         tables: &RabinTables,
@@ -208,26 +214,91 @@ impl ContentChunker {
         data: &[u8],
         out: &mut Vec<Chunk>,
     ) {
+        let ends = rabin_candidates(tables, mask, magic, self.config.window, data);
+        self.select_boundaries(data.len(), ends.iter().flatten().copied(), out);
+    }
+
+    /// Applies the min/max rule to ascending candidate chunk ends: each
+    /// chunk ends at the first candidate at least `min_size` past its
+    /// start, or is cut at `max_size` when there is none in reach.
+    fn select_boundaries(
+        &self,
+        len: usize,
+        candidates: impl Iterator<Item = usize>,
+        out: &mut Vec<Chunk>,
+    ) {
+        let mut candidates = candidates.peekable();
         let mut start = 0usize;
-        let mut roll = RollingRabin::new(tables);
-        let mut pos = 0usize;
-        while pos < data.len() {
-            roll.roll(data[pos]);
-            let chunk_len = pos - start + 1;
-            let at_boundary = chunk_len >= self.config.min_size
-                && roll.window_full()
-                && (roll.hash() & mask) == magic;
-            if at_boundary || chunk_len >= self.config.max_size {
-                out.push(Chunk { offset: start, len: chunk_len });
-                start = pos + 1;
-                roll.reset();
-            }
-            pos += 1;
-        }
-        if start < data.len() {
-            out.push(Chunk { offset: start, len: data.len() - start });
+        while start < len {
+            let (lo, hi) = (start + self.config.min_size, start + self.config.max_size);
+            while candidates.next_if(|&end| end < lo).is_some() {}
+            let end = candidates.peek().map_or(hi, |&end| end.min(hi)).min(len);
+            out.push(Chunk { offset: start, len: end - start });
+            start = end;
         }
     }
+}
+
+/// Independent rolling hashes the Rabin candidate scan interleaves. One
+/// hash is a chain of dependent table lookups (~260 MiB/s); four chains
+/// keep the load ports busy instead of waiting on one (~900 MiB/s; two
+/// reach ~480, six and eight no more than four). Even a record two windows
+/// long is quicker this way than through one chain, so there is no
+/// single-lane path.
+const RABIN_LANES: usize = 4;
+
+/// Every chunk end (exclusive) whose preceding `window` bytes fingerprint
+/// to `magic` under `mask`, as one ascending list per lane over consecutive
+/// ranges of `data` — flattened, they ascend over the whole record.
+///
+/// Whether a position is a candidate depends on the `window` bytes before
+/// it and nothing else, so the lanes need no knowledge of where chunks
+/// start: `ChunkerConfig::validate` keeps `window ≤ min_size`, hence by the
+/// time a boundary is admissible its window lies wholly inside the chunk.
+/// Each lane is primed with the window before its range and reads the
+/// outgoing byte straight from `data` (no ring buffer).
+fn rabin_candidates(
+    tables: &RabinTables,
+    mask: u64,
+    magic: u64,
+    window: usize,
+    data: &[u8],
+) -> [Vec<usize>; RABIN_LANES] {
+    let mut ends: [Vec<usize>; RABIN_LANES] = std::array::from_fn(|_| Vec::new());
+    if data.len() < window {
+        return ends;
+    }
+    // Lane `l` rolls its window end over `[window + l·per, window + (l+1)·per)`.
+    let per = (data.len() - window) / RABIN_LANES;
+    let outgoing: [&[u8]; RABIN_LANES] = std::array::from_fn(|l| &data[l * per..][..per]);
+    let incoming: [&[u8]; RABIN_LANES] = std::array::from_fn(|l| &data[window + l * per..][..per]);
+    let mut hash = [0u64; RABIN_LANES];
+    for i in 0..window {
+        for l in 0..RABIN_LANES {
+            hash[l] = tables.append(hash[l], data[l * per + i]);
+        }
+    }
+    // Later lanes' primed windows are the previous lane's last position.
+    if hash[0] & mask == magic {
+        ends[0].push(window);
+    }
+    for i in 0..per {
+        for l in 0..RABIN_LANES {
+            hash[l] = tables.append(tables.expire(hash[l], outgoing[l][i]), incoming[l][i]);
+            if hash[l] & mask == magic {
+                ends[l].push(window + l * per + i + 1);
+            }
+        }
+    }
+    // What the division left over continues the last lane.
+    let mut last = hash[RABIN_LANES - 1];
+    for pos in window + RABIN_LANES * per..data.len() {
+        last = tables.append(tables.expire(last, data[pos - window]), data[pos]);
+        if last & mask == magic {
+            ends[RABIN_LANES - 1].push(pos + 1);
+        }
+    }
+    ends
 }
 
 #[cfg(test)]

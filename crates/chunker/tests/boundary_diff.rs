@@ -12,10 +12,14 @@
 //! The suite also pins the **Rabin default** against golden boundary and
 //! sketch hashes computed before the fast path existed: the `ChunkerKind`
 //! refactor must leave every pre-existing store, sim trace and oplog
-//! byte-identical.
+//! byte-identical. Since the Rabin scan itself was split into lane-parallel
+//! candidate detection plus min/max selection, the suite also keeps the
+//! byte-at-a-time loop it replaced ([`rabin_oracle`]) and holds the shipped
+//! scan to it over the same input classes and the scan's own seams.
 
 use dbdedup_chunker::{Chunk, ChunkerConfig, ChunkerKind, ContentChunker, SketchExtractor};
 use dbdedup_util::dist::SplitMix64;
+use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
 
 /// Fixed seed for the CI `chunk-smoke` step; change it and the suite
 /// explores a different corner of the space, but every failure still
@@ -241,5 +245,124 @@ fn rabin_default_boundaries_and_sketches_match_pre_kind_golden() {
             hs = mix(hs, *f);
         }
         assert_eq!(hs, shash, "avg={avg}: default sketch drifted from pre-kind golden");
+    }
+}
+
+/// The Rabin chunker exactly as it ran before the candidates/selection
+/// split: one rolling hash fed a byte at a time through a ring buffer,
+/// reset at every chunk start. Kept here, outside the library, so the
+/// oracle shares no code with the scan it checks (the magic is restated).
+fn rabin_oracle(cfg: &ChunkerConfig, data: &[u8]) -> Vec<Chunk> {
+    let tables = RabinTables::new(cfg.window);
+    let mask = (1u64 << cfg.avg_size.trailing_zeros()) - 1;
+    let magic = 0x0078_35b1_ab5a_9c27 & mask;
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    let mut roll = RollingRabin::new(&tables);
+    for (pos, &byte) in data.iter().enumerate() {
+        roll.roll(byte);
+        let chunk_len = pos - start + 1;
+        let at_boundary =
+            chunk_len >= cfg.min_size && roll.window_full() && (roll.hash() & mask) == magic;
+        if at_boundary || chunk_len >= cfg.max_size {
+            out.push(Chunk { offset: start, len: chunk_len });
+            start = pos + 1;
+            roll.reset();
+        }
+    }
+    if start < data.len() {
+        out.push(Chunk { offset: start, len: data.len() - start });
+    }
+    out
+}
+
+/// [`lengths_for`] plus the Rabin scan's own edges: the window (below it
+/// no lane can be primed), whole multiples of the window, and a run of
+/// consecutive lengths a few windows long (lanes shorter than their own
+/// priming window, every remainder of the lane division).
+fn rabin_lengths_for(cfg: &ChunkerConfig) -> Vec<usize> {
+    let w = cfg.window;
+    let mut lens = lengths_for(cfg);
+    lens.extend([w - 1, w, w + 1]);
+    for n in [2, 3, 4, 5, 8, 9] {
+        lens.extend([n * w - 1, n * w, n * w + 1]);
+    }
+    lens.extend(2 * w + 2..=2 * w + 14);
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+/// The lane-parallel candidate scan plus selection is the old loop,
+/// boundary for boundary, on every class × average × length.
+#[test]
+fn rabin_lanes_equal_byte_at_a_time_oracle() {
+    let mut avg = 16usize;
+    while avg <= 64 * 1024 {
+        let cfg = ChunkerConfig::with_avg(avg);
+        let chunker = ContentChunker::new(cfg);
+        for class in CLASSES {
+            for (i, len) in rabin_lengths_for(&cfg).iter().enumerate() {
+                let seed = SUITE_SEED ^ 0x4AB1 ^ ((avg as u64) << 20) ^ (i as u64);
+                let data = input(class, seed, *len);
+                assert_eq!(
+                    chunker.chunk(&data),
+                    rabin_oracle(&cfg, &data),
+                    "rabin divergence — repro: class={class} avg={avg} len={len} \
+                     seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
+                );
+            }
+        }
+        avg *= 2;
+    }
+}
+
+/// Unstructured lengths, and configurations `with_avg` never builds — the
+/// tightest admissible one (`window == min_size`, where a boundary is
+/// admissible the moment the window fills) and a `max_size` that is not a
+/// multiple of anything.
+#[test]
+fn rabin_lanes_equal_oracle_random_lengths_and_tight_configs() {
+    let mut rng = SplitMix64::new(SUITE_SEED ^ 0x4AB1_0002);
+    for round in 0..96 {
+        let avg = 1usize << (4 + rng.next_index(8) as u32); // 16..2048
+        let mut cfg = ChunkerConfig::with_avg(avg);
+        if round % 3 == 1 {
+            cfg.min_size = cfg.window;
+            cfg.max_size = avg + 1 + rng.next_index(3 * avg);
+        }
+        let class = CLASSES[rng.next_index(CLASSES.len())];
+        let len = rng.next_index(50_000);
+        let seed = rng.next_u64();
+        let data = input(class, seed, len);
+        assert_eq!(
+            ContentChunker::new(cfg).chunk(&data),
+            rabin_oracle(&cfg, &data),
+            "rabin divergence — repro: round={round} class={class} cfg={cfg:?} len={len} \
+             seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
+        );
+    }
+}
+
+/// Lane seams: at small averages candidates are dense (one position in
+/// `avg`), so over every prefix length of one noisy buffer each seam of
+/// the lane division lands on, just before and just after a candidate
+/// many times over — a lane that mis-primes its window, drops its first
+/// position or double-reports its neighbour's last diverges here.
+#[test]
+fn rabin_lane_seams_swept_over_consecutive_lengths() {
+    for avg in [16usize, 32, 64] {
+        let cfg = ChunkerConfig::with_avg(avg);
+        let chunker = ContentChunker::new(cfg);
+        let seed = SUITE_SEED ^ 0x5EA4 ^ avg as u64;
+        let data = input("random", seed, 1600);
+        for len in cfg.window - 1..=data.len() {
+            assert_eq!(
+                chunker.chunk(&data[..len]),
+                rabin_oracle(&cfg, &data[..len]),
+                "rabin seam divergence — repro: class=random avg={avg} len={len} \
+                 seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
+            );
+        }
     }
 }

@@ -706,8 +706,8 @@ impl DedupEngine {
             // The selected source's backward delta comes free via
             // re-encoding; other targets (hop upgrades) need their own pass
             // against their cached/stored content.
-            let (content, delta) = if wb.target == source {
-                (Bytes::copy_from_slice(src_content), reencode(src_content, forward))
+            let (content_len, delta) = if wb.target == source {
+                (src_content.len(), reencode(src_content, forward))
             } else {
                 let c = match self.fetch_for_encode(wb.target) {
                     Ok(c) => c,
@@ -717,11 +717,10 @@ impl DedupEngine {
                     Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => continue,
                     Err(e) => return Err(e),
                 };
-                let d = self.encoder.encode(data, &c);
-                (c, d)
+                (c.len(), self.encoder.encode(data, &c))
             };
             let enc = delta.encode();
-            let saving = content.len() as i64 - enc.len() as i64;
+            let saving = content_len as i64 - enc.len() as i64;
             if saving > 0 {
                 if self.config.synchronous_writebacks {
                     // Fig. 13b ablation: pay the extra write immediately.
@@ -757,11 +756,13 @@ impl DedupEngine {
         Ok(())
     }
 
-    fn insert_unique(&mut self, id: RecordId, data: &[u8]) -> Result<(), EngineError> {
-        let (_, wire) = self.oplog.append(OplogKind::Insert {
-            id,
-            payload: OplogPayload::Raw(Bytes::copy_from_slice(data)),
-        })?;
+    /// Returns the copy of `data` the oplog entry holds, for a caller that
+    /// wants to share it rather than copy the record again.
+    fn insert_unique(&mut self, id: RecordId, data: &[u8]) -> Result<Bytes, EngineError> {
+        let shared = Bytes::copy_from_slice(data);
+        let (_, wire) = self
+            .oplog
+            .append(OplogKind::Insert { id, payload: OplogPayload::Raw(shared.clone()) })?;
         self.metrics.network_bytes += wire as u64;
         let t = self.tracer.start();
         self.store.put(id, StorageForm::Raw, data)?;
@@ -769,14 +770,14 @@ impl DedupEngine {
         self.io.submit(1);
         self.chains.start_chain(id);
         self.metrics.unique_inserts += 1;
-        Ok(())
+        Ok(shared)
     }
 
     /// Unique insert that also seeds the source cache (a future similar
     /// record will want this content).
     fn insert_unique_cached(&mut self, id: RecordId, data: &[u8]) -> Result<(), EngineError> {
-        self.insert_unique(id, data)?;
-        self.source_cache.insert(id, Bytes::copy_from_slice(data));
+        let shared = self.insert_unique(id, data)?;
+        self.source_cache.insert(id, shared);
         Ok(())
     }
 
@@ -1539,19 +1540,18 @@ impl DedupEngine {
         self.chains.remove(id);
         let plan = self.chains.append(id, source);
         for wb in &plan.writebacks {
-            let (content, delta) = if wb.target == source {
-                (Bytes::copy_from_slice(src_content), reencode(src_content, forward))
+            let (content_len, delta) = if wb.target == source {
+                (src_content.len(), reencode(src_content, forward))
             } else {
                 let c = match self.fetch_for_encode(wb.target) {
                     Ok(c) => c,
                     Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => continue,
                     Err(e) => return Err(e),
                 };
-                let d = self.encoder.encode(data, &c);
-                (c, d)
+                (c.len(), self.encoder.encode(data, &c))
             };
             let enc = delta.encode();
-            let saving = content.len() as i64 - enc.len() as i64;
+            let saving = content_len as i64 - enc.len() as i64;
             if saving > 0 {
                 // Always synchronous, regardless of the writeback-cache
                 // mode: the whole point of copy-before-supersede is that

@@ -579,19 +579,28 @@ mod tests {
                 }
             }
         }
-        assert!(repl.apply_errors() > 0, "the torn frame must fail to decode");
-        assert!(repl.dropped_batches() > 0, "post-crash frames are dropped");
-        assert_eq!(repl.dropped_batches(), lost, "every loss reported to the caller");
+        // `join` is the barrier: the apply thread has drained the queue —
+        // torn frame included — once it returns. The counters and the
+        // event log are shared with that thread, so they outlive it.
+        let counters = Arc::clone(&repl.counters);
+        let events = repl.event_log();
+        let secondary = repl.join().unwrap();
+        let dropped = counters.dropped_batches.load(Ordering::Relaxed);
+        assert!(
+            counters.apply_errors.load(Ordering::Relaxed) > 0,
+            "the torn frame must fail to decode"
+        );
+        assert!(dropped > 0, "post-crash frames are dropped");
+        assert_eq!(dropped, lost, "every loss reported to the caller");
         // Losses are queryable incidents, not a one-shot stderr line: one
         // dropped_batch event per lost frame, the last carrying the total.
-        let drops = repl.event_log().of_kind("dropped_batch");
+        let drops = events.of_kind("dropped_batch");
         assert_eq!(drops.len() as u64, lost);
         assert!(drops.iter().all(|e| e.severity == Severity::Warn));
         assert_eq!(
             drops.last().map(|e| e.kind.clone()),
             Some(EventKind::DroppedBatch { total: lost })
         );
-        let secondary = repl.join().unwrap();
         assert!(
             secondary.store().len() < primary.store().len(),
             "lost batches must leave the secondary behind (catch-up/resync's job)"

@@ -8,7 +8,7 @@
 //! network accounting is byte-accurate.
 
 use bytes::Bytes;
-use dbdedup_util::codec::{ByteReader, ByteWriter, CodecError};
+use dbdedup_util::codec::{varint_len, ByteReader, ByteWriter, CodecError};
 use dbdedup_util::ids::RecordId;
 use std::collections::VecDeque;
 
@@ -74,25 +74,49 @@ pub struct OplogEntry {
 impl OplogEntry {
     /// Serializes to the wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
+        self.encode_to(&mut w);
+        w.into_vec()
+    }
+
+    /// Length of [`Self::encode`]'s output, without producing it.
+    pub fn encoded_len(&self) -> usize {
+        let payload_len = |p: &OplogPayload| match p {
+            OplogPayload::Raw(b) => 1 + varint_len(b.len() as u64) + b.len(),
+            OplogPayload::Forward { delta, .. } => {
+                1 + 8 + varint_len(delta.len() as u64) + delta.len()
+            }
+        };
+        varint_len(self.lsn)
+            + 1
+            + 8
+            + match &self.kind {
+                OplogKind::Insert { payload, .. } | OplogKind::Update { payload, .. } => {
+                    payload_len(payload)
+                }
+                OplogKind::Delete { .. } => 0,
+            }
+    }
+
+    /// Appends the wire format to `w`.
+    pub fn encode_to(&self, w: &mut ByteWriter) {
         w.put_varint(self.lsn);
         match &self.kind {
             OplogKind::Insert { id, payload } => {
                 w.put_u8(0);
                 w.put_u64(id.get());
-                encode_payload(&mut w, payload);
+                encode_payload(w, payload);
             }
             OplogKind::Update { id, payload } => {
                 w.put_u8(1);
                 w.put_u64(id.get());
-                encode_payload(&mut w, payload);
+                encode_payload(w, payload);
             }
             OplogKind::Delete { id } => {
                 w.put_u8(2);
                 w.put_u64(id.get());
             }
         }
-        w.into_vec()
     }
 
     /// Parses one entry from `r`.
@@ -259,7 +283,7 @@ impl Oplog {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let entry = OplogEntry { lsn, kind };
-        let wire_len = entry.encode().len();
+        let wire_len = entry.encoded_len();
         self.pending_bytes += wire_len;
         self.entries.push_back((entry, wire_len as u32));
         (lsn, wire_len)
@@ -408,11 +432,10 @@ impl DurableOplog {
     pub fn append(&mut self, kind: OplogKind) -> std::io::Result<(u64, usize)> {
         use std::io::Write;
         let (lsn, wire_len) = self.inner.append(kind);
-        let entry = self.inner.entries.back().expect("just appended").0.encode();
-        let mut framed = Vec::with_capacity(entry.len() + 4);
-        framed.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&entry);
-        self.file.write_all(&framed)?;
+        let mut framed = ByteWriter::with_capacity(4 + wire_len);
+        framed.put_u32(wire_len as u32);
+        self.inner.entries.back().expect("just appended").0.encode_to(&mut framed);
+        self.file.write_all(framed.as_slice())?;
         Ok((lsn, wire_len))
     }
 
@@ -487,9 +510,15 @@ mod tests {
                 },
             },
             OplogEntry { lsn: 2, kind: OplogKind::Delete { id: RecordId(3) } },
+            // Multi-byte varints: LSN and payload length past 127.
+            OplogEntry {
+                lsn: 1 << 40,
+                kind: OplogKind::Insert { id: RecordId(4), payload: raw(&[7; 128]) },
+            },
         ];
         for e in &entries {
             let bytes = e.encode();
+            assert_eq!(e.encoded_len(), bytes.len(), "{e:?}");
             let mut r = ByteReader::new(&bytes);
             assert_eq!(&OplogEntry::decode(&mut r).unwrap(), e);
             assert!(r.is_empty());

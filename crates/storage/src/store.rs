@@ -256,11 +256,22 @@ impl CompactStats {
     }
 }
 
+/// Where a record's live frame sits, and what it holds. `payload_len` and
+/// `uncompressed_len` are the frame's contribution to the live-byte
+/// counters, so that **`live_payload_bytes` and `live_uncompressed_bytes`
+/// are always the sums of these fields over the directory**: whoever
+/// creates a `Loc` (append, recovery scan, compaction) copies them from the
+/// frame it just wrote or verified, and superseding, deleting or
+/// quarantining a record subtracts them without reading the old frame back.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
     seg: u32,
     off: u64,
     len: u32,
+    /// Stored payload bytes (after block compression).
+    payload_len: u32,
+    /// Payload bytes before block compression.
+    uncompressed_len: u32,
     form: StorageForm,
     /// The live frame carries the degraded tag (admitted under overload,
     /// awaiting out-of-line re-dedup). Mirrors on-disk flag bit 3, so the
@@ -335,6 +346,28 @@ struct Inner {
     cache: BlockCache,
 }
 
+impl Inner {
+    /// Books the frame at `old` — no longer the live one for `id` — as dead
+    /// space and takes its sizes out of the live counters. The frame stays
+    /// on disk as a stale put until compaction; a tombstone for this id
+    /// must outlive it (see `stale_puts`).
+    fn retire(&mut self, id: RecordId, old: Loc) {
+        self.dead_bytes += u64::from(old.len);
+        *self.stale_puts.entry(id).or_insert(0) += 1;
+        self.forget_sizes(old);
+    }
+
+    fn forget_sizes(&mut self, old: Loc) {
+        self.live_payload_bytes -= u64::from(old.payload_len);
+        self.live_uncompressed_bytes -= u64::from(old.uncompressed_len);
+    }
+
+    fn add_sizes(&mut self, new: Loc) {
+        self.live_payload_bytes += u64::from(new.payload_len);
+        self.live_uncompressed_bytes += u64::from(new.uncompressed_len);
+    }
+}
+
 /// See module docs.
 pub struct RecordStore {
     dir: PathBuf,
@@ -384,15 +417,6 @@ fn frame_at(buf: &[u8], pos: usize) -> Option<usize> {
     let crc = u32::from_le_bytes(buf[pos + 6..pos + 10].try_into().expect("4 bytes"));
     let entry = &buf[pos + FRAME_HDR..pos + FRAME_HDR + len];
     (crc32(entry) == crc).then_some(len)
-}
-
-fn frame_entry(entry: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(entry.len() + FRAME_HDR);
-    framed.extend_from_slice(&FRAME_MARKER);
-    framed.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(entry).to_le_bytes());
-    framed.extend_from_slice(entry);
-    framed
 }
 
 /// The single choke-point through which store bytes reach a file; applies
@@ -499,18 +523,15 @@ impl RecordStore {
         let mut report = RecoveryReport::default();
         // Replay every segment in order; the directory converges to the
         // latest *valid* entry per id, tombstones delete.
-        let mut live_sizes: FxHashMap<RecordId, (u64, u64)> = FxHashMap::default();
         let mut count = 0u32;
         while segment_path(&self.dir, count).exists() {
             count += 1;
         }
         for idx in 0..count {
             let is_active = idx + 1 == count;
-            self.scan_segment(idx, is_active, &mut live_sizes, &mut report)?;
+            self.scan_segment(idx, is_active, &mut report)?;
         }
         let inner = self.inner.get_mut();
-        inner.live_payload_bytes = live_sizes.values().map(|&(p, _)| p).sum();
-        inner.live_uncompressed_bytes = live_sizes.values().map(|&(_, u)| u).sum();
         inner.active_idx = count.saturating_sub(1);
         inner.active = OpenOptions::new()
             .create(true)
@@ -534,7 +555,6 @@ impl RecordStore {
         &mut self,
         idx: u32,
         is_active: bool,
-        live_sizes: &mut FxHashMap<RecordId, (u64, u64)>,
         report: &mut RecoveryReport,
     ) -> Result<(), StoreError> {
         let path = segment_path(&self.dir, idx);
@@ -584,26 +604,20 @@ impl RecordStore {
                         seg: idx,
                         off: pos as u64,
                         len: (FRAME_HDR + len) as u32,
+                        payload_len: parsed.payload.len() as u32,
+                        uncompressed_len: parsed.uncompressed_len,
                         form: parsed.form,
                         degraded: parsed.degraded_db.is_some(),
                     };
+                    if let Some(old) = inner.directory.remove(&parsed.id) {
+                        inner.retire(parsed.id, old);
+                    }
                     if parsed.tombstone {
-                        if let Some(old) = inner.directory.remove(&parsed.id) {
-                            inner.dead_bytes += u64::from(old.len);
-                            *inner.stale_puts.entry(parsed.id).or_insert(0) += 1;
-                        }
-                        live_sizes.remove(&parsed.id);
                         inner.dead_bytes += u64::from(loc.len);
                         inner.tomb_bytes += u64::from(loc.len);
                     } else {
-                        if let Some(old) = inner.directory.insert(parsed.id, loc) {
-                            inner.dead_bytes += u64::from(old.len);
-                            *inner.stale_puts.entry(parsed.id).or_insert(0) += 1;
-                        }
-                        live_sizes.insert(
-                            parsed.id,
-                            (parsed.payload.len() as u64, u64::from(parsed.uncompressed_len)),
-                        );
+                        inner.directory.insert(parsed.id, loc);
+                        inner.add_sizes(loc);
                     }
                     report.entries_recovered += 1;
                     pos += FRAME_HDR + len;
@@ -666,8 +680,7 @@ impl RecordStore {
     /// Overwriting a degraded entry clears its tag (the fresh frame has
     /// no degraded flag, and the directory follows the latest frame).
     pub fn put(&self, id: RecordId, form: StorageForm, payload: &[u8]) -> Result<(), StoreError> {
-        let entry = encode_entry(id, form, payload, self.config.block_compression, false, None);
-        self.append_entry(id, entry, payload.len() as u64, false)
+        self.append_entry(id, form, payload, false, None)
     }
 
     /// Writes `id` raw and tags the frame as **degraded**: admitted via
@@ -676,83 +689,59 @@ impl RecordStore {
     /// since the tag lives in segment metadata and is replayed by the
     /// recovery scan. A later [`RecordStore::put`] clears the tag.
     pub fn put_degraded(&self, id: RecordId, db: &str, payload: &[u8]) -> Result<(), StoreError> {
-        let entry = encode_entry(
-            id,
-            StorageForm::Raw,
-            payload,
-            self.config.block_compression,
-            false,
-            Some(db),
-        );
-        self.append_entry(id, entry, payload.len() as u64, false)
+        self.append_entry(id, StorageForm::Raw, payload, false, Some(db))
     }
 
     /// Removes `id`. Idempotent; a tombstone is appended so recovery sees
     /// the deletion.
     pub fn delete(&self, id: RecordId) -> Result<(), StoreError> {
-        let entry = encode_entry(id, StorageForm::Raw, &[], false, true, None);
-        self.append_entry(id, entry, 0, true)
+        self.append_entry(id, StorageForm::Raw, &[], true, None)
     }
 
     fn append_entry(
         &self,
         id: RecordId,
-        entry: Vec<u8>,
-        uncompressed_len: u64,
+        form: StorageForm,
+        payload: &[u8],
         tombstone: bool,
+        degraded_db: Option<&str>,
     ) -> Result<(), StoreError> {
-        let parsed_head = parse_entry(&entry).map_err(StoreError::Corrupt)?;
-        let (form, degraded) = (parsed_head.form, parsed_head.degraded_db.is_some());
+        let (framed, payload_len) =
+            encode_frame(id, form, payload, self.config.block_compression, tombstone, degraded_db);
+        let total = framed.len();
         let fault = self.config.fault.as_deref();
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         if inner.active_off >= self.config.segment_bytes {
-            inner.active_idx += 1;
-            inner.active = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .read(true)
-                .open(segment_path(&self.dir, inner.active_idx))?;
-            fault_write(&mut inner.active, fault, &segment_header())?;
-            inner.io.writes += 1;
-            inner.io.write_bytes += SEG_HDR_LEN as u64;
-            inner.active_off = SEG_HDR_LEN as u64;
+            rotate_active(inner, &self.dir, fault)?;
         }
-        let framed = frame_entry(&entry);
-        let total = framed.len();
         fault_write(&mut inner.active, fault, &framed)?;
         if self.config.fsync {
             inner.active.sync_data()?;
         }
-        let loc =
-            Loc { seg: inner.active_idx, off: inner.active_off, len: total as u32, form, degraded };
+        let loc = Loc {
+            seg: inner.active_idx,
+            off: inner.active_off,
+            len: total as u32,
+            payload_len,
+            uncompressed_len: payload.len() as u32,
+            form,
+            degraded: degraded_db.is_some(),
+        };
         inner.active_off += total as u64;
         inner.io.writes += 1;
         inner.io.write_bytes += total as u64;
 
         // Directory + accounting.
-        let payload_len = entry_payload_len(&entry).expect("just encoded") as u64;
         if let Some(old) = inner.directory.remove(&id) {
-            inner.dead_bytes += u64::from(old.len);
-            // The superseded put frame stays on disk until compaction; a
-            // tombstone for this id must outlive it (see `stale_puts`).
-            *inner.stale_puts.entry(id).or_insert(0) += 1;
-            // A damaged old entry has unknowable sizes; the overwrite
-            // heals the record, so skip the subtraction rather than fail
-            // the put.
-            if let Some((old_payload, old_uncompressed)) = read_live_sizes(inner, &self.dir, old)? {
-                inner.live_payload_bytes = inner.live_payload_bytes.saturating_sub(old_payload);
-                inner.live_uncompressed_bytes =
-                    inner.live_uncompressed_bytes.saturating_sub(old_uncompressed);
-            }
+            inner.retire(id, old);
         }
         if tombstone {
             inner.dead_bytes += total as u64;
             inner.tomb_bytes += total as u64;
         } else {
             inner.directory.insert(id, loc);
-            inner.live_payload_bytes += payload_len;
-            inner.live_uncompressed_bytes += uncompressed_len;
+            inner.add_sizes(loc);
         }
         Ok(())
     }
@@ -981,20 +970,9 @@ impl RecordStore {
             fault_write(&mut new_file, fault, &raw)?;
             inner.io.writes += 1;
             inner.io.write_bytes += u64::from(loc.len);
-            if let Ok(p) = parse_entry(&raw[FRAME_HDR..]) {
-                live_payload += p.payload.len() as u64;
-                live_uncompressed += u64::from(p.uncompressed_len);
-            }
-            new_dir.insert(
-                id,
-                Loc {
-                    seg: new_idx,
-                    off: new_off,
-                    len: loc.len,
-                    form: loc.form,
-                    degraded: loc.degraded,
-                },
-            );
+            live_payload += u64::from(loc.payload_len);
+            live_uncompressed += u64::from(loc.uncompressed_len);
+            new_dir.insert(id, Loc { seg: new_idx, off: new_off, ..loc });
             new_off += u64::from(loc.len);
             stats.bytes_scanned += u64::from(loc.len);
         }
@@ -1237,10 +1215,7 @@ impl RecordStore {
                     &frame,
                     self.config.segment_bytes,
                 )?;
-                inner.directory.insert(
-                    id,
-                    Loc { seg, off, len: total as u32, form: prev.form, degraded: prev.degraded },
-                );
+                inner.directory.insert(id, Loc { seg, off, ..prev });
                 cur.live_moved += total;
             } else if let Some(n) = inner.stale_puts.get_mut(&id) {
                 *n -= 1;
@@ -1265,18 +1240,19 @@ impl RecordStore {
     ) -> Result<u64, StoreError> {
         let seg = cur.seg;
         let from = cur.off;
-        let doomed: Vec<(RecordId, u64)> = inner
+        let doomed: Vec<(RecordId, Loc)> = inner
             .directory
             .iter()
             .filter(|(_, loc)| loc.seg == seg && loc.off >= from)
-            .map(|(&id, loc)| (id, u64::from(loc.len)))
+            .map(|(&id, &loc)| (id, loc))
             .collect();
-        for (id, len) in doomed {
+        for (id, loc) in doomed {
             inner.directory.remove(&id);
             // Count the lost entry as dead so the completion-time
             // subtraction (which assumes non-moved bytes were dead)
             // balances.
-            inner.dead_bytes += len;
+            inner.dead_bytes += u64::from(loc.len);
+            inner.forget_sizes(loc);
             inner.io.quarantined_entries += 1;
             stats.entries_skipped += 1;
         }
@@ -1362,24 +1338,16 @@ impl RecordStore {
         let Some(old) = inner.directory.remove(&id) else {
             return Ok(None);
         };
-        inner.dead_bytes += u64::from(old.len);
-        *inner.stale_puts.entry(id).or_insert(0) += 1;
-        // The cache may still hold the clean pre-damage copy: use it for
-        // the live-size subtraction (those are the sizes the put once
-        // added), then evict it so no read resurrects vanished data.
-        if let Some((payload, uncompressed)) = read_live_sizes(inner, &self.dir, old)? {
-            inner.live_payload_bytes = inner.live_payload_bytes.saturating_sub(payload);
-            inner.live_uncompressed_bytes =
-                inner.live_uncompressed_bytes.saturating_sub(uncompressed);
-        }
+        inner.retire(id, old);
+        // The cache may still hold the clean pre-damage copy: evict it so
+        // no read resurrects vanished data.
         inner.cache.remove(BlockKey { seg: old.seg, off: old.off });
         inner.io.quarantined_entries += 1;
         Ok(Some(u64::from(old.len)))
     }
 }
 
-/// Opens the next segment as the active one (same rotation the append
-/// path performs when a segment fills).
+/// Opens the next segment as the active one.
 fn rotate_active(
     inner: &mut Inner,
     dir: &Path,
@@ -1496,24 +1464,6 @@ fn ensure_reader(inner: &mut Inner, dir: &Path, seg: u32) -> Result<(), StoreErr
     Ok(())
 }
 
-/// Payload sizes of the entry at `loc`, or `None` if it no longer
-/// verifies (damage is handled by the caller's accounting, not an error).
-fn read_live_sizes(
-    inner: &mut Inner,
-    dir: &Path,
-    loc: Loc,
-) -> Result<Option<(u64, u64)>, StoreError> {
-    let raw = match read_entry_bytes(inner, dir, loc) {
-        Ok(raw) => raw,
-        Err(StoreError::Corrupt(_)) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    match parse_entry(&raw[FRAME_HDR..]) {
-        Ok(p) => Ok(Some((p.payload.len() as u64, u64::from(p.uncompressed_len)))),
-        Err(_) => Ok(None),
-    }
-}
-
 struct ParsedEntry<'a> {
     id: RecordId,
     form: StorageForm,
@@ -1526,20 +1476,24 @@ struct ParsedEntry<'a> {
     payload: &'a [u8],
 }
 
+/// Builds a complete frame — header and entry in one buffer, the entry
+/// length and CRC patched into the header once the entry is written — and
+/// returns it with the stored (post-compression) payload length.
+///
 /// Entry layout (after the frame header):
 /// `id:u64 | flags:u8 | [base:u64 if delta] | [db_len:varint | db if degraded]
 ///  | uncompressed_len:varint | payload`
 /// flags: bit0 delta, bit1 compressed, bit2 tombstone, bit3 degraded
 /// (admitted raw under overload; tagged with the logical database so
 /// out-of-line re-dedup can replay the full pipeline after a restart).
-fn encode_entry(
+fn encode_frame(
     id: RecordId,
     form: StorageForm,
     payload: &[u8],
     try_compress: bool,
     tombstone: bool,
     degraded_db: Option<&str>,
-) -> Vec<u8> {
+) -> (Vec<u8>, u32) {
     let mut flags = 0u8;
     let compressed_payload;
     let mut use_compressed = false;
@@ -1564,7 +1518,9 @@ fn encode_entry(
         flags |= 0b1000;
     }
     let body: &[u8] = if use_compressed { &compressed_payload } else { payload };
-    let mut w = ByteWriter::with_capacity(body.len() + 32);
+    let mut w = ByteWriter::with_capacity(FRAME_HDR + body.len() + 32);
+    w.put_bytes(&FRAME_MARKER);
+    w.put_bytes(&[0; FRAME_HDR - FRAME_MARKER.len()]);
     w.put_u64(id.get());
     w.put_u8(flags);
     if let StorageForm::Delta { base } = form {
@@ -1576,7 +1532,11 @@ fn encode_entry(
     }
     w.put_varint(payload.len() as u64);
     w.put_bytes(body);
-    w.into_vec()
+    let mut frame = w.into_vec();
+    let (header, entry) = frame.split_at_mut(FRAME_HDR);
+    header[2..6].copy_from_slice(&(entry.len() as u32).to_le_bytes());
+    header[6..10].copy_from_slice(&crc32(entry).to_le_bytes());
+    (frame, body.len() as u32)
 }
 
 fn parse_entry(entry: &[u8]) -> Result<ParsedEntry<'_>, String> {
@@ -1606,11 +1566,6 @@ fn parse_entry(entry: &[u8]) -> Result<ParsedEntry<'_>, String> {
         uncompressed_len,
         payload,
     })
-}
-
-fn entry_payload_len(entry: &[u8]) -> Result<usize, StoreError> {
-    let p = parse_entry(entry).map_err(StoreError::Corrupt)?;
-    Ok(p.payload.len())
 }
 
 #[cfg(test)]
@@ -1710,6 +1665,89 @@ mod tests {
         assert_eq!(s.stored_payload_bytes(), 10);
         assert!(s.dead_bytes() >= live1, "old entry became dead space");
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn superseding_an_uncached_frame_reads_nothing_back() {
+        // No block cache, so an accounting path that re-read the old frame
+        // for its sizes would show up as a disk read.
+        let cfg = StoreConfig { block_cache_bytes: 0, ..Default::default() };
+        let s = RecordStore::open_temp(cfg).unwrap();
+        for id in 1..=3 {
+            s.put(RecordId(id), StorageForm::Raw, &[id as u8; 17_000]).unwrap();
+        }
+        s.put(RecordId(1), StorageForm::Delta { base: RecordId(2) }, &[0xd; 300]).unwrap();
+        s.delete(RecordId(2)).unwrap();
+        assert_eq!(s.quarantine(RecordId(3)).unwrap().map(|len| len > 17_000), Some(true));
+        assert_eq!(s.io_stats().reads, 0, "overwrite, delete and quarantine read no frame");
+        assert_eq!(s.stored_payload_bytes(), 300);
+        assert_eq!(s.stored_uncompressed_bytes(), 300);
+    }
+
+    /// The live-byte counters, maintained from `Loc` sizes alone, equal the
+    /// sum over the directory at every step of a churn and equal what a
+    /// fresh recovery scan of the same directory computes from the frames.
+    #[test]
+    fn live_byte_counters_match_directory_and_reopen_after_churn() {
+        for block_compression in [false, true] {
+            let dir = temp_dir(if block_compression { "sizes-z" } else { "sizes-raw" });
+            let cfg = StoreConfig {
+                segment_bytes: 8192,
+                block_cache_bytes: 4096,
+                block_compression,
+                ..Default::default()
+            };
+            let mut rng = dbdedup_util::dist::SplitMix64::new(0x10C5_12E5);
+            for round in 0..4 {
+                let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+                for step in 0..400 {
+                    let id = RecordId(rng.next_index(40) as u64);
+                    match rng.next_index(10) {
+                        0..=4 => {
+                            // Half compressible text, half noise.
+                            let len = rng.next_index(1500);
+                            let payload: Vec<u8> = if rng.next_index(2) == 0 {
+                                b"compressible text ".iter().cycle().take(len).copied().collect()
+                            } else {
+                                (0..len).map(|_| rng.next_u64() as u8).collect()
+                            };
+                            let form = match rng.next_index(3) {
+                                0 => StorageForm::Delta { base: RecordId(99) },
+                                _ => StorageForm::Raw,
+                            };
+                            s.put(id, form, &payload).unwrap();
+                        }
+                        5 => s.put_degraded(id, "db", &[step as u8; 64]).unwrap(),
+                        6 | 7 => s.delete(id).unwrap(),
+                        8 => drop(s.compact_step(3000).unwrap()),
+                        _ if step % 7 == 0 => drop(s.compact().unwrap()),
+                        _ => {}
+                    }
+                    let inner = s.inner.lock();
+                    let sum = |f: fn(&Loc) -> u32| {
+                        inner.directory.values().map(|loc| u64::from(f(loc))).sum::<u64>()
+                    };
+                    assert_eq!(inner.live_payload_bytes, sum(|l| l.payload_len), "step {step}");
+                    assert_eq!(
+                        inner.live_uncompressed_bytes,
+                        sum(|l| l.uncompressed_len),
+                        "step {step}"
+                    );
+                }
+                let (payload, uncompressed, len) =
+                    (s.stored_payload_bytes(), s.stored_uncompressed_bytes(), s.len());
+                if block_compression {
+                    assert!(payload < uncompressed, "some frames were compressed");
+                }
+                drop(s);
+                let reopened = RecordStore::open(&dir, cfg.clone()).unwrap();
+                let at = format!("round {round} compression {block_compression}");
+                assert_eq!(reopened.len(), len, "{at}");
+                assert_eq!(reopened.stored_payload_bytes(), payload, "{at}");
+                assert_eq!(reopened.stored_uncompressed_bytes(), uncompressed, "{at}");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2290,12 +2328,15 @@ mod tests {
             assert!(!s.contains(RecordId(1)));
             assert!(s.dead_bytes() >= u64::from(loc.len));
             assert_eq!(s.quarantine(RecordId(1)).unwrap(), None, "idempotent");
+            // The unreadable frame's sizes left the live counters anyway.
+            assert_eq!(s.stored_payload_bytes(), 250);
         }
         {
             // The dropped frame fails CRC on disk, so the reopen scan
             // quarantines it again instead of resurrecting the record.
             let s = RecordStore::open(&dir, cfg).unwrap();
             assert!(!s.contains(RecordId(1)), "no resurrection");
+            assert_eq!(s.stored_payload_bytes(), 250, "recovery agrees with the running count");
             assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[0x22; 250][..]);
             let report = s.recovery_report();
             assert_eq!(report.quarantined_entries, 1);

@@ -12,6 +12,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# Byte-identity of the write-path kernels, checked before anything slower
+# (or any benchmark) runs: sliced CRC-32 against a bit-at-a-time reference
+# at every length/alignment/split, the lane-parallel Rabin scan against the
+# byte-at-a-time loop it replaced (plus the golden boundary pins), the
+# store's size-carrying directory (no frame re-read on supersede; live
+# counters equal a reopen's), and perf/'s smoke determinism guard (same
+# op_hash and segment_hash twice per seed) — a boundary or frame drift
+# fails here, not as a mystery ratio change in a benchmark.
+echo "==> kernel-diff"
+cargo test -q -p dbdedup-util --lib hash::crc32
+cargo test -q -p dbdedup-chunker --test boundary_diff rabin
+cargo test -q -p dbdedup-storage --lib store::tests
+(cd perf && cargo test -q --offline)
+
 # --test-threads=4 keeps multiple test binaries' worth of engine/pipeline
 # threads alive concurrently, so the parallel ingest path is exercised
 # under real thread contention even on small CI machines.
