@@ -1,21 +1,20 @@
-//! Chunk/sketch hot-path throughput: the fast gear scanner vs the
-//! paper's Rabin scan vs the scalar gear fallback.
+//! Chunk/sketch hot-path throughput: the gear scan vs the paper's Rabin
+//! scan.
 //!
 //! Three micro-measurements per chunker kind over the same corpus —
 //! chunk-only, sketch-only (chunking precomputed), and the fused
-//! chunk+sketch pass `InsertPreparer::prepare` runs per insert — plus the
-//! fused pass fanned out over 1/2/4 worker threads (each worker owns a
-//! disjoint slice of the record stream, the shape `ParallelIngest` uses).
-//! The headline number is the single-worker chunk+sketch speedup of
-//! `gear` over `rabin` (≥ 3× when Rabin was a one-hash loop; ~1.6–1.9×
-//! since its candidate scan runs four lanes). A final engine-integrated
+//! chunk+sketch pass — plus the fused pass fanned out over 1/2/4 worker
+//! threads (each worker owns a disjoint slice of the record stream, the
+//! shape `ParallelIngest` uses). The headline number is the single-worker
+//! chunk+sketch speedup of `gear` over `rabin`. A final engine-integrated
 //! section runs real inserts with per-operation tracing and reports the
 //! `stage.chunk` / `stage.sketch` histograms, tying the micro numbers to
-//! the histograms operators actually see.
+//! the histograms operators actually see — there `stage.chunk` is the
+//! whole per-record scan, chunks *and* delta anchors: one gear pass under
+//! `gear`, the Rabin lanes plus a gear pass for the anchors under `rabin`.
 //!
-//! Boundary correctness is *not* this harness's job: byte-equivalence of
-//! fast and scalar scanning is enforced by
-//! `crates/chunker/tests/boundary_diff.rs` and `tests/differential.rs`
+//! Boundary correctness is *not* this harness's job: both scans are held
+//! to byte-at-a-time oracles by `crates/chunker/tests/boundary_diff.rs`
 //! independently of timing.
 
 use dbdedup_bench::{header, row, scale, BenchReport};
@@ -26,11 +25,8 @@ use dbdedup_util::dist::SplitMix64;
 use dbdedup_util::ids::RecordId;
 use std::time::Instant;
 
-const KINDS: [(ChunkerKind, &str); 3] = [
-    (ChunkerKind::Rabin, "rabin"),
-    (ChunkerKind::Gear, "gear"),
-    (ChunkerKind::GearScalar, "gear_scalar"),
-];
+const KINDS: [(ChunkerKind, &str); 2] =
+    [(ChunkerKind::Rabin, "rabin"), (ChunkerKind::Gear, "gear")];
 
 /// Record stream: text-like documents (the dedup-friendly shape the paper
 /// targets) with a minority of incompressible blobs, ~8 KiB each.
@@ -178,8 +174,8 @@ fn main() {
     bench.meta_mut().set_u64("cores", cores as u64);
 
     header(&["kind", "chunk MiB/s", "sketch MiB/s", "chunk+sketch w1", "w2", "w4"]);
-    let mut fused_by_kind = [0f64; 3];
-    let mut chunk_by_kind = [0f64; 3];
+    let mut fused_by_kind = [0f64; 2];
+    let mut chunk_by_kind = [0f64; 2];
     for (i, (kind, name)) in KINDS.iter().enumerate() {
         let m = measure_kind(&corpus, *kind, reps);
         fused_by_kind[i] = m.fused1;
@@ -205,9 +201,6 @@ fn main() {
     let fused_speedup = fused_by_kind[1] / fused_by_kind[0];
     bench.meta_mut().set_f64("gear_vs_rabin_chunk_speedup", chunk_speedup);
     bench.meta_mut().set_f64("gear_vs_rabin_fused_speedup", fused_speedup);
-    bench
-        .meta_mut()
-        .set_f64("gear_fast_vs_scalar_fused_speedup", fused_by_kind[1] / fused_by_kind[2]);
     println!(
         "\ngear vs rabin: {chunk_speedup:.2}x chunk-only, {fused_speedup:.2}x chunk+sketch \
          (single worker)"
@@ -217,7 +210,7 @@ fn main() {
     // visible in the `stage.chunk` timings real inserts record.
     println!("\nengine-integrated stage timings (trace_sample_every=1):");
     header(&["kind", "stage.chunk p50 us", "stage.sketch p50 us"]);
-    for (kind, name) in [(ChunkerKind::Rabin, "rabin"), (ChunkerKind::Gear, "gear")] {
+    for (kind, name) in KINDS {
         let (reg, chunk_p50, sketch_p50) = engine_stages(&corpus, kind);
         bench.push_row(&format!("engine_{name}"), reg);
         row(&[

@@ -5,8 +5,8 @@
 //!
 //! * [`source`] — the **source record cache**: a small byte-budgeted LRU
 //!   holding the raw bytes of each encoding chain's head (and the latest
-//!   hop base per level). Delta compression needs the source record's
-//!   content; workloads that dedup well have strong temporal locality
+//!   hop base per level), with the delta anchors of each where known.
+//!   Delta compression needs the source record's content; workloads that dedup well have strong temporal locality
 //!   (consecutive revisions, posts in one thread), so a 32 MiB cache
 //!   absorbs ~75–90% of source retrievals (Fig. 13a).
 //! * [`writeback`] — the **lossy write-back delta cache**: backward
@@ -22,5 +22,5 @@
 pub mod source;
 pub mod writeback;
 
-pub use source::{SourceCacheStats, SourceRecordCache};
+pub use source::{CachedSource, SourceCacheStats, SourceRecordCache};
 pub use writeback::{PendingWriteback, WritebackCache, WritebackCacheStats};

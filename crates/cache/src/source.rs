@@ -1,6 +1,10 @@
 //! The source record cache (§3.3.1).
 //!
-//! A byte-budgeted LRU over raw record contents. Its special insert path
+//! A byte-budgeted LRU over raw record contents, each optionally with the
+//! delta anchors of its gear scan so that a record already scanned when it
+//! was inserted is not scanned again when the next revision is encoded
+//! against it. Anchors are charged to the byte budget like the bytes they
+//! describe. Its special insert path
 //! ([`SourceRecordCache::replace_or_insert`]) exploits the chain structure:
 //! when a new record supersedes a cached source (the chain head moves, or a
 //! hop base is replaced by a newer one at the same level), the old entry is
@@ -10,8 +14,10 @@
 
 use bytes::Bytes;
 use dbdedup_util::hash::fx::FxHashMap;
+use dbdedup_util::hash::gear::Anchor;
 use dbdedup_util::ids::RecordId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Hit/miss counters for Fig. 13a.
 #[derive(Debug, Default, Clone, Copy)]
@@ -36,9 +42,27 @@ impl SourceCacheStats {
     }
 }
 
+/// A cached record as a delta source.
+#[derive(Debug, Clone)]
+pub struct CachedSource {
+    /// The record's raw content.
+    pub data: Bytes,
+    /// The anchors of `data`, when whoever cached it had scanned it;
+    /// `None` means scan on demand.
+    pub anchors: Option<Arc<[Anchor]>>,
+}
+
+impl CachedSource {
+    /// Bytes this entry holds against the cache budget.
+    fn charged_bytes(&self) -> usize {
+        let anchors = self.anchors.as_deref().map_or(0, std::mem::size_of_val);
+        self.data.len() + anchors
+    }
+}
+
 #[derive(Debug)]
 struct CacheEntry {
-    data: Bytes,
+    source: CachedSource,
     tick: u64,
 }
 
@@ -67,7 +91,7 @@ impl SourceRecordCache {
         }
     }
 
-    /// Bytes currently cached.
+    /// Bytes currently cached: record contents plus their anchors.
     pub fn used_bytes(&self) -> usize {
         self.used_bytes
     }
@@ -98,9 +122,20 @@ impl SourceRecordCache {
         self.map.contains_key(&id)
     }
 
-    /// Fetches `id`, promoting it to most-recently-used. Counts a hit or
-    /// miss.
+    /// Fetches `id`'s content, promoting it to most-recently-used. Counts
+    /// a hit or miss.
     pub fn get(&mut self, id: RecordId) -> Option<Bytes> {
+        self.touch(id).map(|s| s.data.clone())
+    }
+
+    /// Like [`Self::get`], with the record's anchors if they were cached.
+    pub fn get_source(&mut self, id: RecordId) -> Option<CachedSource> {
+        self.touch(id).cloned()
+    }
+
+    /// Looks `id` up, promoting it to most-recently-used and counting the
+    /// hit or miss.
+    fn touch(&mut self, id: RecordId) -> Option<&CachedSource> {
         self.clock += 1;
         let clock = self.clock;
         match self.map.get_mut(&id) {
@@ -109,7 +144,7 @@ impl SourceRecordCache {
                 e.tick = clock;
                 self.order.insert(clock, id);
                 self.stats.hits += 1;
-                Some(e.data.clone())
+                Some(&e.source)
             }
             None => {
                 self.stats.misses += 1;
@@ -118,33 +153,44 @@ impl SourceRecordCache {
         }
     }
 
-    /// Inserts `id`, evicting LRU entries as needed.
+    /// Inserts `id` without anchors, evicting LRU entries as needed.
     pub fn insert(&mut self, id: RecordId, data: Bytes) {
+        self.insert_source(id, CachedSource { data, anchors: None });
+    }
+
+    /// Inserts `id` as `source`, evicting LRU entries as needed.
+    pub fn insert_source(&mut self, id: RecordId, source: CachedSource) {
         self.remove(id);
-        if data.len() > self.capacity_bytes {
+        let bytes = source.charged_bytes();
+        if bytes > self.capacity_bytes {
             return; // an oversized record would evict everything for nothing
         }
-        self.evict_to_fit(data.len());
+        self.evict_to_fit(bytes);
         self.clock += 1;
-        self.used_bytes += data.len();
+        self.used_bytes += bytes;
         self.order.insert(self.clock, id);
-        self.map.insert(id, CacheEntry { data, tick: self.clock });
+        self.map.insert(id, CacheEntry { source, tick: self.clock });
     }
 
     /// Chain-aware insert: drops `replaces` (the superseded chain head or
     /// hop base) and caches `id` in its place (§3.3.1).
-    pub fn replace_or_insert(&mut self, id: RecordId, data: Bytes, replaces: Option<RecordId>) {
+    pub fn replace_or_insert(
+        &mut self,
+        id: RecordId,
+        source: CachedSource,
+        replaces: Option<RecordId>,
+    ) {
         if let Some(old) = replaces {
             self.remove(old);
         }
-        self.insert(id, data);
+        self.insert_source(id, source);
     }
 
     /// Removes `id` if cached; returns whether it was present.
     pub fn remove(&mut self, id: RecordId) -> bool {
         if let Some(e) = self.map.remove(&id) {
             self.order.remove(&e.tick);
-            self.used_bytes -= e.data.len();
+            self.used_bytes -= e.source.charged_bytes();
             true
         } else {
             false
@@ -158,7 +204,7 @@ impl SourceRecordCache {
             };
             self.order.remove(&tick);
             let e = self.map.remove(&victim).expect("order and map agree");
-            self.used_bytes -= e.data.len();
+            self.used_bytes -= e.source.charged_bytes();
             self.stats.evictions += 1;
         }
     }
@@ -170,6 +216,15 @@ mod tests {
 
     fn bytes(n: usize, fill: u8) -> Bytes {
         Bytes::from(vec![fill; n])
+    }
+
+    const ANCHOR_BYTES: usize = std::mem::size_of::<Anchor>();
+
+    /// `n` content bytes with `anchors` anchors beside them.
+    fn anchored(n: usize, fill: u8, anchors: usize) -> CachedSource {
+        let anchors: Vec<Anchor> =
+            (0..anchors).map(|i| Anchor { pos: i as u32, fp: fill as u32 }).collect();
+        CachedSource { data: bytes(n, fill), anchors: Some(anchors.into()) }
     }
 
     #[test]
@@ -214,7 +269,7 @@ mod tests {
     fn replace_or_insert_supersedes_chain_head() {
         let mut c = SourceRecordCache::new(1000);
         c.insert(RecordId(1), bytes(200, 1));
-        c.replace_or_insert(RecordId(2), bytes(200, 2), Some(RecordId(1)));
+        c.replace_or_insert(RecordId(2), anchored(200, 2, 0), Some(RecordId(1)));
         assert!(!c.contains(RecordId(1)), "old head replaced");
         assert!(c.contains(RecordId(2)));
         assert_eq!(c.len(), 1);
@@ -260,5 +315,59 @@ mod tests {
         assert_eq!(c.used_bytes(), 0);
         c.insert(RecordId(2), bytes(100, 2));
         assert!(c.contains(RecordId(2)));
+    }
+
+    #[test]
+    fn anchors_are_charged_and_returned() {
+        let mut c = SourceRecordCache::new(1000);
+        c.insert_source(RecordId(1), anchored(100, 1, 10));
+        assert_eq!(c.used_bytes(), 100 + 10 * ANCHOR_BYTES);
+        let hit = c.get_source(RecordId(1)).expect("cached");
+        assert_eq!(hit.data, bytes(100, 1));
+        assert_eq!(hit.anchors.expect("anchors cached").len(), 10);
+        assert_eq!(c.get(RecordId(1)).expect("content alone"), bytes(100, 1));
+        // A plain insert carries none and is charged for none.
+        c.insert(RecordId(2), bytes(100, 2));
+        assert!(c.get_source(RecordId(2)).expect("cached").anchors.is_none());
+        assert_eq!(c.used_bytes(), 200 + 10 * ANCHOR_BYTES);
+    }
+
+    #[test]
+    fn eviction_holds_the_budget_with_anchors_counted() {
+        // 100 content bytes + 25 anchors = 300 charged bytes per record:
+        // three fit in 1000, a fourth evicts — on content alone ten would.
+        let mut c = SourceRecordCache::new(1000);
+        for i in 0..50u64 {
+            c.insert_source(RecordId(i), anchored(100, i as u8, 25));
+            assert!(c.used_bytes() <= 1000, "budget exceeded after insert {i}");
+            assert_eq!(c.used_bytes(), c.len() * (100 + 25 * ANCHOR_BYTES));
+        }
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.stats().evictions, 47);
+        // Content that fits on its own is still refused when its anchors
+        // push it over.
+        c.insert_source(RecordId(99), anchored(900, 9, 25));
+        assert!(!c.contains(RecordId(99)));
+    }
+
+    #[test]
+    fn replace_reinsert_and_remove_drop_anchors_with_their_record() {
+        let mut c = SourceRecordCache::new(10_000);
+        c.insert_source(RecordId(1), anchored(200, 1, 20));
+        c.replace_or_insert(RecordId(2), anchored(300, 2, 30), Some(RecordId(1)));
+        assert!(!c.contains(RecordId(1)));
+        assert_eq!(
+            c.used_bytes(),
+            300 + 30 * ANCHOR_BYTES,
+            "the replaced record's anchors went too"
+        );
+        // Re-inserting without anchors gives back what the old ones held.
+        c.insert(RecordId(2), bytes(300, 2));
+        assert_eq!(c.used_bytes(), 300);
+        c.insert_source(RecordId(3), anchored(50, 3, 5));
+        assert!(c.remove(RecordId(3)));
+        assert!(c.remove(RecordId(2)));
+        assert_eq!(c.used_bytes(), 0);
+        assert!(c.is_empty());
     }
 }

@@ -1,28 +1,33 @@
-//! Content-defined chunking: the windowed Rabin scan plus the fast
-//! gear-hash scanner, selected by [`ChunkerKind`].
+//! Content-defined chunking: the gear-hash scan and the windowed Rabin
+//! scan, selected by [`ChunkerKind`].
 //!
-//! In the default [`ChunkerKind::Rabin`] a 48-byte window slides over the
-//! record; a chunk boundary is declared wherever the window's Rabin
-//! fingerprint matches a fixed bit pattern in its low `n` bits, yielding an
-//! expected chunk size of `2ⁿ` bytes. Minimum and maximum chunk sizes bound
-//! the tail of the geometric length distribution, exactly as in
-//! LBFS-lineage dedup systems. Whether a position matches depends only on
-//! the window before it, so the scan finds every matching position with
-//! four interleaved rolling hashes over disjoint ranges of the record and
-//! applies the min/max rule afterwards; the boundaries (and therefore every
-//! existing store, sim trace and oplog) are byte-identical to the one-hash,
-//! byte-at-a-time loop this replaced (`tests/boundary_diff.rs`).
+//! Both kinds work the same way: find every *candidate* position — one
+//! whose fingerprint matches a fixed bit pattern in `n` bits, one position
+//! in `2ⁿ` — then apply the min/max rule to the candidates, which bounds
+//! the tail of the geometric length distribution exactly as in LBFS-lineage
+//! dedup systems.
 //!
-//! [`ChunkerKind::Gear`] swaps the boundary function for the gear-hash
-//! scanner of [`crate::gear`] — same min/max bounds and tiling guarantees,
-//! different (cheaper) hash, with skip-ahead past `min_size` and an 8-lane
-//! unrolled inner loop. [`ChunkerKind::GearScalar`] runs the gear boundary
-//! function through its portable byte-at-a-time reference implementation;
-//! the two must agree boundary-for-boundary on every input
-//! (`tests/boundary_diff.rs`).
+//! In the default [`ChunkerKind::Gear`] the fingerprint is the one gear
+//! hash of [`dbdedup_util::hash::gear`], rolled over the whole record once
+//! and never reset, and the same pass samples the record's delta anchors
+//! ([`ContentChunker::scan`]). With a hash that is never reset the
+//! boundaries are those of the per-chunk scanner this replaced (hash
+//! restarted `32 + log2(avg_size)` bytes before each chunk's first
+//! admissible cut) wherever those warm-up bytes fit inside `min_size` —
+//! every average of 128 bytes and up. Below that the old scanner tested
+//! hashes that had not seen their full window; the continuous hash has, so
+//! the boundaries differ there (`tests/boundary_diff.rs` keeps both
+//! byte-at-a-time oracles and says which averages were re-pinned).
+//!
+//! In [`ChunkerKind::Rabin`], the paper's configuration, a 48-byte window
+//! slides over the record and the fingerprint is the window's Rabin
+//! fingerprint. Whether a position matches depends only on the window
+//! before it, so the scan finds every matching position with four
+//! interleaved rolling hashes over disjoint ranges of the record; the
+//! boundaries are byte-identical to the one-hash, byte-at-a-time loop this
+//! replaced (`tests/boundary_diff.rs`).
 
-use crate::gear::{self, GearParams};
-use dbdedup_util::hash::gear::GearTable;
+use dbdedup_util::hash::gear::{self, Anchor, AnchorSampler, BitTest};
 use dbdedup_util::hash::rabin::RabinTables;
 use std::sync::Arc;
 
@@ -99,37 +104,49 @@ impl ChunkerConfig {
 /// Which boundary detector drives content-defined chunking.
 ///
 /// The kinds are **not** boundary-compatible with each other: switching a
-/// store's kind re-chunks new content differently (old chains still decode
-/// — chunking only feeds sketching). What *is* guaranteed: [`Self::Rabin`]
-/// is byte-identical to the pre-kind chunker, and [`Self::Gear`] is
-/// boundary- and sketch-identical to [`Self::GearScalar`] on every input.
+/// store's kind re-chunks new content differently. Chunking only feeds
+/// sketching, so old chains still decode and a store written under one
+/// kind keeps ingesting under the other; new records merely stop finding
+/// the old ones similar until their chains have new heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChunkerKind {
-    /// Windowed Rabin fingerprint scan — the paper's configuration and
-    /// the default. Existing stores, sims and traces depend on its exact
-    /// boundaries; they never move.
-    #[default]
+    /// Windowed Rabin fingerprint scan — the paper's configuration, kept as
+    /// the reference kind. Its boundaries are pinned to golden hashes and
+    /// never move. Costs a second pass: the delta anchors still come from
+    /// a gear scan.
     Rabin,
-    /// Gear-hash scanner with skip-ahead past `min_size` and an 8-lane
-    /// unrolled candidate scan ([`crate::gear`]) — the fast path.
+    /// One gear-hash pass for boundaries and delta anchors together
+    /// ([`dbdedup_util::hash::gear`]) — the default.
+    #[default]
     Gear,
-    /// The gear boundary function through its portable byte-at-a-time
-    /// reference implementation: the oracle the differential harness holds
-    /// [`Self::Gear`] to. Useful directly when debugging a divergence.
-    GearScalar,
 }
 
 /// The per-kind scanning state built at construction.
 #[derive(Debug, Clone)]
 enum Scanner {
     Rabin { tables: Arc<RabinTables>, mask: u64, magic: u64 },
-    Gear(GearParams),
+    Gear(BitTest),
 }
+
+/// What one pass over a record yields — its chunks and its delta anchors —
+/// in buffers the caller keeps and hands back for the next record.
+#[derive(Debug, Clone, Default)]
+pub struct RecordScan {
+    /// The record's content-defined chunks, covering it exactly.
+    pub chunks: Vec<Chunk>,
+    /// The record's delta anchors, ascending.
+    pub anchors: Vec<Anchor>,
+    ends: Candidates,
+}
+
+/// Candidate chunk ends, one ascending list per Rabin lane (the gear scan
+/// fills the first).
+type Candidates = [Vec<usize>; RABIN_LANES];
 
 /// A reusable content-defined chunker.
 ///
 /// Construction builds the Rabin tables for the configured window (Rabin
-/// kind only; the gear kinds share the process-wide gear table), so create
+/// kind only; the gear kind uses the process-wide gear table), so create
 /// one chunker per configuration and share it (it is `Send + Sync`).
 #[derive(Debug, Clone)]
 pub struct ContentChunker {
@@ -139,7 +156,7 @@ pub struct ContentChunker {
 }
 
 impl ContentChunker {
-    /// Creates a chunker for `config` with the default (Rabin) detector.
+    /// Creates a chunker for `config` with the default (gear) detector.
     pub fn new(config: ChunkerConfig) -> Self {
         Self::with_kind(config, ChunkerKind::default())
     }
@@ -157,7 +174,7 @@ impl ContentChunker {
                 let magic = 0x0078_35b1_ab5a_9c27 & mask;
                 Scanner::Rabin { tables: Arc::new(RabinTables::new(config.window)), mask, magic }
             }
-            ChunkerKind::Gear | ChunkerKind::GearScalar => Scanner::Gear(GearParams::new(&config)),
+            ChunkerKind::Gear => Scanner::Gear(BitTest::one_in(config.avg_size)),
         };
         Self { config, kind, scanner }
     }
@@ -183,51 +200,53 @@ impl ContentChunker {
 
     /// Like [`Self::chunk`] but reuses an output buffer.
     pub fn chunk_into(&self, data: &[u8], out: &mut Vec<Chunk>) {
-        out.clear();
-        if data.is_empty() {
-            return;
-        }
+        let mut ends = Candidates::default();
+        self.candidates(data, None, &mut Vec::new(), &mut ends);
+        self.select_boundaries(data.len(), &ends, out);
+    }
+
+    /// Chunks `data` and samples its delta anchors, replacing what `out`
+    /// held. Under the gear kind this is one pass over the bytes; under
+    /// Rabin the anchors cost a gear pass of their own.
+    pub fn scan(&self, sampler: &AnchorSampler, data: &[u8], out: &mut RecordScan) {
+        out.anchors.clear();
+        self.candidates(data, Some(sampler.test()), &mut out.anchors, &mut out.ends);
+        self.select_boundaries(data.len(), &out.ends, &mut out.chunks);
+    }
+
+    /// Every candidate chunk end of `data` into `ends` and, when asked for,
+    /// its anchors onto `anchors`.
+    ///
+    /// The `Rabin` kind's candidates are a compatibility contract:
+    /// `tests/boundary_diff.rs` pins the boundaries they select against
+    /// golden hashes and holds the lanes to the byte-at-a-time loop they
+    /// replaced.
+    fn candidates(
+        &self,
+        data: &[u8],
+        anchor: Option<BitTest>,
+        anchors: &mut Vec<Anchor>,
+        ends: &mut Candidates,
+    ) {
+        ends.iter_mut().for_each(Vec::clear);
         match &self.scanner {
             Scanner::Rabin { tables, mask, magic } => {
-                self.chunk_rabin(tables, *mask, *magic, data, out)
+                rabin_candidates(tables, *mask, *magic, self.config.window, data, ends);
+                gear::scan(data, anchor, None, anchors, &mut Vec::new());
             }
-            Scanner::Gear(params) => match self.kind {
-                ChunkerKind::Gear => {
-                    gear::chunk_fast(GearTable::standard(), &self.config, params, data, out)
-                }
-                _ => gear::chunk_scalar(GearTable::standard(), &self.config, params, data, out),
-            },
+            Scanner::Gear(boundary) => {
+                gear::scan(data, anchor, Some(*boundary), anchors, &mut ends[0]);
+            }
         }
     }
 
-    /// The windowed Rabin scan, split into *candidates* (every position
-    /// whose window fingerprint matches `mask`/`magic`) and *selection*
-    /// (min/max rule over them). The `Rabin` kind's boundaries are a
-    /// compatibility contract: `tests/boundary_diff.rs` pins them against
-    /// golden hashes and holds this scan to the byte-at-a-time loop it
-    /// replaced.
-    fn chunk_rabin(
-        &self,
-        tables: &RabinTables,
-        mask: u64,
-        magic: u64,
-        data: &[u8],
-        out: &mut Vec<Chunk>,
-    ) {
-        let ends = rabin_candidates(tables, mask, magic, self.config.window, data);
-        self.select_boundaries(data.len(), ends.iter().flatten().copied(), out);
-    }
-
-    /// Applies the min/max rule to ascending candidate chunk ends: each
-    /// chunk ends at the first candidate at least `min_size` past its
-    /// start, or is cut at `max_size` when there is none in reach.
-    fn select_boundaries(
-        &self,
-        len: usize,
-        candidates: impl Iterator<Item = usize>,
-        out: &mut Vec<Chunk>,
-    ) {
-        let mut candidates = candidates.peekable();
+    /// Applies the min/max rule to candidate chunk ends (ascending over
+    /// the flattened lists): each chunk ends at the first candidate at
+    /// least `min_size` past its start, or is cut at `max_size` when there
+    /// is none in reach.
+    fn select_boundaries(&self, len: usize, ends: &Candidates, out: &mut Vec<Chunk>) {
+        out.clear();
+        let mut candidates = ends.iter().flatten().copied().peekable();
         let mut start = 0usize;
         while start < len {
             let (lo, hi) = (start + self.config.min_size, start + self.config.max_size);
@@ -248,8 +267,9 @@ impl ContentChunker {
 const RABIN_LANES: usize = 4;
 
 /// Every chunk end (exclusive) whose preceding `window` bytes fingerprint
-/// to `magic` under `mask`, as one ascending list per lane over consecutive
-/// ranges of `data` — flattened, they ascend over the whole record.
+/// to `magic` under `mask`, onto one ascending list per lane over
+/// consecutive ranges of `data` — flattened, they ascend over the whole
+/// record.
 ///
 /// Whether a position is a candidate depends on the `window` bytes before
 /// it and nothing else, so the lanes need no knowledge of where chunks
@@ -263,10 +283,10 @@ fn rabin_candidates(
     magic: u64,
     window: usize,
     data: &[u8],
-) -> [Vec<usize>; RABIN_LANES] {
-    let mut ends: [Vec<usize>; RABIN_LANES] = std::array::from_fn(|_| Vec::new());
+    ends: &mut Candidates,
+) {
     if data.len() < window {
-        return ends;
+        return;
     }
     // Lane `l` rolls its window end over `[window + l·per, window + (l+1)·per)`.
     let per = (data.len() - window) / RABIN_LANES;
@@ -298,13 +318,14 @@ fn rabin_candidates(
             ends[RABIN_LANES - 1].push(pos + 1);
         }
     }
-    ends
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbdedup_util::dist::SplitMix64;
+
+    const KINDS: [ChunkerKind; 2] = [ChunkerKind::Rabin, ChunkerKind::Gear];
 
     fn random_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = SplitMix64::new(seed);
@@ -313,105 +334,119 @@ mod tests {
 
     #[test]
     fn chunks_cover_input_exactly() {
-        let c = ContentChunker::new(ChunkerConfig::with_avg(64));
-        let data = random_bytes(10_000, 1);
-        let chunks = c.chunk(&data);
-        let mut pos = 0;
-        for ch in &chunks {
-            assert_eq!(ch.offset, pos, "chunks must be contiguous");
-            assert!(ch.len > 0);
-            pos += ch.len;
+        for kind in KINDS {
+            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(64), kind);
+            let data = random_bytes(10_000, 1);
+            let chunks = c.chunk(&data);
+            let mut pos = 0;
+            for ch in &chunks {
+                assert_eq!(ch.offset, pos, "{kind:?}: chunks must be contiguous");
+                assert!(ch.len > 0);
+                pos += ch.len;
+            }
+            assert_eq!(pos, data.len());
         }
-        assert_eq!(pos, data.len());
     }
 
     #[test]
     fn size_bounds_respected() {
-        let cfg = ChunkerConfig::with_avg(64);
-        let c = ContentChunker::new(cfg);
-        let data = random_bytes(50_000, 2);
-        let chunks = c.chunk(&data);
-        for (i, ch) in chunks.iter().enumerate() {
-            assert!(ch.len <= cfg.max_size, "chunk {i} too large: {}", ch.len);
-            if i != chunks.len() - 1 {
-                assert!(ch.len >= cfg.min_size, "chunk {i} too small: {}", ch.len);
+        for kind in KINDS {
+            let cfg = ChunkerConfig::with_avg(64);
+            let c = ContentChunker::with_kind(cfg, kind);
+            let data = random_bytes(50_000, 2);
+            let chunks = c.chunk(&data);
+            for (i, ch) in chunks.iter().enumerate() {
+                assert!(ch.len <= cfg.max_size, "{kind:?}: chunk {i} too large: {}", ch.len);
+                if i != chunks.len() - 1 {
+                    assert!(ch.len >= cfg.min_size, "{kind:?}: chunk {i} too small: {}", ch.len);
+                }
             }
         }
     }
 
     #[test]
     fn average_size_in_expected_range() {
-        let cfg = ChunkerConfig::with_avg(256);
-        let c = ContentChunker::new(cfg);
-        let data = random_bytes(1 << 20, 3);
-        let chunks = c.chunk(&data);
-        let avg = data.len() / chunks.len();
-        // With min/max clamping the realized average sits near (and usually
-        // a bit above) the nominal average on random data.
-        assert!(
-            (cfg.avg_size / 2..cfg.avg_size * 3).contains(&avg),
-            "avg chunk size {avg} for nominal {}",
-            cfg.avg_size
-        );
+        for kind in KINDS {
+            let cfg = ChunkerConfig::with_avg(256);
+            let c = ContentChunker::with_kind(cfg, kind);
+            let data = random_bytes(1 << 20, 3);
+            let chunks = c.chunk(&data);
+            let avg = data.len() / chunks.len();
+            // With min/max clamping the realized average sits near (and
+            // usually a bit above) the nominal average on random data.
+            assert!(
+                (cfg.avg_size / 2..cfg.avg_size * 3).contains(&avg),
+                "{kind:?}: avg chunk size {avg} for nominal {}",
+                cfg.avg_size
+            );
+        }
     }
 
     #[test]
     fn boundaries_are_content_defined() {
         // Inserting bytes at the front must leave boundaries in the
         // unmodified tail aligned to the same content.
-        let cfg = ChunkerConfig::with_avg(64);
-        let c = ContentChunker::new(cfg);
-        let tail = random_bytes(20_000, 4);
-        let mut shifted = random_bytes(137, 5);
-        shifted.extend_from_slice(&tail);
+        for kind in KINDS {
+            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(64), kind);
+            let tail = random_bytes(20_000, 4);
+            let mut shifted = random_bytes(137, 5);
+            shifted.extend_from_slice(&tail);
 
-        let a = c.chunk(&tail);
-        let b = c.chunk(&shifted);
-        // Collect boundary positions relative to the tail content.
-        let bounds_a: Vec<usize> = a.iter().map(|ch| ch.offset + ch.len).collect();
-        let bounds_b: Vec<usize> = b
-            .iter()
-            .map(|ch| ch.offset + ch.len)
-            .filter(|&e| e > 137 + 1000) // skip the perturbed prefix region
-            .map(|e| e - 137)
-            .collect();
-        // Most tail boundaries should appear in both chunkings.
-        let common = bounds_b.iter().filter(|e| bounds_a.contains(e)).count();
-        assert!(
-            common * 10 >= bounds_b.len() * 8,
-            "only {common}/{} boundaries realigned",
-            bounds_b.len()
-        );
+            let a = c.chunk(&tail);
+            let b = c.chunk(&shifted);
+            // Collect boundary positions relative to the tail content.
+            let bounds_a: Vec<usize> = a.iter().map(|ch| ch.offset + ch.len).collect();
+            let bounds_b: Vec<usize> = b
+                .iter()
+                .map(|ch| ch.offset + ch.len)
+                .filter(|&e| e > 137 + 1000) // skip the perturbed prefix region
+                .map(|e| e - 137)
+                .collect();
+            // Most tail boundaries should appear in both chunkings.
+            let common = bounds_b.iter().filter(|e| bounds_a.contains(e)).count();
+            assert!(
+                common * 10 >= bounds_b.len() * 8,
+                "{kind:?}: only {common}/{} boundaries realigned",
+                bounds_b.len()
+            );
+        }
     }
 
     #[test]
-    fn zero_filled_data_does_not_degenerate() {
-        let cfg = ChunkerConfig::with_avg(64);
-        let c = ContentChunker::new(cfg);
-        let data = vec![0u8; 100_000];
-        let chunks = c.chunk(&data);
-        // With a non-zero magic, zero regions produce max-size chunks, not
-        // min-size ones.
-        let avg = data.len() / chunks.len();
-        assert!(avg >= cfg.avg_size, "zero data collapsed to avg {avg}");
+    fn constant_data_does_not_degenerate() {
+        // A constant run holds either fingerprint at a fixed point; the
+        // non-zero pattern must turn that into max-size chunks, not
+        // min-size confetti.
+        for kind in KINDS {
+            for fill in [0x00u8, 0xFF] {
+                let cfg = ChunkerConfig::with_avg(64);
+                let c = ContentChunker::with_kind(cfg, kind);
+                let data = vec![fill; 100_000];
+                let avg = data.len() / c.chunk(&data).len();
+                assert!(avg >= cfg.avg_size, "{kind:?} fill {fill:#x} collapsed to avg {avg}");
+            }
+        }
     }
 
     #[test]
     fn tiny_and_empty_inputs() {
-        let c = ContentChunker::new(ChunkerConfig::with_avg(1024));
-        assert!(c.chunk(&[]).is_empty());
-        let one = c.chunk(&[42]);
-        assert_eq!(one, vec![Chunk { offset: 0, len: 1 }]);
-        let small = c.chunk(&random_bytes(100, 6));
-        assert_eq!(small.len(), 1);
-        assert_eq!(small[0].len, 100);
+        for kind in KINDS {
+            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(1024), kind);
+            assert!(c.chunk(&[]).is_empty());
+            assert_eq!(c.chunk(&[42]), vec![Chunk { offset: 0, len: 1 }]);
+            let small = c.chunk(&random_bytes(100, 6));
+            assert_eq!(small.len(), 1);
+            assert_eq!(small[0].len, 100);
+        }
     }
 
     #[test]
     fn deterministic() {
-        let c = ContentChunker::new(ChunkerConfig::with_avg(128));
-        let data = random_bytes(30_000, 7);
-        assert_eq!(c.chunk(&data), c.chunk(&data));
+        for kind in KINDS {
+            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(128), kind);
+            let data = random_bytes(30_000, 7);
+            assert_eq!(c.chunk(&data), c.chunk(&data));
+        }
     }
 
     #[test]
@@ -454,79 +489,32 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_is_rabin_and_kind_is_reported() {
+    fn default_kind_is_gear_and_kind_is_reported() {
         let cfg = ChunkerConfig::with_avg(64);
-        assert_eq!(ContentChunker::new(cfg).kind(), ChunkerKind::Rabin);
-        assert_eq!(ChunkerKind::default(), ChunkerKind::Rabin);
-        for kind in [ChunkerKind::Rabin, ChunkerKind::Gear, ChunkerKind::GearScalar] {
+        assert_eq!(ContentChunker::new(cfg).kind(), ChunkerKind::Gear);
+        assert_eq!(ChunkerKind::default(), ChunkerKind::Gear);
+        for kind in KINDS {
             assert_eq!(ContentChunker::with_kind(cfg, kind).kind(), kind);
         }
     }
 
+    /// `scan` is `chunk_into` plus the sampler's own anchors, under either
+    /// kind, and reusing the buffers leaves nothing of the previous record.
     #[test]
-    fn gear_kinds_chunk_tiny_and_empty_inputs() {
-        for kind in [ChunkerKind::Gear, ChunkerKind::GearScalar] {
-            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(1024), kind);
-            assert!(c.chunk(&[]).is_empty());
-            assert_eq!(c.chunk(&[42]), vec![Chunk { offset: 0, len: 1 }]);
-            let small = c.chunk(&random_bytes(100, 6));
-            assert_eq!(small.len(), 1);
-            assert_eq!(small[0].len, 100);
-        }
-    }
-
-    #[test]
-    fn gear_zero_filled_data_does_not_degenerate() {
-        // Constant-byte runs drive the gear hash's masked bits to a fixed
-        // point; the non-zero magic must turn that into max-size chunks,
-        // not min-size confetti (mirrors the Rabin-kind test above).
-        for kind in [ChunkerKind::Gear, ChunkerKind::GearScalar] {
-            for fill in [0x00u8, 0xFF] {
-                let cfg = ChunkerConfig::with_avg(64);
-                let c = ContentChunker::with_kind(cfg, kind);
-                let data = vec![fill; 100_000];
-                let avg = data.len() / c.chunk(&data).len();
-                assert!(avg >= cfg.avg_size, "{kind:?} fill {fill:#x} collapsed to avg {avg}");
+    fn scan_chunks_like_chunk_and_anchors_like_the_sampler() {
+        let sampler = AnchorSampler::new(64);
+        for kind in KINDS {
+            let c = ContentChunker::with_kind(ChunkerConfig::with_avg(256), kind);
+            let mut out = RecordScan::default();
+            for (len, seed) in [(40_000, 8), (3, 9), (0, 10), (12_345, 11)] {
+                let data = random_bytes(len, seed);
+                c.scan(&sampler, &data, &mut out);
+                assert_eq!(out.chunks, c.chunk(&data), "{kind:?} len {len}");
+                let mut anchors = vec![Anchor { pos: 7, fp: 7 }];
+                sampler.scan(&data, &mut anchors);
+                assert_eq!(out.anchors, anchors, "{kind:?} len {len}");
+                assert!(len < 10_000 || anchors.len() > len / 128, "{kind:?}: too few anchors");
             }
         }
-    }
-
-    #[test]
-    fn gear_average_size_in_expected_range() {
-        let cfg = ChunkerConfig::with_avg(256);
-        let c = ContentChunker::with_kind(cfg, ChunkerKind::Gear);
-        let data = random_bytes(1 << 20, 3);
-        let avg = data.len() / c.chunk(&data).len();
-        assert!(
-            (cfg.avg_size / 2..cfg.avg_size * 3).contains(&avg),
-            "gear avg chunk size {avg} for nominal {}",
-            cfg.avg_size
-        );
-    }
-
-    #[test]
-    fn gear_boundaries_are_content_defined() {
-        // Same shift experiment as the Rabin test: prepend bytes, tail
-        // boundaries realign to the same content.
-        let cfg = ChunkerConfig::with_avg(64);
-        let c = ContentChunker::with_kind(cfg, ChunkerKind::Gear);
-        let tail = random_bytes(20_000, 4);
-        let mut shifted = random_bytes(137, 5);
-        shifted.extend_from_slice(&tail);
-        let a = c.chunk(&tail);
-        let b = c.chunk(&shifted);
-        let bounds_a: Vec<usize> = a.iter().map(|ch| ch.offset + ch.len).collect();
-        let bounds_b: Vec<usize> = b
-            .iter()
-            .map(|ch| ch.offset + ch.len)
-            .filter(|&e| e > 137 + 1000)
-            .map(|e| e - 137)
-            .collect();
-        let common = bounds_b.iter().filter(|e| bounds_a.contains(e)).count();
-        assert!(
-            common * 10 >= bounds_b.len() * 8,
-            "only {common}/{} gear boundaries realigned",
-            bounds_b.len()
-        );
     }
 }

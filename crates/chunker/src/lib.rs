@@ -34,9 +34,9 @@
 
 pub mod cdc;
 pub mod fixed;
-pub mod gear;
 pub mod sketch;
 
-pub use cdc::{Chunk, ChunkerConfig, ChunkerKind, ContentChunker};
+pub use cdc::{Chunk, ChunkerConfig, ChunkerKind, ContentChunker, RecordScan};
+pub use dbdedup_util::hash::gear::{Anchor, AnchorSampler};
 pub use fixed::fixed_chunks;
 pub use sketch::{Sketch, SketchExtractor};

@@ -5,8 +5,7 @@
 use dbdedup_chunker::{ChunkerConfig, ChunkerKind, ContentChunker, SketchExtractor};
 use dbdedup_util::dist::SplitMix64;
 
-const ALL_KINDS: [ChunkerKind; 3] =
-    [ChunkerKind::Rabin, ChunkerKind::Gear, ChunkerKind::GearScalar];
+const ALL_KINDS: [ChunkerKind; 2] = [ChunkerKind::Rabin, ChunkerKind::Gear];
 
 fn rand_bytes(rng: &mut SplitMix64, min: usize, max: usize) -> Vec<u8> {
     let len = min + rng.next_index(max - min);
@@ -149,7 +148,7 @@ fn adversarial_inputs_respect_bounds() {
 fn boundaries_resync_after_prefix_perturbation() {
     let mut rng = SplitMix64::new(0xC4C_0007);
     let cfg = ChunkerConfig::with_avg(256);
-    let chunker = ContentChunker::new(cfg);
+    let chunker = ContentChunker::with_kind(cfg, ChunkerKind::Rabin);
     for round in 0..48 {
         // Text-like content: natural cut points exist densely, unlike the
         // adversarial constant runs above.
@@ -188,52 +187,49 @@ fn boundaries_resync_after_prefix_perturbation() {
     }
 }
 
-/// The same localized-resync property for the gear kinds. The gear
+/// The same localized-resync property for the gear kind. The gear
 /// boundary decision reads at most 64 trailing bytes (the hash is a
 /// 64-bit shift register), so once a boundary past `p + 64` appears in
-/// both chunkings, both scanners restart from identical state over
-/// identical bytes and every later boundary matches exactly. Exercised
-/// for both the fast scanner and the scalar fallback — the resync bound
-/// is a property of the boundary *function*, not of the implementation.
+/// both chunkings, the candidates and the chunk start are the same from
+/// there on and every later boundary matches exactly.
 #[test]
 fn gear_boundaries_resync_after_prefix_perturbation() {
     let cfg = ChunkerConfig::with_avg(256);
-    for kind in [ChunkerKind::Gear, ChunkerKind::GearScalar] {
-        let mut rng = SplitMix64::new(0xC4C_0008);
-        let chunker = ContentChunker::with_kind(cfg, kind);
-        for round in 0..48 {
-            let mut data = Vec::new();
-            while data.len() < 16_000 {
-                let w = rng.next_u64() % 500;
-                data.extend_from_slice(format!("token{w} ").as_bytes());
-            }
-            let p = 1 + rng.next_index(700); // perturbed prefix length
-            let mut mutated = data.clone();
-            for b in &mut mutated[..p] {
-                *b = rng.next_u64() as u8;
-            }
-            let bounds = |chunks: &[dbdedup_chunker::Chunk]| -> Vec<usize> {
-                chunks.iter().map(|c| c.offset + c.len).collect()
-            };
-            let a = bounds(&chunker.chunk(&data));
-            let b = bounds(&chunker.chunk(&mutated));
-            // First boundary present in both chunkings that sits a full
-            // 64-byte hash history past the perturbed region.
-            let resync =
-                a.iter().copied().find(|&x| x >= p + 64 && b.contains(&x)).unwrap_or_else(|| {
-                    panic!("{kind:?} round {round}: no common boundary after prefix {p}")
-                });
-            assert!(
-                resync <= p + 8 * cfg.max_size,
-                "{kind:?} round {round}: resync at {resync} too far past prefix {p}"
-            );
-            let a_tail: Vec<usize> = a.iter().copied().filter(|&x| x > resync).collect();
-            let b_tail: Vec<usize> = b.iter().copied().filter(|&x| x > resync).collect();
-            assert_eq!(
-                a_tail, b_tail,
-                "{kind:?} round {round}: boundaries past resync at {resync} must be identical"
-            );
+    let kind = ChunkerKind::Gear;
+    let mut rng = SplitMix64::new(0xC4C_0008);
+    let chunker = ContentChunker::with_kind(cfg, kind);
+    for round in 0..48 {
+        let mut data = Vec::new();
+        while data.len() < 16_000 {
+            let w = rng.next_u64() % 500;
+            data.extend_from_slice(format!("token{w} ").as_bytes());
         }
+        let p = 1 + rng.next_index(700); // perturbed prefix length
+        let mut mutated = data.clone();
+        for b in &mut mutated[..p] {
+            *b = rng.next_u64() as u8;
+        }
+        let bounds = |chunks: &[dbdedup_chunker::Chunk]| -> Vec<usize> {
+            chunks.iter().map(|c| c.offset + c.len).collect()
+        };
+        let a = bounds(&chunker.chunk(&data));
+        let b = bounds(&chunker.chunk(&mutated));
+        // First boundary present in both chunkings that sits a full
+        // 64-byte hash history past the perturbed region.
+        let resync =
+            a.iter().copied().find(|&x| x >= p + 64 && b.contains(&x)).unwrap_or_else(|| {
+                panic!("{kind:?} round {round}: no common boundary after prefix {p}")
+            });
+        assert!(
+            resync <= p + 8 * cfg.max_size,
+            "{kind:?} round {round}: resync at {resync} too far past prefix {p}"
+        );
+        let a_tail: Vec<usize> = a.iter().copied().filter(|&x| x > resync).collect();
+        let b_tail: Vec<usize> = b.iter().copied().filter(|&x| x > resync).collect();
+        assert_eq!(
+            a_tail, b_tail,
+            "{kind:?} round {round}: boundaries past resync at {resync} must be identical"
+        );
     }
 }
 

@@ -14,13 +14,16 @@ pub struct EngineConfig {
     /// Average content-defined chunk size for feature extraction (power of
     /// two). The paper sweeps 64 B – 1 KiB.
     pub chunk_avg_size: usize,
-    /// Boundary-detection algorithm. The default, [`ChunkerKind::Rabin`],
-    /// is the paper's windowed Rabin scan and is byte-identical to every
-    /// release before this knob existed — existing stores, sims and traces
-    /// are unaffected unless a deployment opts into [`ChunkerKind::Gear`].
-    /// Gear changes *which* boundaries are cut (a different but equally
-    /// content-defined hash), so it must be chosen at store creation, not
-    /// toggled on live data.
+    /// Boundary-detection algorithm. The default, [`ChunkerKind::Gear`],
+    /// finds chunk boundaries and the delta encoder's anchors in one gear-
+    /// hash pass over each record. [`ChunkerKind::Rabin`] is the paper's
+    /// windowed Rabin scan, kept as the reference configuration (its
+    /// boundaries are pinned to golden hashes); it pays a second pass for
+    /// the anchors. The two cut different, equally content-defined
+    /// boundaries. Chunking only feeds the similarity sketch, so a store
+    /// written under one kind opens and keeps ingesting under the other:
+    /// every record stays readable, and new records merely do not find
+    /// records sketched under the other kind similar.
     pub chunker_kind: ChunkerKind,
     /// Sketch size K: features kept per record.
     pub sketch_k: usize,
@@ -90,7 +93,7 @@ impl Default for EngineConfig {
         Self {
             dedup_enabled: true,
             chunk_avg_size: 1024,
-            chunker_kind: ChunkerKind::Rabin,
+            chunker_kind: ChunkerKind::Gear,
             sketch_k: 8,
             cache_reward: 2,
             source_cache_bytes: 32 << 20,
@@ -176,7 +179,7 @@ mod tests {
         assert_eq!(c.chunk_avg_size, 1024);
         // The default boundary detector is the paper's Rabin scan; changing
         // it would silently re-cut every existing store.
-        assert_eq!(c.chunker_kind, ChunkerKind::Rabin);
+        assert_eq!(c.chunker_kind, ChunkerKind::Gear);
         assert_eq!(c.sketch_k, 8);
         assert_eq!(c.cache_reward, 2);
         assert_eq!(c.anchor_interval, 64);

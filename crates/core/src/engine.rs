@@ -9,8 +9,8 @@ use crate::metrics::{EngineMetrics, IndexTierMetrics, MetricsSnapshot};
 use crate::pipeline::{InsertPreparer, PreparedInsert};
 use crate::repair::RepairSource;
 use bytes::Bytes;
-use dbdedup_cache::{PendingWriteback, SourceRecordCache, WritebackCache};
-use dbdedup_chunker::SketchExtractor;
+use dbdedup_cache::{CachedSource, PendingWriteback, SourceRecordCache, WritebackCache};
+use dbdedup_chunker::{Anchor, RecordScan, Sketch, SketchExtractor};
 use dbdedup_delta::ops::DeltaError;
 use dbdedup_delta::{reencode, DbDeltaConfig, DbDeltaEncoder, Delta};
 use dbdedup_encoding::{ChainManager, Writeback};
@@ -251,6 +251,40 @@ impl SlotTable {
     }
 }
 
+/// A record's bytes with the anchors of its scan, when they are in hand.
+#[derive(Clone, Copy)]
+struct Scanned<'a> {
+    bytes: &'a [u8],
+    anchors: Option<&'a [Anchor]>,
+}
+
+impl<'a> Scanned<'a> {
+    fn bare(bytes: &'a [u8]) -> Self {
+        Self { bytes, anchors: None }
+    }
+
+    fn cached(source: &'a CachedSource) -> Self {
+        Self { bytes: &source.data, anchors: source.anchors.as_deref() }
+    }
+
+    /// What the source cache keeps of this record (one copy of each part).
+    fn to_cached(self) -> CachedSource {
+        CachedSource {
+            data: Bytes::copy_from_slice(self.bytes),
+            anchors: self.anchors.map(Arc::from),
+        }
+    }
+}
+
+/// Buffers the insert path fills for every record and reuses for the next.
+#[derive(Debug, Default)]
+struct InsertScratch {
+    /// The new record's chunks and anchors.
+    scan: RecordScan,
+    /// Candidate slot → features it shares with the new record.
+    counts: Vec<(u32, u32)>,
+}
+
 /// The dbDedup engine. See module docs.
 pub struct DedupEngine {
     config: EngineConfig,
@@ -258,6 +292,7 @@ pub struct DedupEngine {
     oplog: OplogBackend,
     extractor: SketchExtractor,
     encoder: DbDeltaEncoder,
+    scratch: InsertScratch,
     index: PartitionedIndex<TieredFeatureIndex>,
     chains: ChainManager,
     source_cache: SourceRecordCache,
@@ -365,7 +400,7 @@ impl DedupEngine {
     pub fn new(store: RecordStore, config: EngineConfig) -> Result<Self, EngineError> {
         // Shared with the parallel-ingest preparer so worker-computed
         // sketches are bit-identical to inline ones.
-        let extractor = InsertPreparer::from_config(&config).into_extractor();
+        let (extractor, _) = InsertPreparer::from_config(&config).into_parts();
         let encoder = DbDeltaEncoder::new(DbDeltaConfig::with_interval(config.anchor_interval));
         // Hot tier only by default (the paper's configuration); a budget
         // turns on tiering, spilling into Bloom-gated runs kept under the
@@ -461,6 +496,7 @@ impl DedupEngine {
             events,
             extractor,
             encoder,
+            scratch: InsertScratch::default(),
             index,
             chains,
             source_cache: SourceRecordCache::new(config.source_cache_bytes),
@@ -512,10 +548,10 @@ impl DedupEngine {
         self.insert_prepared(db, id, data, None)
     }
 
-    /// Inserts a record whose pure CPU stages (chunking + sketch
-    /// extraction) may already have been computed off-thread by an
-    /// [`InsertPreparer`]. With `prepared = None` this *is* the serial
-    /// insert path; with `Some(_)` only the feature-extraction step is
+    /// Inserts a record whose pure CPU stages (the scan for chunks and
+    /// delta anchors, and sketch extraction) may already have been computed
+    /// off-thread by an [`InsertPreparer`]. With `prepared = None` this *is*
+    /// the serial insert path; with `Some(_)` only those stages are
     /// substituted — every gate, lookup, selection, and append below runs
     /// unchanged, in call order, so the two paths commit identical bytes.
     pub fn insert_prepared(
@@ -559,9 +595,29 @@ impl DedupEngine {
             return Ok(InsertOutcome::BypassedSize);
         }
 
-        // ① Feature extraction — inline, or carried in from a pipeline
-        // worker (same extractor configuration, so same sketch bytes).
-        let sketch = match prepared {
+        // The rest borrows the engine's scratch buffers; they go back
+        // whichever way the insert ends.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = self.insert_deduped(db, id, data, prepared, sampled, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    /// Steps ①–④ of the workflow for a record every gate let through.
+    fn insert_deduped(
+        &mut self,
+        db: &str,
+        id: RecordId,
+        data: &[u8],
+        prepared: Option<PreparedInsert>,
+        sampled: bool,
+        scratch: &mut InsertScratch,
+    ) -> Result<InsertOutcome, EngineError> {
+        // ① Feature extraction and the record's anchors — inline, or
+        // carried in from a pipeline worker (same configuration, so same
+        // sketch and anchors).
+        let worker_anchors;
+        let (sketch, anchors) = match prepared {
             Some(p) => {
                 if sampled {
                     // Credit the worker's measured time to the same stage
@@ -569,44 +625,103 @@ impl DedupEngine {
                     self.tracer.stages_mut().record(Stage::Chunk, p.chunk_ns);
                     self.tracer.stages_mut().record(Stage::Sketch, p.sketch_ns);
                 }
-                p.sketch
+                worker_anchors = p.anchors;
+                (p.sketch, worker_anchors.as_slice())
             }
             None => {
                 let t = self.tracer.start();
-                let mut chunks = Vec::new();
-                self.extractor.chunker().chunk_into(data, &mut chunks);
+                self.extractor.chunker().scan(self.encoder.sampler(), data, &mut scratch.scan);
                 self.tracer.stop(t, Stage::Chunk);
                 let t = self.tracer.start();
-                let sketch = self.extractor.extract_from_chunks(data, &chunks);
+                let sketch = self.extractor.extract_from_chunks(data, &scratch.scan.chunks);
                 self.tracer.stop(t, Stage::Sketch);
-                sketch
+                (sketch, scratch.scan.anchors.as_slice())
             }
         };
+        let new = Scanned { bytes: data, anchors: Some(anchors) };
         // ② Index lookup (and registration of the new record's features).
         let t = self.tracer.start();
+        self.lookup_candidates(db, id, &sketch, &mut scratch.counts);
+        self.tracer.stop(t, Stage::IndexLookup);
+        // ③ Cache-aware source selection (§3.1.3).
+        let Some(source) = self.select_source(&scratch.counts) else {
+            self.record_governor(db, data.len() as u64, data.len() as u64);
+            self.insert_unique_cached(id, new)?;
+            return Ok(InsertOutcome::Unique);
+        };
+
+        // ④ Delta compression (forward first, then re-encode backward).
+        let t = self.tracer.start();
+        let fetched = self.fetch_for_encode(source);
+        self.tracer.stop(t, Stage::SourceFetch);
+        let src = match fetched {
+            Ok(c) => c,
+            Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => {
+                // The chosen source is corrupt or vanished. The new data is
+                // intact in hand — degrade to a unique insert rather than
+                // failing the client's write over somebody else's damage.
+                self.record_governor(db, data.len() as u64, data.len() as u64);
+                self.insert_unique_cached(id, new)?;
+                return Ok(InsertOutcome::Unique);
+            }
+            Err(e) => return Err(e),
+        };
+        let t = self.tracer.start();
+        let forward = self.delta_between(Scanned::cached(&src), new);
+        self.tracer.stop(t, Stage::DeltaEncode);
+        let saved = data.len() as i64 - forward.encoded_len() as i64;
+        if saved < self.config.min_benefit_bytes as i64 {
+            self.record_governor(db, data.len() as u64, data.len() as u64);
+            self.insert_unique_cached(id, new)?;
+            return Ok(InsertOutcome::Unique);
+        }
+
+        let forward_bytes = forward.encoded_len();
+        self.record_governor(db, data.len() as u64, forward_bytes as u64);
+        self.apply_dedup_insert(id, source, new.to_cached(), &src.data, &forward, true)?;
+        self.metrics.deduped_inserts += 1;
+        self.metrics.forward_delta_bytes += forward_bytes as u64;
+        Ok(InsertOutcome::Deduped { source, forward_bytes })
+    }
+
+    /// Step ②: registers `sketch`'s features under `id` and tallies, per
+    /// candidate slot, how many of them it shares, into `counts`.
+    fn lookup_candidates(
+        &mut self,
+        db: &str,
+        id: RecordId,
+        sketch: &Sketch,
+        counts: &mut Vec<(u32, u32)>,
+    ) {
+        counts.clear();
         let slot = self.slots.assign(id);
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-        let cold_probes = {
-            let part = self.index.partition_mut(db);
-            let probes_before = part.stats().cold_probes;
-            for &feature in sketch.features() {
-                for cand in part.lookup_insert(feature, slot) {
-                    if cand != slot {
-                        *counts.entry(cand).or_insert(0) += 1;
-                    }
+        let part = self.index.partition_mut(db);
+        let probes_before = part.stats().cold_probes;
+        for &feature in sketch.features() {
+            for cand in part.lookup_insert(feature, slot) {
+                if cand == slot {
+                    continue;
+                }
+                match counts.iter_mut().find(|(c, _)| *c == cand) {
+                    Some((_, n)) => *n += 1,
+                    None => counts.push((cand, 1)),
                 }
             }
-            part.stats().cold_probes - probes_before
-        };
+        }
+        let cold_probes = part.stats().cold_probes - probes_before;
         if cold_probes > 0 {
             // Cold-tier probes are real disk reads; meter them so the
             // idleness signal sees index I/O like any other foreground read.
             self.io.submit(cold_probes);
         }
-        self.tracer.stop(t, Stage::IndexLookup);
-        // ③ Cache-aware source selection (§3.1.3).
+    }
+
+    /// Step ③, cache-aware source selection (§3.1.3): the live candidate
+    /// sharing the most features, a cached one favoured by the reward, the
+    /// newest on a tie.
+    fn select_source(&self, counts: &[(u32, u32)]) -> Option<RecordId> {
         let mut best: Option<(u32, RecordId)> = None;
-        for (&cand_slot, &feature_score) in &counts {
+        for &(cand_slot, feature_score) in counts {
             let Some(cand_id) = self.slots.get(cand_slot) else {
                 continue;
             };
@@ -625,44 +740,15 @@ impl DedupEngine {
                 best = Some((score, cand_id));
             }
         }
-        let Some((_, source)) = best else {
-            self.record_governor(db, data.len() as u64, data.len() as u64);
-            self.insert_unique_cached(id, data)?;
-            return Ok(InsertOutcome::Unique);
-        };
+        best.map(|(_, id)| id)
+    }
 
-        // ④ Delta compression (forward first, then re-encode backward).
-        let t = self.tracer.start();
-        let fetched = self.fetch_for_encode(source);
-        self.tracer.stop(t, Stage::SourceFetch);
-        let src_content = match fetched {
-            Ok(c) => c,
-            Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => {
-                // The chosen source is corrupt or vanished. The new data is
-                // intact in hand — degrade to a unique insert rather than
-                // failing the client's write over somebody else's damage.
-                self.record_governor(db, data.len() as u64, data.len() as u64);
-                self.insert_unique_cached(id, data)?;
-                return Ok(InsertOutcome::Unique);
-            }
-            Err(e) => return Err(e),
-        };
-        let t = self.tracer.start();
-        let forward = self.encoder.encode(&src_content, data);
-        self.tracer.stop(t, Stage::DeltaEncode);
-        let saved = data.len() as i64 - forward.encoded_len() as i64;
-        if saved < self.config.min_benefit_bytes as i64 {
-            self.record_governor(db, data.len() as u64, data.len() as u64);
-            self.insert_unique_cached(id, data)?;
-            return Ok(InsertOutcome::Unique);
-        }
-
-        let forward_bytes = forward.encoded_len();
-        self.record_governor(db, data.len() as u64, forward_bytes as u64);
-        self.apply_dedup_insert(id, source, data, &src_content, &forward, true)?;
-        self.metrics.deduped_inserts += 1;
-        self.metrics.forward_delta_bytes += forward_bytes as u64;
-        Ok(InsertOutcome::Deduped { source, forward_bytes })
+    /// The forward delta of `target` from `source`. A side that comes
+    /// without its anchors — a source that was not in the cache, or was
+    /// cached by a path that had no reason to scan it — is scanned by the
+    /// encoder.
+    fn delta_between(&mut self, source: Scanned<'_>, target: Scanned<'_>) -> Delta {
+        self.encoder.encode_anchored(source.bytes, source.anchors, target.bytes, target.anchors)
     }
 
     fn record_governor(&mut self, db: &str, original: u64, stored: u64) {
@@ -674,52 +760,45 @@ impl DedupEngine {
 
     /// Shared dedup-insert machinery used by the primary insert path and by
     /// the secondary's oplog re-encoder (§4.1): stores the new record raw,
-    /// extends the encoding chain, and queues backward writebacks.
-    /// `emit_oplog` is false on secondaries.
+    /// extends the encoding chain, queues backward writebacks, and hands
+    /// `new` to the source cache. `emit_oplog` is false on secondaries.
     fn apply_dedup_insert(
         &mut self,
         id: RecordId,
         source: RecordId,
-        data: &[u8],
+        new: CachedSource,
         src_content: &[u8],
         forward: &Delta,
         emit_oplog: bool,
     ) -> Result<(), EngineError> {
         if emit_oplog {
+            let t = self.tracer.start();
+            let delta = Bytes::from(forward.encode());
+            self.tracer.stop(t, Stage::DeltaEncode);
             let (_, wire) = self.oplog.append(OplogKind::Insert {
                 id,
-                payload: OplogPayload::Forward {
-                    base: source,
-                    delta: Bytes::from(forward.encode()),
-                },
+                payload: OplogPayload::Forward { base: source, delta },
             })?;
             self.metrics.network_bytes += wire as u64;
         }
         let t = self.tracer.start();
-        self.store.put(id, StorageForm::Raw, data)?;
+        self.store.put(id, StorageForm::Raw, &new.data)?;
         self.tracer.stop(t, Stage::StoreAppend);
         self.io.submit(1);
         self.slots.assign(id);
 
         let plan = self.chains.append(id, source);
         for wb in &plan.writebacks {
-            // The selected source's backward delta comes free via
-            // re-encoding; other targets (hop upgrades) need their own pass
-            // against their cached/stored content.
-            let (content_len, delta) = if wb.target == source {
-                (src_content.len(), reencode(src_content, forward))
-            } else {
-                let c = match self.fetch_for_encode(wb.target) {
-                    Ok(c) => c,
-                    // A corrupt hop target just keeps its current form; the
-                    // writeback is an optimization, never worth failing the
-                    // insert for.
-                    Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                (c.len(), self.encoder.encode(data, &c))
+            let Some((content_len, enc)) = self.writeback_delta(
+                wb.target,
+                source,
+                Scanned::cached(&new),
+                src_content,
+                forward,
+            )?
+            else {
+                continue;
             };
-            let enc = delta.encode();
             let saving = content_len as i64 - enc.len() as i64;
             if saving > 0 {
                 if self.config.synchronous_writebacks {
@@ -752,8 +831,40 @@ impl DedupEngine {
             .map(|idx| self.chains.policy().level_of(idx))
             .unwrap_or(0);
         let replaces = if src_level >= 1 { None } else { Some(source) };
-        self.source_cache.replace_or_insert(id, Bytes::copy_from_slice(data), replaces);
+        self.source_cache.replace_or_insert(id, new, replaces);
         Ok(())
+    }
+
+    /// The encoded backward delta that turns `target` into a delta against
+    /// the new record, with `target`'s content length — timed as delta
+    /// encoding. The selected source's comes free by re-encoding the
+    /// forward delta; other targets (hop upgrades) need their own pass
+    /// against their cached or stored content. `None` for a corrupt hop
+    /// target: it just keeps its current form — the writeback is an
+    /// optimization, never worth failing the insert for.
+    fn writeback_delta(
+        &mut self,
+        target: RecordId,
+        source: RecordId,
+        new: Scanned<'_>,
+        src_content: &[u8],
+        forward: &Delta,
+    ) -> Result<Option<(usize, Vec<u8>)>, EngineError> {
+        if target == source {
+            let t = self.tracer.start();
+            let enc = reencode(src_content, forward).encode();
+            self.tracer.stop(t, Stage::DeltaEncode);
+            return Ok(Some((src_content.len(), enc)));
+        }
+        let c = match self.fetch_for_encode(target) {
+            Ok(c) => c,
+            Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let t = self.tracer.start();
+        let enc = self.delta_between(new, Scanned::cached(&c)).encode();
+        self.tracer.stop(t, Stage::DeltaEncode);
+        Ok(Some((c.data.len(), enc)))
     }
 
     /// Returns the copy of `data` the oplog entry holds, for a caller that
@@ -774,10 +885,11 @@ impl DedupEngine {
     }
 
     /// Unique insert that also seeds the source cache (a future similar
-    /// record will want this content).
-    fn insert_unique_cached(&mut self, id: RecordId, data: &[u8]) -> Result<(), EngineError> {
-        let shared = self.insert_unique(id, data)?;
-        self.source_cache.insert(id, shared);
+    /// record will want this content, and its anchors).
+    fn insert_unique_cached(&mut self, id: RecordId, new: Scanned<'_>) -> Result<(), EngineError> {
+        let data = self.insert_unique(id, new.bytes)?;
+        self.source_cache
+            .insert_source(id, CachedSource { data, anchors: new.anchors.map(Arc::from) });
         Ok(())
     }
 
@@ -809,13 +921,14 @@ impl DedupEngine {
     }
 
     /// Fetches a record's full content for use as a delta source: source
-    /// cache first, decode from storage on miss.
-    fn fetch_for_encode(&mut self, id: RecordId) -> Result<Bytes, EngineError> {
-        if let Some(c) = self.source_cache.get(id) {
+    /// cache first (with the record's anchors, if it was cached with any),
+    /// decode from storage on miss.
+    fn fetch_for_encode(&mut self, id: RecordId) -> Result<CachedSource, EngineError> {
+        if let Some(c) = self.source_cache.get_source(id) {
             return Ok(c);
         }
         self.metrics.source_disk_reads += 1;
-        self.decode_record(id)
+        Ok(CachedSource { data: self.decode_record(id)?, anchors: None })
     }
 
     // ------------------------------------------------------------------
@@ -952,7 +1065,10 @@ impl DedupEngine {
             if k + 1 < path.len() {
                 // Re-encode the neighbor against the deleted record's base.
                 let new_base = path[k + 1];
-                let delta = self.encoder.encode(&contents[k + 1], &contents[k - 1]);
+                let delta = self.delta_between(
+                    Scanned::bare(&contents[k + 1]),
+                    Scanned::bare(&contents[k - 1]),
+                );
                 self.store.put(neighbor, StorageForm::Delta { base: new_base }, &delta.encode())?;
                 self.chains.splice_base(neighbor, new_base);
             } else {
@@ -1215,18 +1331,22 @@ impl DedupEngine {
                 Ok(())
             }
             OplogKind::Insert { id, payload: OplogPayload::Forward { base, delta } } => {
-                let src_content = self.fetch_for_encode(*base)?;
+                let src_content = self.fetch_for_encode(*base)?.data;
                 let forward = Delta::decode(delta)?;
                 let data = forward.apply(&src_content)?;
                 self.metrics.original_bytes += data.len() as u64;
                 self.metrics.deduped_inserts += 1;
-                self.apply_dedup_insert(*id, *base, &data, &src_content, &forward, false)
+                // A secondary never selects sources, so nothing here scans
+                // the record: it is cached without anchors and scanned if
+                // ever encoded against.
+                let new = CachedSource { data: Bytes::from(data), anchors: None };
+                self.apply_dedup_insert(*id, *base, new, &src_content, &forward, false)
             }
             OplogKind::Update { id, payload } => {
                 let data = match payload {
                     OplogPayload::Raw(d) => d.clone(),
                     OplogPayload::Forward { base, delta } => {
-                        let src = self.fetch_for_encode(*base)?;
+                        let src = self.fetch_for_encode(*base)?.data;
                         Bytes::from(Delta::decode(delta)?.apply(&src)?)
                     }
                 };
@@ -1318,7 +1438,8 @@ impl DedupEngine {
             match new_base {
                 Some(nb) => {
                     let base_content = self.decode_record(nb)?;
-                    let delta = self.encoder.encode(&base_content, &dep_content);
+                    let delta = self
+                        .delta_between(Scanned::bare(&base_content), Scanned::bare(&dep_content));
                     self.store.put(dep, StorageForm::Delta { base: nb }, &delta.encode())?;
                     self.chains.splice_base(dep, nb);
                 }
@@ -1434,71 +1555,47 @@ impl DedupEngine {
         // Raw refcount-0 singleton, exactly as the overload path left it:
         // replay the inline pipeline stages in call order, so a degraded
         // burst drained in insertion order converges to the same index,
-        // chain, and storage state a never-degraded run produces.
+        // chain, storage and cache state a never-degraded run produces.
         let data = self.store.get(id)?.payload;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = self.rededup_replay(id, db, &data, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
 
-        // ① Feature extraction.
-        let mut chunks = Vec::new();
-        self.extractor.chunker().chunk_into(&data, &mut chunks);
-        let sketch = self.extractor.extract_from_chunks(&data, &chunks);
+    fn rededup_replay(
+        &mut self,
+        id: RecordId,
+        db: &str,
+        data: &[u8],
+        scratch: &mut InsertScratch,
+    ) -> Result<RededupOutcome, EngineError> {
+        // ① Feature extraction and the record's anchors.
+        self.extractor.chunker().scan(self.encoder.sampler(), data, &mut scratch.scan);
+        let sketch = self.extractor.extract_from_chunks(data, &scratch.scan.chunks);
+        let new = Scanned { bytes: data, anchors: Some(&scratch.scan.anchors) };
         // ② Index lookup + registration (the overload path skipped it, so
         // the record's features enter the index here, just later).
-        let slot = self.slots.assign(id);
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-        let cold_probes = {
-            let part = self.index.partition_mut(db);
-            let probes_before = part.stats().cold_probes;
-            for &feature in sketch.features() {
-                for cand in part.lookup_insert(feature, slot) {
-                    if cand != slot {
-                        *counts.entry(cand).or_insert(0) += 1;
-                    }
-                }
-            }
-            part.stats().cold_probes - probes_before
-        };
-        if cold_probes > 0 {
-            self.io.submit(cold_probes);
-        }
+        self.lookup_candidates(db, id, &sketch, &mut scratch.counts);
         // ③ Cache-aware source selection (§3.1.3), same scoring as inline.
-        let mut best: Option<(u32, RecordId)> = None;
-        for (&cand_slot, &feature_score) in &counts {
-            let Some(cand_id) = self.slots.get(cand_slot) else {
-                continue;
-            };
-            if self.chains.is_deleted(cand_id) || !self.store.contains(cand_id) {
-                continue;
-            }
-            let mut score = feature_score;
-            if self.source_cache.contains(cand_id) {
-                score += self.config.cache_reward;
-            }
-            let better = match best {
-                None => true,
-                Some((bs, bid)) => score > bs || (score == bs && cand_id > bid),
-            };
-            if better {
-                best = Some((score, cand_id));
-            }
-        }
-        let Some((_, source)) = best else {
-            return self.rededup_keep_raw(id, &data);
+        let Some(source) = self.select_source(&scratch.counts) else {
+            return self.rededup_keep_raw(id, new);
         };
         // ④ Delta compression, with the same benefit gate as inline.
-        let src_content = match self.fetch_for_encode(source) {
+        let src = match self.fetch_for_encode(source) {
             Ok(c) => c,
             Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => {
-                return self.rededup_keep_raw(id, &data);
+                return self.rededup_keep_raw(id, new);
             }
             Err(e) => return Err(e),
         };
-        let forward = self.encoder.encode(&src_content, &data);
+        let forward = self.delta_between(Scanned::cached(&src), new);
         let saved = data.len() as i64 - forward.encoded_len() as i64;
         if saved < self.config.min_benefit_bytes as i64 {
-            return self.rededup_keep_raw(id, &data);
+            return self.rededup_keep_raw(id, new);
         }
         let forward_bytes = forward.encoded_len();
-        self.apply_rededup(id, source, &data, &src_content, &forward)?;
+        self.apply_rededup(id, source, new, &src.data, &forward)?;
         Ok(RededupOutcome::Rededuped { source, forward_bytes })
     }
 
@@ -1509,11 +1606,11 @@ impl DedupEngine {
     fn rededup_keep_raw(
         &mut self,
         id: RecordId,
-        data: &[u8],
+        new: Scanned<'_>,
     ) -> Result<RededupOutcome, EngineError> {
-        self.store.put(id, StorageForm::Raw, data)?;
+        self.store.put(id, StorageForm::Raw, new.bytes)?;
         self.io.submit(1);
-        self.source_cache.insert(id, Bytes::copy_from_slice(data));
+        self.source_cache.insert_source(id, new.to_cached());
         self.degraded.remove(&id);
         Ok(RededupOutcome::KeptRaw)
     }
@@ -1529,7 +1626,7 @@ impl DedupEngine {
         &mut self,
         id: RecordId,
         source: RecordId,
-        data: &[u8],
+        new: Scanned<'_>,
         src_content: &[u8],
         forward: &Delta,
     ) -> Result<(), EngineError> {
@@ -1540,17 +1637,11 @@ impl DedupEngine {
         self.chains.remove(id);
         let plan = self.chains.append(id, source);
         for wb in &plan.writebacks {
-            let (content_len, delta) = if wb.target == source {
-                (src_content.len(), reencode(src_content, forward))
-            } else {
-                let c = match self.fetch_for_encode(wb.target) {
-                    Ok(c) => c,
-                    Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                (c.len(), self.encoder.encode(data, &c))
+            let Some((content_len, enc)) =
+                self.writeback_delta(wb.target, source, new, src_content, forward)?
+            else {
+                continue;
             };
-            let enc = delta.encode();
             let saving = content_len as i64 - enc.len() as i64;
             if saving > 0 {
                 // Always synchronous, regardless of the writeback-cache
@@ -1571,7 +1662,7 @@ impl DedupEngine {
         // supersedes the degraded frame. Until this write lands, every
         // prior write is additive — a crash leaves the record readable
         // and the tag in place.
-        self.store.put(id, StorageForm::Raw, data)?;
+        self.store.put(id, StorageForm::Raw, new.bytes)?;
         self.io.submit(1);
         // Cache maintenance identical to the inline dedup path (§3.3.1).
         let src_level = self
@@ -1580,7 +1671,7 @@ impl DedupEngine {
             .map(|idx| self.chains.policy().level_of(idx))
             .unwrap_or(0);
         let replaces = if src_level >= 1 { None } else { Some(source) };
-        self.source_cache.replace_or_insert(id, Bytes::copy_from_slice(data), replaces);
+        self.source_cache.replace_or_insert(id, new.to_cached(), replaces);
         self.degraded.remove(&id);
         Ok(())
     }
@@ -2153,11 +2244,11 @@ impl DedupEngine {
         self.events.clone()
     }
 
-    /// A thread-safe handle performing this engine's exact feature
-    /// extraction (chunking + sketching) off-thread, for use with
+    /// A thread-safe handle performing this engine's exact scan and
+    /// feature extraction off-thread, for use with
     /// [`DedupEngine::insert_prepared`].
     pub fn preparer(&self) -> InsertPreparer {
-        InsertPreparer::from_extractor(self.extractor.clone())
+        InsertPreparer::from_parts(self.extractor.clone(), *self.encoder.sampler())
     }
 
     /// The per-stage latency histograms accumulated so far.
@@ -2707,7 +2798,7 @@ mod tests {
     #[test]
     fn overload_gate_stores_raw_but_keeps_replicating() {
         let mut e = engine();
-        let docs = versioned_docs(4, 31);
+        let docs = versioned_docs(4, 32);
         e.insert("db", RecordId(0), &docs[0]).unwrap();
         e.set_replication_pressure(true);
         assert!(e.replication_pressure());

@@ -35,7 +35,9 @@ use crate::engine::EngineError;
 use crate::engine::InsertOutcome;
 use crate::sharded::ShardedEngine;
 use bytes::Bytes;
-use dbdedup_chunker::{ChunkerConfig, ContentChunker, Sketch, SketchExtractor};
+use dbdedup_chunker::{
+    Anchor, AnchorSampler, ChunkerConfig, ContentChunker, RecordScan, Sketch, SketchExtractor,
+};
 use dbdedup_obs::{EventKind, EventLog, Registry, Severity};
 use dbdedup_util::ids::RecordId;
 use dbdedup_util::stats::LogHistogram;
@@ -49,19 +51,23 @@ use std::time::Instant;
 // Prepared inserts: the pure prefix of the insert workflow
 // ---------------------------------------------------------------------
 
-/// The result of the pure CPU stages of one insert (chunking + sketch
-/// extraction), computed off the commit path by a pipeline worker and
-/// handed to [`DedupEngine::insert_prepared`].
+/// The result of the pure CPU stages of one insert (the record's scan —
+/// chunks and delta anchors — and sketch extraction), computed off the
+/// commit path by a pipeline worker and handed to
+/// [`DedupEngine::insert_prepared`].
 ///
 /// Because both stages are pure functions of the record bytes and the
-/// extractor configuration, a prepared insert commits to exactly the
-/// same bytes as an unprepared one.
+/// engine configuration, a prepared insert commits to exactly the same
+/// bytes as an unprepared one.
 ///
 /// [`DedupEngine::insert_prepared`]: crate::engine::DedupEngine::insert_prepared
 #[derive(Debug, Clone)]
 pub struct PreparedInsert {
     pub(crate) sketch: Sketch,
-    /// Nanoseconds the worker spent chunking (carried into the `chunk`
+    /// The record's delta anchors: the target side of its encode, then
+    /// cached beside it for when it is a source.
+    pub(crate) anchors: Vec<Anchor>,
+    /// Nanoseconds the worker spent scanning (carried into the `chunk`
     /// stage histogram when the committing operation is sampled).
     pub(crate) chunk_ns: u64,
     /// Nanoseconds the worker spent extracting the sketch.
@@ -69,19 +75,21 @@ pub struct PreparedInsert {
 }
 
 /// A cloneable, thread-safe handle that performs the pure prefix of the
-/// insert workflow: content-defined chunking and sketch extraction.
+/// insert workflow: the record's scan and sketch extraction.
 ///
 /// Built from the same [`EngineConfig`] as the engine itself, so the
-/// sketch a worker produces is bit-for-bit what the engine would have
-/// computed inline.
+/// sketch and anchors a worker produces are bit-for-bit what the engine
+/// would have computed inline.
 #[derive(Debug, Clone)]
 pub struct InsertPreparer {
     extractor: SketchExtractor,
+    sampler: AnchorSampler,
 }
 
 impl InsertPreparer {
     /// Builds a preparer exactly as [`DedupEngine::new`] builds its own
-    /// extractor — the single construction point both paths share.
+    /// extractor and anchor sampler — the single construction point both
+    /// paths share.
     ///
     /// [`DedupEngine::new`]: crate::engine::DedupEngine::new
     pub fn from_config(config: &EngineConfig) -> Self {
@@ -89,27 +97,30 @@ impl InsertPreparer {
             ChunkerConfig::with_avg(config.chunk_avg_size),
             config.chunker_kind,
         );
-        Self { extractor: SketchExtractor::new(chunker, config.sketch_k) }
+        Self::from_parts(
+            SketchExtractor::new(chunker, config.sketch_k),
+            AnchorSampler::new(config.anchor_interval),
+        )
     }
 
-    pub(crate) fn from_extractor(extractor: SketchExtractor) -> Self {
-        Self { extractor }
+    pub(crate) fn from_parts(extractor: SketchExtractor, sampler: AnchorSampler) -> Self {
+        Self { extractor, sampler }
     }
 
-    pub(crate) fn into_extractor(self) -> SketchExtractor {
-        self.extractor
+    pub(crate) fn into_parts(self) -> (SketchExtractor, AnchorSampler) {
+        (self.extractor, self.sampler)
     }
 
-    /// Runs chunking + sketch extraction over `data`, timing each stage.
+    /// Scans `data` and extracts its sketch, timing each stage.
     pub fn prepare(&self, data: &[u8]) -> PreparedInsert {
         let t0 = Instant::now();
-        let mut chunks = Vec::new();
-        self.extractor.chunker().chunk_into(data, &mut chunks);
+        let mut scan = RecordScan::default();
+        self.extractor.chunker().scan(&self.sampler, data, &mut scan);
         let chunk_ns = t0.elapsed().as_nanos() as u64;
         let t1 = Instant::now();
-        let sketch = self.extractor.extract_from_chunks(data, &chunks);
+        let sketch = self.extractor.extract_from_chunks(data, &scan.chunks);
         let sketch_ns = t1.elapsed().as_nanos() as u64;
-        PreparedInsert { sketch, chunk_ns, sketch_ns }
+        PreparedInsert { sketch, anchors: scan.anchors, chunk_ns, sketch_ns }
     }
 }
 
@@ -864,6 +875,9 @@ mod tests {
         let engine = DedupEngine::open_temp(config).unwrap();
         let from_engine = engine.preparer();
         let data = versioned_docs(1, 17).remove(0);
-        assert_eq!(from_cfg.prepare(&data).sketch, from_engine.prepare(&data).sketch);
+        let (a, b) = (from_cfg.prepare(&data), from_engine.prepare(&data));
+        assert_eq!(a.sketch, b.sketch);
+        assert_eq!(a.anchors, b.anchors);
+        assert!(a.anchors.len() > data.len() / 256, "a 9 KB record has anchors to carry");
     }
 }

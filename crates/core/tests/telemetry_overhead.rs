@@ -103,12 +103,15 @@ fn clock_reads_scale_with_sampled_operations_only() {
     let reads_off = ingest_counting_reads(0, &docs);
     assert_eq!(reads_off, 0, "tracing disabled, yet the clock was read {reads_off} times");
 
-    // At the default rate, reads are bounded by (sampled ops) x (stages
-    // per insert) x (two reads per span). An insert brackets at most six
-    // stages, so the regression this guards — a clock read on every
-    // operation — lands at >= 2 reads x DOCS, far past the bound.
+    // At the default rate, reads are bounded by (sampled ops) x (spans
+    // per insert) x (two reads per span). An insert brackets fewer than
+    // twelve spans — chunk, sketch, index lookup, source fetch, store
+    // append, and delta encoding in up to six pieces (the forward delta,
+    // its wire form, one write-back for each of the four chain levels) —
+    // so the regression this guards — a clock read on every operation —
+    // lands at >= 2 reads x DOCS, far past the bound.
     let sampled_ops = (DOCS as u64).div_ceil(u64::from(default_rate));
-    let bound = (sampled_ops + 1) * 6 * 2;
+    let bound = (sampled_ops + 1) * 12 * 2;
     let reads_on = ingest_counting_reads(default_rate, &docs);
     assert!(reads_on > 0, "default-rate tracing recorded no spans at all");
     assert!(

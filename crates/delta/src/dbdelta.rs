@@ -11,20 +11,18 @@
 //! each rendezvous to the full common stretch, which is why the
 //! compression-ratio loss stays small even at large intervals (Fig. 15).
 //!
-//! The rolling fingerprint is a [gear hash](dbdedup_util::hash::gear) —
-//! the same boundary semantics as the paper's Rabin fingerprints at ~3×
-//! the scan speed (serial Rabin reduction is the bottleneck otherwise;
-//! FastCDC made the identical substitution for chunking).
+//! The encoder itself hashes nothing. Anchors come from the gear scan that
+//! also finds a record's chunk boundaries ([`dbdedup_util::hash::gear`]), so a
+//! caller that has scanned a record once — the engine, on every insert —
+//! hands the anchors in ([`DbDeltaEncoder::encode_anchored`]) and keeps
+//! them beside the record for when it next serves as a source; a side that
+//! comes without any is scanned on the spot. What is
+//! left here is matching: index the source's anchors in a flat table, probe
+//! it with the target's, verify bytes, extend. [`DbDeltaEncoder::encode`]
+//! is the stand-alone form: scan both sides, then match.
 
 use crate::ops::{Delta, DeltaOp, MIN_COPY_LEN};
-use dbdedup_util::hash::fx::FxHashMap;
-use dbdedup_util::hash::gear::GearTable;
-
-/// Anchor-mask bit position: bits `[SHIFT, SHIFT+log2(interval))` of the
-/// gear hash select anchors. Bit `i` of a gear hash depends on the
-/// trailing `64 − i` bytes, so starting at bit 20 gives every mask bit an
-/// effective window of ≥ 32 bytes even at interval 4096.
-const ANCHOR_SHIFT: u32 = 20;
+use dbdedup_util::hash::gear::{Anchor, AnchorSampler};
 
 /// Configuration for the anchor-sampled encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,15 +49,74 @@ impl DbDeltaConfig {
     }
 }
 
+/// Source anchors by fingerprint: open addressing, linear probing, at most
+/// half full, cleared and refilled per encode so its allocation is reused.
+/// A later anchor overwrites an earlier one of the same fingerprint, as in
+/// the paper's pseudo-code.
+#[derive(Debug, Clone, Default)]
+struct AnchorTable {
+    slots: Vec<Anchor>,
+    /// `32 − log2(slots.len())`: the slot of a fingerprint is the top bits
+    /// of its multiplicative hash.
+    shift: u32,
+}
+
+/// An unoccupied slot. No anchor of a source that fits `u32` offsets ends
+/// at this position with a verifiable window before it, and
+/// [`AnchorTable::fill`] refuses the one that claims to.
+const EMPTY: u32 = u32::MAX;
+
+impl AnchorTable {
+    /// Replaces the contents with the anchors of a `len`-byte source that
+    /// have a whole `window` before them inside it.
+    fn fill(&mut self, anchors: &[Anchor], window: usize, len: usize) {
+        let capacity = (anchors.len() * 2).next_power_of_two().max(16);
+        self.shift = 32 - capacity.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(capacity, Anchor { pos: EMPTY, fp: 0 });
+        let mask = capacity - 1;
+        for a in anchors {
+            let end = a.pos as usize;
+            if end >= len || end + 1 < window || a.pos == EMPTY {
+                continue;
+            }
+            let mut i = self.slot_of(a.fp);
+            while self.slots[i].pos != EMPTY && self.slots[i].fp != a.fp {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = *a;
+        }
+    }
+
+    /// Offset of the last byte of the source anchor fingerprinted `fp`.
+    fn get(&self, fp: u32) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot_of(fp);
+        while self.slots[i].pos != EMPTY {
+            if self.slots[i].fp == fp {
+                return Some(self.slots[i].pos as usize);
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    #[inline(always)]
+    fn slot_of(&self, fp: u32) -> usize {
+        (fp.wrapping_mul(0x9E37_79B1) >> self.shift) as usize
+    }
+}
+
 /// Reusable anchor-sampled delta encoder. Cheap to clone; create one per
 /// thread and reuse it across records.
 #[derive(Debug, Clone)]
 pub struct DbDeltaEncoder {
-    gear: &'static GearTable,
-    mask: u64,
-    magic: u64,
+    sampler: AnchorSampler,
     min_match: usize,
     config: DbDeltaConfig,
+    table: AnchorTable,
+    /// Anchors of a side [`Self::encode_anchored`] was given none for.
+    scanned: [Vec<Anchor>; 2],
 }
 
 impl Default for DbDeltaEncoder {
@@ -73,20 +130,16 @@ impl DbDeltaEncoder {
     pub fn new(config: DbDeltaConfig) -> Self {
         assert!(config.window >= 4, "window too small");
         assert!(config.anchor_interval.is_power_of_two(), "anchor interval must be a power of two");
-        let low_mask = (config.anchor_interval as u64) - 1;
         Self {
-            gear: GearTable::standard(),
-            mask: low_mask << ANCHOR_SHIFT,
-            // Fixed non-zero pattern: runs of one repeated byte produce
-            // near-constant gear hashes, and pattern 0 would either anchor
-            // everywhere or nowhere on them.
-            magic: (0x0000_5bd1_e995_7b21 & low_mask) << ANCHOR_SHIFT,
+            sampler: AnchorSampler::new(config.anchor_interval),
             // Require matches substantially longer than the verification
             // window: natural text repeats short phrases, and a spurious
             // phrase-level match (the index keeps one position per hash)
             // would desynchronize the scan for little gain.
             min_match: (2 * config.window).max(MIN_COPY_LEN),
             config,
+            table: AnchorTable::default(),
+            scanned: Default::default(),
         }
     }
 
@@ -95,103 +148,140 @@ impl DbDeltaEncoder {
         &self.config
     }
 
-    #[inline(always)]
-    fn is_anchor(&self, hash: u64) -> bool {
-        hash & self.mask == self.magic
+    /// The sampler whose anchors this encoder matches on — what a caller
+    /// scans records with to use [`Self::encode_anchored`].
+    pub fn sampler(&self) -> &AnchorSampler {
+        &self.sampler
     }
 
-    /// Computes a forward delta reconstructing `target` from `source`.
+    /// Computes a forward delta reconstructing `target` from `source`,
+    /// scanning both for their anchors first.
     pub fn encode(&self, source: &[u8], target: &[u8]) -> Delta {
-        let ws = self.config.window;
-        if target.is_empty() {
-            return Delta::default();
-        }
-        if source.len() < ws || target.len() < ws {
-            return Delta::literal(target);
-        }
-
-        // Pass 1 (Algorithm 1, lines 8-14): index source anchors, keyed by
-        // the full 64-bit fingerprint; later anchors overwrite earlier ones
-        // on collision, as in the paper's pseudo-code. The stored offset is
-        // the anchor's *last* byte.
-        let mut s_index: FxHashMap<u64, u32> = FxHashMap::with_capacity_and_hasher(
-            source.len() / self.config.anchor_interval + 1,
-            Default::default(),
-        );
-        {
-            let mut h = 0u64;
-            for (i, &b) in source.iter().enumerate() {
-                h = self.gear.roll(h, b);
-                if i + 1 >= ws && self.is_anchor(h) {
-                    s_index.insert(h, i as u32);
-                }
-            }
-        }
-
-        // Pass 2 (lines 15-31): scan target anchors for matches, extending
-        // each bidirectionally (BYTECOMP).
-        let mut ops: Vec<DeltaOp> = Vec::new();
-        let mut emitted = 0usize;
-        let mut h = 0u64;
-        let mut warm = 0usize; // bytes rolled since the last reset
-        let mut i = 0usize;
-        while i < target.len() {
-            h = self.gear.roll(h, target[i]);
-            warm += 1;
-            if warm >= ws && self.is_anchor(h) {
-                if let Some(&cand) = s_index.get(&h) {
-                    let s_end = cand as usize;
-                    // Verify the window bytes (hash equality is advisory).
-                    if s_end + 1 >= ws
-                        && i + 1 >= ws
-                        && source[s_end + 1 - ws..=s_end] == target[i + 1 - ws..=i]
-                    {
-                        let mut s0 = s_end + 1 - ws;
-                        let mut t0 = i + 1 - ws;
-                        while s0 > 0 && t0 > emitted && source[s0 - 1] == target[t0 - 1] {
-                            s0 -= 1;
-                            t0 -= 1;
-                        }
-                        let mut s1 = s_end + 1;
-                        let mut t1 = i + 1;
-                        // Word-at-a-time extension, then byte tail.
-                        while s1 + 8 <= source.len() && t1 + 8 <= target.len() {
-                            let a =
-                                u64::from_le_bytes(source[s1..s1 + 8].try_into().expect("len 8"));
-                            let b =
-                                u64::from_le_bytes(target[t1..t1 + 8].try_into().expect("len 8"));
-                            if a != b {
-                                break;
-                            }
-                            s1 += 8;
-                            t1 += 8;
-                        }
-                        while s1 < source.len() && t1 < target.len() && source[s1] == target[t1] {
-                            s1 += 1;
-                            t1 += 1;
-                        }
-                        let len = t1 - t0;
-                        if len >= self.min_match {
-                            if emitted < t0 {
-                                ops.push(DeltaOp::Insert(target[emitted..t0].to_vec()));
-                            }
-                            ops.push(DeltaOp::Copy { src_off: s0, len });
-                            emitted = t1;
-                            i = t1;
-                            h = 0;
-                            warm = 0;
-                            continue;
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        if emitted < target.len() {
-            ops.push(DeltaOp::Insert(target[emitted..].to_vec()));
-        }
-        Delta::from_ops(ops)
+        let (mut source_anchors, mut target_anchors) = (Vec::new(), Vec::new());
+        self.sampler.scan(source, &mut source_anchors);
+        self.sampler.scan(target, &mut target_anchors);
+        match_anchored(
+            self.config.window,
+            self.min_match,
+            &mut AnchorTable::default(),
+            source,
+            &source_anchors,
+            target,
+            &target_anchors,
+        )
     }
+
+    /// [`Self::encode`] for a caller that may already hold the anchors of
+    /// either record from this encoder's [`sampler`](Self::sampler) — only
+    /// a side given as `None` is scanned — reusing the encoder's buffers.
+    ///
+    /// The anchors only say where to look: every match is verified byte for
+    /// byte before it is emitted, so the delta reconstructs `target` from
+    /// `source` whatever the lists hold — stale, foreign or out of range,
+    /// they cost compression, never correctness.
+    pub fn encode_anchored(
+        &mut self,
+        source: &[u8],
+        source_anchors: Option<&[Anchor]>,
+        target: &[u8],
+        target_anchors: Option<&[Anchor]>,
+    ) -> Delta {
+        let [scanned_source, scanned_target] = &mut self.scanned;
+        let source_anchors = source_anchors.unwrap_or_else(|| {
+            self.sampler.scan(source, scanned_source);
+            scanned_source
+        });
+        let target_anchors = target_anchors.unwrap_or_else(|| {
+            self.sampler.scan(target, scanned_target);
+            scanned_target
+        });
+        match_anchored(
+            self.config.window,
+            self.min_match,
+            &mut self.table,
+            source,
+            source_anchors,
+            target,
+            target_anchors,
+        )
+    }
+}
+
+/// Algorithm 1 with the fingerprinting already done: a window of `ws`
+/// bytes is verified behind every probe hit, and a match shorter than
+/// `min_match` after extension is not worth a COPY.
+fn match_anchored(
+    ws: usize,
+    min_match: usize,
+    table: &mut AnchorTable,
+    source: &[u8],
+    source_anchors: &[Anchor],
+    target: &[u8],
+    target_anchors: &[Anchor],
+) -> Delta {
+    if target.is_empty() {
+        return Delta::default();
+    }
+    if source.len() < ws || target.len() < ws {
+        return Delta::literal(target);
+    }
+
+    // Pass 1 (Algorithm 1, lines 8-14): index the source anchors.
+    table.fill(source_anchors, ws, source.len());
+
+    // Pass 2 (lines 15-31): probe with the target anchors in order,
+    // extending each rendezvous bidirectionally (BYTECOMP).
+    let mut ops: Vec<DeltaOp> = Vec::new();
+    let mut emitted = 0usize;
+    for anchor in target_anchors {
+        let i = anchor.pos as usize;
+        // The window must lie inside the target and past what earlier
+        // matches already cover.
+        if i >= target.len() || i + 1 < emitted + ws {
+            continue;
+        }
+        let Some(s_end) = table.get(anchor.fp) else {
+            continue;
+        };
+        // Verify the window bytes (fingerprint equality is advisory).
+        if source[s_end + 1 - ws..=s_end] != target[i + 1 - ws..=i] {
+            continue;
+        }
+        let mut s0 = s_end + 1 - ws;
+        let mut t0 = i + 1 - ws;
+        while s0 > 0 && t0 > emitted && source[s0 - 1] == target[t0 - 1] {
+            s0 -= 1;
+            t0 -= 1;
+        }
+        let mut s1 = s_end + 1;
+        let mut t1 = i + 1;
+        // Word-at-a-time extension, then byte tail.
+        while s1 + 8 <= source.len() && t1 + 8 <= target.len() {
+            let a = u64::from_le_bytes(source[s1..s1 + 8].try_into().expect("len 8"));
+            let b = u64::from_le_bytes(target[t1..t1 + 8].try_into().expect("len 8"));
+            if a != b {
+                break;
+            }
+            s1 += 8;
+            t1 += 8;
+        }
+        while s1 < source.len() && t1 < target.len() && source[s1] == target[t1] {
+            s1 += 1;
+            t1 += 1;
+        }
+        let len = t1 - t0;
+        if len >= min_match {
+            if emitted < t0 {
+                ops.push(DeltaOp::Insert(target[emitted..t0].to_vec()));
+            }
+            ops.push(DeltaOp::Copy { src_off: s0, len });
+            emitted = t1;
+        }
+    }
+    if emitted < target.len() {
+        ops.push(DeltaOp::Insert(target[emitted..].to_vec()));
+    }
+    Delta::from_ops(ops)
 }
 
 #[cfg(test)]

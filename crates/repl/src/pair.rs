@@ -142,7 +142,7 @@ mod tests {
     fn network_traffic_is_compressed() {
         let mut p = pair();
         let mut original = 0u64;
-        for op in Wikipedia::insert_only(80, 2) {
+        for op in Wikipedia::insert_only(80, 3) {
             if let Op::Insert { id, data } = op {
                 original += data.len() as u64;
                 p.primary.insert("wikipedia", id, &data).unwrap();

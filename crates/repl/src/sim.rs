@@ -103,10 +103,11 @@ pub struct SimConfig {
     /// what the simulator checks.
     pub maint_every: u64,
     /// Boundary-detection algorithm for every engine in the run. The
-    /// default is the paper's Rabin scan, keeping existing seed → trace
-    /// mappings byte-stable; [`ChunkerKind::Gear`] runs the whole fault
-    /// schedule over the fast chunker instead (its own, equally
-    /// deterministic, trace family).
+    /// simulator's default stays the paper's Rabin scan — not the engine's
+    /// default — keeping existing seed → trace mappings byte-stable;
+    /// [`ChunkerKind::Gear`] runs the whole fault schedule over the
+    /// engine's default kind instead (its own, equally deterministic,
+    /// trace family).
     pub chunker_kind: ChunkerKind,
     /// Hot-tier memory budget for every engine's feature index (`None`
     /// keeps the index fully in memory). Small values force spills into
@@ -859,7 +860,7 @@ mod tests {
 
     #[test]
     fn gear_chunker_keeps_the_trace_byte_stable_per_seed() {
-        // The fast chunker cuts a different (but equally deterministic)
+        // The gear kind cuts a different (but equally deterministic)
         // boundary family, so a gear run is its own trace — two runs of
         // the same seed must still replay byte-identically, and the gear
         // trace must diverge from the Rabin trace for the same seed

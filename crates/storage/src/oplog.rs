@@ -162,11 +162,13 @@ fn decode_payload(r: &mut ByteReader<'_>) -> Result<OplogPayload, CodecError> {
 
 /// Encodes a batch of entries into one wire frame.
 pub fn encode_batch(entries: &[OplogEntry]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let framed = |n: usize| varint_len(n as u64) + n;
+    let body: usize = entries.iter().map(|e| framed(e.encoded_len())).sum();
+    let mut w = ByteWriter::with_capacity(varint_len(entries.len() as u64) + body);
     w.put_varint(entries.len() as u64);
     for e in entries {
-        let bytes = e.encode();
-        w.put_len_prefixed(&bytes);
+        w.put_varint(e.encoded_len() as u64);
+        e.encode_to(&mut w);
     }
     w.into_vec()
 }
@@ -535,6 +537,15 @@ mod tests {
             .collect();
         let frame = encode_batch(&entries);
         assert_eq!(decode_batch(&frame).unwrap(), entries);
+        // The frame is a count, then each entry's own encoding behind its
+        // length — written in place, to an exactly sized buffer.
+        let mut w = ByteWriter::new();
+        w.put_varint(entries.len() as u64);
+        for e in &entries {
+            w.put_len_prefixed(&e.encode());
+        }
+        assert_eq!(frame, w.into_vec());
+        assert_eq!(frame.capacity(), frame.len());
     }
 
     #[test]

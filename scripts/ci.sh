@@ -14,15 +14,23 @@ cargo build --release
 
 # Byte-identity of the write-path kernels, checked before anything slower
 # (or any benchmark) runs: sliced CRC-32 against a bit-at-a-time reference
-# at every length/alignment/split, the lane-parallel Rabin scan against the
-# byte-at-a-time loop it replaced (plus the golden boundary pins), the
-# store's size-carrying directory (no frame re-read on supersede; live
-# counters equal a reopen's), and perf/'s smoke determinism guard (same
-# op_hash and segment_hash twice per seed) — a boundary or frame drift
-# fails here, not as a mystery ratio change in a benchmark.
+# at every length/alignment/split; the one gear scan — boundaries against
+# two byte-at-a-time oracles (the continuous function, and from 128 B up
+# the per-chunk function it replaced) with golden pins, anchors against an
+# oracle that rolls nothing, repeated-byte runs for all 256 byte values;
+# the lane-parallel Rabin scan against the byte-at-a-time loop it replaced
+# (plus the golden boundary pins); the anchored delta encoder — round trip
+# under arbitrary anchor lists, identity with the stand-alone encode, size
+# on the Fig. 15 pairs; the store's size-carrying directory (no frame
+# re-read on supersede; live counters equal a reopen's); and perf/'s smoke
+# determinism guard (same op_hash and segment_hash twice per seed) — a
+# boundary, anchor or frame drift fails here, not as a mystery ratio change
+# in a benchmark.
 echo "==> kernel-diff"
 cargo test -q -p dbdedup-util --lib hash::crc32
-cargo test -q -p dbdedup-chunker --test boundary_diff rabin
+cargo test -q -p dbdedup-util --lib hash::gear
+cargo test -q -p dbdedup-chunker --test boundary_diff
+cargo test -q -p dbdedup-delta --test roundtrip_props
 cargo test -q -p dbdedup-storage --lib store::tests
 (cd perf && cargo test -q --offline)
 
@@ -98,15 +106,19 @@ cargo test -q -p dbdedup-index
 cargo test -q --test index_tiering
 cargo test -q --test index_tiering unlimited_budget_is_byte_identical_to_pure_in_memory_index
 
-# Fast-chunking differential suite: clippy-clean chunker crate, then the
-# boundary-equivalence harness over its fixed seeds — Gear ≡ GearScalar
-# boundary sets and sketches on every input class, the Rabin default
-# pinned to pre-refactor golden hashes, the chunker property sweep over
-# every kind, and the end-to-end gear-vs-scalar ingest byte-identity
-# tests (serial + 4-worker parallel). A failure prints the repro seed.
+# Chunking and scanning: clippy-clean chunker, delta and cache crates (the
+# producers, the consumer and the keeper of anchors), the chunker's unit
+# and property sweeps over both kinds (the boundary/anchor differential
+# already ran in kernel-diff), the source cache's anchor accounting, the
+# end-to-end one-scan tests (serial ≡ 4-worker parallel, primary ≡
+# secondary, cache miss ≡ hit, a Rabin store reopened under the default
+# kind), and the Rabin kind crossed with serial/parallel ingest. A failure
+# prints the repro seed.
 echo "==> chunk-smoke"
-cargo clippy -q -p dbdedup-chunker -- -D warnings
+cargo clippy -q -p dbdedup-chunker -p dbdedup-delta -p dbdedup-cache -- -D warnings
 cargo test -q -p dbdedup-chunker
-cargo test -q --test differential gear
+cargo test -q -p dbdedup-cache
+cargo test -q --test one_scan
+cargo test -q --test differential rabin_kind
 
 echo "==> ci.sh: all green"

@@ -303,62 +303,41 @@ fn config_with_kind(kind: ChunkerKind) -> EngineConfig {
     cfg
 }
 
-/// End-to-end fast-path equivalence, serial: a full ingest through an
-/// engine on [`ChunkerKind::Gear`] (skip-ahead + 8-lane scan) must leave
-/// byte-identical segments, oplog and counters to the same stream through
-/// [`ChunkerKind::GearScalar`] (the portable fallback). This closes the
-/// gap the chunker-level harness can't: boundary equality must survive
-/// sketching, candidate selection, delta encoding and storage layout.
+/// The paper-reference kind under parallelism: `ParallelIngest` with 4
+/// workers on [`ChunkerKind::Rabin`] vs a plain serial engine on the same
+/// kind. The sweeps above run the default (gear) kind, where a worker's
+/// one scan yields chunks and anchors together; under Rabin the worker
+/// makes two passes, and both still have to arrive intact in the
+/// `PreparedInsert`.
 #[test]
-fn gear_fast_matches_scalar_fallback_end_to_end_serial() {
-    for seed in [0x6EA2_0011u64, 0x6EA2_0012] {
-        let repro = format!("seed={seed:#x} serial gear-vs-scalar (tests/differential.rs)");
-        let ops = workload(seed, 140);
-        let mut fast = DedupEngine::open_temp(config_with_kind(ChunkerKind::Gear)).expect("fast");
-        let mut scalar =
-            DedupEngine::open_temp(config_with_kind(ChunkerKind::GearScalar)).expect("scalar");
-        for (db, id, data) in &ops {
-            fast.insert(db, *id, data).expect("fast insert");
-            scalar.insert(db, *id, data).expect("scalar insert");
-        }
-        assert_engines_identical(&mut scalar, &mut fast, &repro);
-    }
-}
-
-/// End-to-end fast-path equivalence under parallelism: `ParallelIngest`
-/// with 4 workers on the fast gear chunker vs a plain serial engine on
-/// the scalar fallback — crossing both the fast/scalar boundary and the
-/// serial/parallel boundary in one comparison.
-#[test]
-fn gear_fast_parallel_matches_scalar_serial() {
+fn rabin_kind_parallel_matches_serial() {
     let seed = 0x6EA2_0013u64;
-    let repro = format!("seed={seed:#x} workers=4 gear-vs-scalar (tests/differential.rs)");
+    let repro = format!("seed={seed:#x} workers=4 kind=rabin (tests/differential.rs)");
     let ops = workload(seed, 140);
 
-    let mut scalar =
-        DedupEngine::open_temp(config_with_kind(ChunkerKind::GearScalar)).expect("scalar");
+    let mut serial = DedupEngine::open_temp(config_with_kind(ChunkerKind::Rabin)).expect("serial");
     for (db, id, data) in &ops {
-        scalar.insert(db, *id, data).expect("scalar insert");
+        serial.insert(db, *id, data).expect("serial insert");
     }
 
     let sharded =
-        ShardedEngine::open_temp(config_with_kind(ChunkerKind::Gear), 1).expect("sharded");
+        ShardedEngine::open_temp(config_with_kind(ChunkerKind::Rabin), 1).expect("sharded");
     let mut ingest = ParallelIngest::new(sharded, IngestConfig::with_workers(4));
     for (db, id, data) in &ops {
         ingest.submit(db, *id, data);
     }
     let (parallel, report) = ingest.finish().expect("parallel finish");
     assert_eq!(report.committed, ops.len() as u64, "repro: {repro}");
-    parallel.with_shard(0, |shard| assert_engines_identical(&mut scalar, shard, &repro));
+    parallel.with_shard(0, |shard| assert_engines_identical(&mut serial, shard, &repro));
 }
 
-/// The gear path must actually change boundaries relative to Rabin —
-/// otherwise the two tests above compare a knob that isn't connected.
+/// The kind must actually change boundaries — otherwise the test above
+/// compares a knob that isn't connected.
 #[test]
-fn gear_differs_from_rabin_end_to_end() {
+fn rabin_kind_differs_from_gear_end_to_end() {
     let ops = workload(0x6EA2_0014, 60);
-    let mut rabin = DedupEngine::open_temp(config()).expect("rabin");
-    let mut gear = DedupEngine::open_temp(config_with_kind(ChunkerKind::Gear)).expect("gear");
+    let mut rabin = DedupEngine::open_temp(config_with_kind(ChunkerKind::Rabin)).expect("rabin");
+    let mut gear = DedupEngine::open_temp(config()).expect("gear");
     for (db, id, data) in &ops {
         rabin.insert(db, *id, data).expect("rabin insert");
         gear.insert(db, *id, data).expect("gear insert");
@@ -368,10 +347,11 @@ fn gear_differs_from_rabin_end_to_end() {
     assert_ne!(
         rabin.store().segment_bytes().expect("segments"),
         gear.store().segment_bytes().expect("segments"),
-        "gear must cut different boundaries than Rabin (else the knob is dead)"
+        "Rabin must cut different boundaries than gear (else the knob is dead)"
     );
     // Both remain readable end-to-end regardless of the boundary family.
     for (_, id, data) in &ops {
         assert_eq!(&gear.read(*id).expect("read")[..], &data[..]);
+        assert_eq!(&rabin.read(*id).expect("read")[..], &data[..]);
     }
 }
