@@ -36,7 +36,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod repair;
 pub mod sharded;
-pub mod shared;
 
 pub use config::{EngineConfig, IngestConfig};
 // Re-exported so engine embedders can set `EngineConfig::chunker_kind`
@@ -50,4 +49,3 @@ pub use metrics::MetricsSnapshot;
 pub use pipeline::{IngestSnapshot, InsertPreparer, ParallelIngest, PreparedInsert};
 pub use repair::RepairSource;
 pub use sharded::ShardedEngine;
-pub use shared::SharedEngine;

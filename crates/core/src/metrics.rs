@@ -196,6 +196,9 @@ pub struct MetricsSnapshot {
     pub max_read_retrievals: u64,
     /// Mean decode retrievals observed on reads.
     pub mean_read_retrievals: f64,
+    /// Reads those two figures were observed over (the weight of the mean
+    /// when shards merge).
+    pub reads_decoded: u64,
     /// Read-path GC splices performed.
     pub gc_spliced: u64,
     /// Store entries quarantined by salvage recovery (bad checksums).
@@ -219,9 +222,7 @@ pub struct MetricsSnapshot {
     /// Worst replication lag observed (oplog entries).
     pub max_replica_lag: u64,
     /// Per-stage latency histograms (nanoseconds) from the sampling
-    /// stage tracer; merged across shards by [`ShardedEngine::metrics`].
-    ///
-    /// [`ShardedEngine::metrics`]: crate::sharded::ShardedEngine::metrics
+    /// stage tracer.
     pub stages: StageSet,
     /// Current modeled I/O queue depth (the §3.3.2 idleness signal).
     pub io_queue_depth: f64,
@@ -315,6 +316,7 @@ impl MetricsSnapshot {
         r.set_u64("catchup_batches", self.catchup_batches);
         r.set_u64("health_transitions", self.health_transitions);
         r.set_u64("max_replica_lag", self.max_replica_lag);
+        r.set_u64("reads_decoded", self.reads_decoded);
         r.set_u64("source_cache_hits", self.source_cache.hits);
         r.set_u64("source_cache_misses", self.source_cache.misses);
         r.set_u64("source_cache_evictions", self.source_cache.evictions);
@@ -376,6 +378,95 @@ impl MetricsSnapshot {
         r
     }
 
+    /// One deployment-wide snapshot out of one per shard: counters and byte
+    /// gauges add up, worst-case gauges keep the worst, the mean decode
+    /// depth is weighted by the reads behind it, and device idleness is
+    /// the mean across shard devices. `None` for no shards.
+    ///
+    /// The literal below names every field (no `..`), so a new one does not
+    /// compile until someone decides how it merges.
+    pub fn merge(shards: impl IntoIterator<Item = MetricsSnapshot>) -> Option<MetricsSnapshot> {
+        let mut merged = 1.0;
+        shards.into_iter().reduce(|a, b| {
+            merged += 1.0;
+            let reads = a.reads_decoded + b.reads_decoded;
+            let mut stages = a.stages;
+            stages.merge(&b.stages);
+            let (mut compact, mut index_tier) = (a.compact, a.index_tier);
+            compact.merge(b.compact);
+            index_tier.merge(b.index_tier);
+            MetricsSnapshot {
+                original_bytes: a.original_bytes + b.original_bytes,
+                stored_bytes: a.stored_bytes + b.stored_bytes,
+                stored_uncompressed_bytes: a.stored_uncompressed_bytes
+                    + b.stored_uncompressed_bytes,
+                network_bytes: a.network_bytes + b.network_bytes,
+                index_bytes: a.index_bytes + b.index_bytes,
+                deduped_inserts: a.deduped_inserts + b.deduped_inserts,
+                unique_inserts: a.unique_inserts + b.unique_inserts,
+                bypassed_size: a.bypassed_size + b.bypassed_size,
+                bypassed_governor: a.bypassed_governor + b.bypassed_governor,
+                source_cache: SourceCacheStats {
+                    hits: a.source_cache.hits + b.source_cache.hits,
+                    misses: a.source_cache.misses + b.source_cache.misses,
+                    evictions: a.source_cache.evictions + b.source_cache.evictions,
+                },
+                writeback_cache: WritebackCacheStats {
+                    inserted: a.writeback_cache.inserted + b.writeback_cache.inserted,
+                    flushed: a.writeback_cache.flushed + b.writeback_cache.flushed,
+                    dropped: a.writeback_cache.dropped + b.writeback_cache.dropped,
+                    invalidated: a.writeback_cache.invalidated + b.writeback_cache.invalidated,
+                    lost_savings: a.writeback_cache.lost_savings + b.writeback_cache.lost_savings,
+                },
+                max_read_retrievals: a.max_read_retrievals.max(b.max_read_retrievals),
+                mean_read_retrievals: (a.mean_read_retrievals * a.reads_decoded as f64
+                    + b.mean_read_retrievals * b.reads_decoded as f64)
+                    / reads.max(1) as f64,
+                reads_decoded: reads,
+                gc_spliced: a.gc_spliced + b.gc_spliced,
+                quarantined_entries: a.quarantined_entries + b.quarantined_entries,
+                truncated_tail_bytes: a.truncated_tail_bytes + b.truncated_tail_bytes,
+                chain_broken_reads: a.chain_broken_reads + b.chain_broken_reads,
+                apply_retries: a.apply_retries + b.apply_retries,
+                repaired_records: a.repaired_records + b.repaired_records,
+                bypassed_overload: a.bypassed_overload + b.bypassed_overload,
+                backpressure_events: a.backpressure_events + b.backpressure_events,
+                catchup_batches: a.catchup_batches + b.catchup_batches,
+                health_transitions: a.health_transitions + b.health_transitions,
+                max_replica_lag: a.max_replica_lag.max(b.max_replica_lag),
+                stages,
+                io_queue_depth: a.io_queue_depth + b.io_queue_depth,
+                io_idle_fraction: a.io_idle_fraction
+                    + (b.io_idle_fraction - a.io_idle_fraction) / merged,
+                events_logged: a.events_logged + b.events_logged,
+                events_dropped: a.events_dropped + b.events_dropped,
+                events_ring_len: a.events_ring_len + b.events_ring_len,
+                maint_gc_backlog: a.maint_gc_backlog + b.maint_gc_backlog,
+                maint_pinned_dead_bytes: a.maint_pinned_dead_bytes + b.maint_pinned_dead_bytes,
+                maint_dead_bytes: a.maint_dead_bytes + b.maint_dead_bytes,
+                maint_reclaimable_dead_bytes: a.maint_reclaimable_dead_bytes
+                    + b.maint_reclaimable_dead_bytes,
+                maint_reencoded: a.maint_reencoded + b.maint_reencoded,
+                maint_removed: a.maint_removed + b.maint_removed,
+                maint_retired: a.maint_retired + b.maint_retired,
+                maint_rededup_rewritten: a.maint_rededup_rewritten + b.maint_rededup_rewritten,
+                maint_rededup_kept_raw: a.maint_rededup_kept_raw + b.maint_rededup_kept_raw,
+                maint_rededup_skipped: a.maint_rededup_skipped + b.maint_rededup_skipped,
+                maint_degraded_backlog: a.maint_degraded_backlog + b.maint_degraded_backlog,
+                compact,
+                scrub_verified: a.scrub_verified + b.scrub_verified,
+                scrub_corrupt: a.scrub_corrupt + b.scrub_corrupt,
+                scrub_healed_local: a.scrub_healed_local + b.scrub_healed_local,
+                scrub_healed_replica: a.scrub_healed_replica + b.scrub_healed_replica,
+                scrub_unhealable: a.scrub_unhealable + b.scrub_unhealable,
+                scrub_inconsistencies: a.scrub_inconsistencies + b.scrub_inconsistencies,
+                scrub_passes: a.scrub_passes + b.scrub_passes,
+                salvage_skipped: a.salvage_skipped + b.salvage_skipped,
+                index_tier,
+            }
+        })
+    }
+
     /// Renders the snapshot as one flat JSON object (via the registry).
     /// Handy for piping harness output into plotting scripts.
     pub fn to_json(&self) -> String {
@@ -429,6 +520,7 @@ mod tests {
             writeback_cache: WritebackCacheStats::default(),
             max_read_retrievals: 0,
             mean_read_retrievals: 0.0,
+            reads_decoded: 0,
             gc_spliced: 0,
             quarantined_entries: 0,
             truncated_tail_bytes: 0,
@@ -468,6 +560,20 @@ mod tests {
             salvage_skipped: 0,
             index_tier: IndexTierMetrics::default(),
         }
+    }
+
+    #[test]
+    fn merge_adds_counters_weights_the_mean_and_keeps_the_worst() {
+        let (mut a, mut b) = (snap(), snap());
+        (a.reads_decoded, a.mean_read_retrievals, a.max_read_retrievals) = (1, 4.0, 4);
+        (b.reads_decoded, b.mean_read_retrievals, b.io_idle_fraction) = (3, 0.0, 0.25);
+        b.max_replica_lag = 7;
+        let m = MetricsSnapshot::merge([a, b, snap()]).unwrap();
+        assert_eq!(m.original_bytes, 3000);
+        assert_eq!((m.reads_decoded, m.mean_read_retrievals, m.max_read_retrievals), (4, 1.0, 4));
+        assert_eq!(m.max_replica_lag, 7);
+        assert!((m.io_idle_fraction - 0.75).abs() < 1e-12, "{}", m.io_idle_fraction);
+        assert!(MetricsSnapshot::merge([]).is_none());
     }
 
     #[test]

@@ -136,46 +136,10 @@ impl ShardedEngine {
         Ok(n)
     }
 
-    /// Aggregated metrics across shards.
+    /// Aggregated metrics across shards (see [`MetricsSnapshot::merge`]).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snaps: Vec<MetricsSnapshot> =
-            self.shards.iter().map(|s| s.lock().metrics()).collect();
-        let mut total = snaps.pop().expect("at least one shard");
-        for s in snaps {
-            total.original_bytes += s.original_bytes;
-            total.stored_bytes += s.stored_bytes;
-            total.stored_uncompressed_bytes += s.stored_uncompressed_bytes;
-            total.network_bytes += s.network_bytes;
-            total.index_bytes += s.index_bytes;
-            total.deduped_inserts += s.deduped_inserts;
-            total.unique_inserts += s.unique_inserts;
-            total.bypassed_size += s.bypassed_size;
-            total.bypassed_governor += s.bypassed_governor;
-            total.gc_spliced += s.gc_spliced;
-            total.max_read_retrievals = total.max_read_retrievals.max(s.max_read_retrievals);
-            total.stages.merge(&s.stages);
-            total.io_queue_depth += s.io_queue_depth;
-            // Deployment-wide idleness is the mean across shard devices.
-            total.io_idle_fraction += s.io_idle_fraction;
-            total.events_logged += s.events_logged;
-            total.events_dropped += s.events_dropped;
-            total.events_ring_len += s.events_ring_len;
-            total.maint_gc_backlog += s.maint_gc_backlog;
-            total.maint_pinned_dead_bytes += s.maint_pinned_dead_bytes;
-            total.maint_dead_bytes += s.maint_dead_bytes;
-            total.maint_reclaimable_dead_bytes += s.maint_reclaimable_dead_bytes;
-            total.maint_reencoded += s.maint_reencoded;
-            total.maint_removed += s.maint_removed;
-            total.maint_retired += s.maint_retired;
-            total.maint_rededup_rewritten += s.maint_rededup_rewritten;
-            total.maint_rededup_kept_raw += s.maint_rededup_kept_raw;
-            total.maint_rededup_skipped += s.maint_rededup_skipped;
-            total.maint_degraded_backlog += s.maint_degraded_backlog;
-            total.compact.merge(s.compact);
-            total.index_tier.merge(s.index_tier);
-        }
-        total.io_idle_fraction /= self.shards.len() as f64;
-        total
+        MetricsSnapshot::merge(self.shards.iter().map(|s| s.lock().metrics()))
+            .expect("at least one shard")
     }
 }
 
@@ -228,6 +192,37 @@ mod tests {
             }
         }
         assert_eq!(e.metrics().deduped_inserts + e.metrics().unique_inserts, 100);
+    }
+
+    /// Every counter sums over shards, including the ones only some shards
+    /// move: one shard sheds under overload, the other is scrubbed.
+    #[test]
+    fn metrics_merge_every_field_across_shards() {
+        let e = sharded(2);
+        let other =
+            (0..).map(|i| format!("db{i}")).find(|db| e.route(db) != e.route("db")).unwrap();
+        let (shed, scrubbed) = (e.route("db"), e.route(&other));
+        e.with_shard(shed, |s| s.set_replication_pressure(true));
+        for i in 0..3u64 {
+            e.insert("db", RecordId(i), &doc(0, i)).unwrap();
+            e.insert(&other, RecordId(100 + i), &doc(1, i)).unwrap();
+        }
+        for i in 0..3u64 {
+            e.read(RecordId(i)).unwrap();
+        }
+        let pass = e.with_shard(scrubbed, |s| s.scrub_slice(u64::MAX, None)).unwrap();
+        assert!(pass.pass_complete && pass.is_clean(), "{pass:?}");
+
+        let m = e.metrics();
+        assert_eq!(m.bypassed_overload, 3);
+        assert_eq!(m.maint_degraded_backlog, 3);
+        assert_eq!((m.scrub_verified, m.scrub_passes), (3, 1));
+        assert_eq!(m.deduped_inserts + m.unique_inserts, 6);
+        assert_eq!((m.reads_decoded, m.mean_read_retrievals), (3, 0.0));
+        let per_shard: Vec<_> = (0..2).map(|k| e.with_shard(k, |s| s.metrics())).collect();
+        assert_eq!(m.source_cache.misses, per_shard.iter().map(|s| s.source_cache.misses).sum());
+        assert_eq!(m.writeback_cache.inserted, per_shard[scrubbed].writeback_cache.inserted);
+        assert!(m.writeback_cache.inserted > 0);
     }
 
     #[test]

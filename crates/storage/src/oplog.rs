@@ -213,8 +213,11 @@ impl std::fmt::Display for CursorGap {
 
 impl std::error::Error for CursorGap {}
 
-/// The primary's in-memory oplog with a ship cursor and bounded retention
-/// of already-shipped entries.
+/// The primary's oplog with a ship cursor and bounded retention of
+/// already-shipped entries — in memory only, or ([`Oplog::open`]) also
+/// framed into a log file that is replayed on the next open, so a restarted
+/// primary can resume replication from where it left off (MongoDB's oplog
+/// is likewise a durable collection).
 ///
 /// Shipment no longer discards entries: the queue keeps a contiguous run
 /// `[floor_lsn, next_lsn)` and a cursor separating shipped from pending.
@@ -241,6 +244,12 @@ pub struct Oplog {
     shipped_bytes: usize,
     /// Budget for retained shipped entries before trimming.
     retain_bytes: usize,
+    /// The log file every entry is written to before it is queued, when
+    /// the oplog is durable. It keeps everything: shipping, acks and the
+    /// retention budget only shrink the in-memory window (a real
+    /// deployment truncates the file by retention policy, which is
+    /// orthogonal to this reproduction).
+    sink: Option<std::fs::File>,
 }
 
 /// Default retention budget for already-shipped entries (catch-up window).
@@ -269,7 +278,46 @@ impl Oplog {
             pending_bytes: 0,
             shipped_bytes: 0,
             retain_bytes,
+            sink: None,
         }
+    }
+
+    /// Opens (or creates) a durable oplog at `path`, replaying any existing
+    /// entries into the pending queue. A torn or corrupt tail ends the
+    /// replay at the last intact entry.
+    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
+        use std::io::Read;
+        let mut file =
+            std::fs::OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        let mut log = Self::new();
+        let mut off = 0usize;
+        let mut min_lsn = None;
+        let mut max_lsn = None;
+        while off + 4 <= buf.len() {
+            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4")) as usize;
+            if off + 4 + len > buf.len() {
+                break; // torn tail write
+            }
+            let mut r = ByteReader::new(&buf[off + 4..off + 4 + len]);
+            match OplogEntry::decode(&mut r) {
+                Ok(e) => {
+                    min_lsn = Some(min_lsn.map_or(e.lsn, |m: u64| m.min(e.lsn)));
+                    max_lsn = Some(max_lsn.map_or(e.lsn, |m: u64| m.max(e.lsn)));
+                    log.pending_bytes += len;
+                    log.entries.push_back((e, len as u32));
+                }
+                Err(_) => break, // corrupt tail: stop replay
+            }
+            off += 4 + len;
+        }
+        // Replayed entries are all pending again (re-shipping is idempotent
+        // by id/LSN); the retention floor restarts at the replayed prefix.
+        log.floor_lsn = min_lsn.unwrap_or(0);
+        log.next_lsn = max_lsn.map_or(0, |m| m + 1);
+        log.sink = Some(file);
+        Ok(log)
     }
 
     /// Adjusts the retention budget in place, trimming immediately if the
@@ -280,15 +328,32 @@ impl Oplog {
     }
 
     /// Appends an operation, assigning it the next LSN. Returns the entry's
-    /// LSN and its encoded wire length (for network accounting).
-    pub fn append(&mut self, kind: OplogKind) -> (u64, usize) {
+    /// LSN and its encoded wire length (for network accounting). A durable
+    /// log writes the framed entry to its file first; if that fails the
+    /// entry is not queued and no LSN is consumed.
+    pub fn append(&mut self, kind: OplogKind) -> std::io::Result<(u64, usize)> {
         let lsn = self.next_lsn;
-        self.next_lsn += 1;
         let entry = OplogEntry { lsn, kind };
         let wire_len = entry.encoded_len();
+        if let Some(file) = &mut self.sink {
+            use std::io::Write;
+            let mut framed = ByteWriter::with_capacity(4 + wire_len);
+            framed.put_u32(wire_len as u32);
+            entry.encode_to(&mut framed);
+            file.write_all(framed.as_slice())?;
+        }
+        self.next_lsn += 1;
         self.pending_bytes += wire_len;
         self.entries.push_back((entry, wire_len as u32));
-        (lsn, wire_len)
+        Ok((lsn, wire_len))
+    }
+
+    /// Forces appended entries to stable storage (a no-op without a file).
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        match &self.sink {
+            Some(file) => file.sync_data(),
+            None => Ok(()),
+        }
     }
 
     /// Entries not yet shipped.
@@ -383,109 +448,6 @@ impl Oplog {
     }
 }
 
-/// A disk-backed oplog: every appended entry is framed and written to a
-/// log file before being queued for shipping, and an existing log is
-/// replayed on open — so a restarted primary can resume replication from
-/// where it left off (MongoDB's oplog is likewise a durable collection).
-#[derive(Debug)]
-pub struct DurableOplog {
-    inner: Oplog,
-    file: std::fs::File,
-}
-
-impl DurableOplog {
-    /// Opens (or creates) the oplog at `path`, replaying any existing
-    /// entries into the pending queue.
-    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::Read;
-        let mut file =
-            std::fs::OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let mut inner = Oplog::new();
-        let mut off = 0usize;
-        let mut min_lsn = None;
-        let mut max_lsn = None;
-        while off + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4")) as usize;
-            if off + 4 + len > buf.len() {
-                break; // torn tail write
-            }
-            let mut r = ByteReader::new(&buf[off + 4..off + 4 + len]);
-            match OplogEntry::decode(&mut r) {
-                Ok(e) => {
-                    min_lsn = Some(min_lsn.map_or(e.lsn, |m: u64| m.min(e.lsn)));
-                    max_lsn = Some(max_lsn.map_or(e.lsn, |m: u64| m.max(e.lsn)));
-                    inner.pending_bytes += len;
-                    inner.entries.push_back((e, len as u32));
-                }
-                Err(_) => break, // corrupt tail: stop replay
-            }
-            off += 4 + len;
-        }
-        // Replayed entries are all pending again (re-shipping is idempotent
-        // by id/LSN); the retention floor restarts at the replayed prefix.
-        inner.floor_lsn = min_lsn.unwrap_or(0);
-        inner.next_lsn = max_lsn.map_or(0, |m| m + 1);
-        Ok(Self { inner, file })
-    }
-
-    /// Appends an operation durably. Returns the LSN and wire length.
-    pub fn append(&mut self, kind: OplogKind) -> std::io::Result<(u64, usize)> {
-        use std::io::Write;
-        let (lsn, wire_len) = self.inner.append(kind);
-        let mut framed = ByteWriter::with_capacity(4 + wire_len);
-        framed.put_u32(wire_len as u32);
-        self.inner.entries.back().expect("just appended").0.encode_to(&mut framed);
-        self.file.write_all(framed.as_slice())?;
-        Ok((lsn, wire_len))
-    }
-
-    /// Forces appended entries to stable storage.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
-    }
-
-    /// Entries not yet shipped.
-    pub fn pending(&self) -> usize {
-        self.inner.pending()
-    }
-
-    /// Takes a batch for shipment (see [`Oplog::take_batch`]). The shipped
-    /// entries remain in the on-disk log (a real deployment truncates it
-    /// by retention policy, which is orthogonal to this reproduction).
-    pub fn take_batch(&mut self, max_bytes: usize) -> Vec<OplogEntry> {
-        self.inner.take_batch(max_bytes)
-    }
-
-    /// Replica-driven catch-up read (see [`Oplog::read_from`]).
-    pub fn read_from(&self, from_lsn: u64, max_bytes: usize) -> Result<Vec<OplogEntry>, CursorGap> {
-        self.inner.read_from(from_lsn, max_bytes)
-    }
-
-    /// Acknowledges replica progress (see [`Oplog::ack_shipped`]). Only
-    /// the in-memory retention window shrinks; the on-disk log keeps
-    /// everything.
-    pub fn ack_shipped(&mut self, lsn: u64) {
-        self.inner.ack_shipped(lsn);
-    }
-
-    /// The next LSN to be assigned.
-    pub fn next_lsn(&self) -> u64 {
-        self.inner.next_lsn()
-    }
-
-    /// The lowest LSN still retained in memory for catch-up.
-    pub fn floor_lsn(&self) -> u64 {
-        self.inner.floor_lsn()
-    }
-
-    /// Adjusts the in-memory retention budget (see [`Oplog::set_retention`]).
-    pub fn set_retention(&mut self, retain_bytes: usize) {
-        self.inner.set_retention(retain_bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,8 +513,8 @@ mod tests {
     #[test]
     fn lsn_monotonic() {
         let mut log = Oplog::new();
-        let (lsn0, len0) = log.append(OplogKind::Delete { id: RecordId(1) });
-        let (lsn1, _) = log.append(OplogKind::Delete { id: RecordId(2) });
+        let (lsn0, len0) = log.append(OplogKind::Delete { id: RecordId(1) }).unwrap();
+        let (lsn1, _) = log.append(OplogKind::Delete { id: RecordId(2) }).unwrap();
         assert_eq!(lsn0, 0);
         assert_eq!(lsn1, 1);
         assert!(len0 > 0);
@@ -563,7 +525,7 @@ mod tests {
     fn take_batch_respects_byte_budget() {
         let mut log = Oplog::new();
         for i in 0..20u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 100]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 100]) }).unwrap();
         }
         let before = log.pending_bytes();
         let batch = log.take_batch(350);
@@ -580,7 +542,7 @@ mod tests {
     #[test]
     fn oversized_single_entry_still_ships() {
         let mut log = Oplog::new();
-        log.append(OplogKind::Insert { id: RecordId(1), payload: raw(&[0u8; 10_000]) });
+        log.append(OplogKind::Insert { id: RecordId(1), payload: raw(&[0u8; 10_000]) }).unwrap();
         let batch = log.take_batch(100);
         assert_eq!(batch.len(), 1, "a batch always makes progress");
         assert_eq!(log.pending(), 0);
@@ -603,7 +565,7 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             log.append(OplogKind::Insert { id: RecordId(1), payload: raw(b"one") }).unwrap();
             log.append(OplogKind::Delete { id: RecordId(2) }).unwrap();
             log.sync().unwrap();
@@ -614,7 +576,7 @@ mod tests {
         {
             // Recovery replays the full durable log (shipped entries are
             // re-shipped; replication apply is idempotent by id/LSN).
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             assert_eq!(log.pending(), 2);
             let batch = log.take_batch(usize::MAX);
             assert_eq!(batch[0].lsn, 0);
@@ -631,7 +593,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("dbdedup-oplog-torn-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             log.append(OplogKind::Delete { id: RecordId(1) }).unwrap();
             log.sync().unwrap();
         }
@@ -641,7 +603,7 @@ mod tests {
             let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[200, 0, 0, 0, 1, 2, 3]).unwrap(); // declares 200 bytes, has 3
         }
-        let log = DurableOplog::open(&path).unwrap();
+        let log = Oplog::open(&path).unwrap();
         assert_eq!(log.pending(), 1, "intact prefix replayed, torn tail dropped");
         let _ = std::fs::remove_file(&path);
     }
@@ -650,7 +612,8 @@ mod tests {
     fn shipped_entries_are_retained_for_cursor_reads() {
         let mut log = Oplog::new();
         for i in 0..10u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[i as u8; 50]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[i as u8; 50]) })
+                .unwrap();
         }
         let batch = log.take_batch(usize::MAX);
         assert_eq!(batch.len(), 10);
@@ -666,7 +629,7 @@ mod tests {
     fn read_from_spans_shipped_and_pending() {
         let mut log = Oplog::new();
         for i in 0..6u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let _ = log.take_batch(30); // ship a prefix
         let shipped = 6 - log.pending() as u64;
@@ -681,7 +644,7 @@ mod tests {
     fn read_from_below_floor_is_a_typed_gap() {
         let mut log = Oplog::with_retention(0); // trim everything shipped
         for i in 0..5u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let _ = log.take_batch(usize::MAX);
         assert_eq!(log.floor_lsn(), 5, "zero retention trims all shipped entries");
@@ -697,7 +660,7 @@ mod tests {
     fn ack_trims_retention_but_never_pending() {
         let mut log = Oplog::new();
         for i in 0..8u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let taken = log.take_batch(20).len() as u64; // partial ship
         assert!(taken < 8);
@@ -712,7 +675,7 @@ mod tests {
     fn retention_budget_bounds_shipped_memory() {
         let mut log = Oplog::with_retention(200);
         for i in 0..50u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 40]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 40]) }).unwrap();
         }
         let _ = log.take_batch(usize::MAX);
         assert!(log.floor_lsn() > 0, "old shipped entries must be trimmed");
@@ -729,16 +692,72 @@ mod tests {
             std::env::temp_dir().join(format!("dbdedup-oplog-cursor-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             for i in 0..4u64 {
                 log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
             }
             log.sync().unwrap();
         }
-        let log = DurableOplog::open(&path).unwrap();
+        let log = Oplog::open(&path).unwrap();
         assert_eq!(log.floor_lsn(), 0);
         assert_eq!(log.next_lsn(), 4);
         assert_eq!(log.read_from(2, usize::MAX).unwrap().len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// With or without a file behind it the log hands out the same LSNs
+    /// and wire lengths and serves the same batches and cursor reads; a
+    /// reopen brings back the same entries (all of them pending again).
+    #[test]
+    fn file_sink_changes_nothing_but_durability() {
+        let path =
+            std::env::temp_dir().join(format!("dbdedup-oplog-parity-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let kinds = |round: u64| {
+            (0..6u64).map(move |i| match i % 3 {
+                0 => {
+                    OplogKind::Insert { id: RecordId(round * 10 + i), payload: raw(&[i as u8; 70]) }
+                }
+                1 => OplogKind::Update {
+                    id: RecordId(round * 10 + i),
+                    payload: OplogPayload::Forward {
+                        base: RecordId(i),
+                        delta: Bytes::from(vec![round as u8; 9]),
+                    },
+                },
+                _ => OplogKind::Delete { id: RecordId(round * 10 + i) },
+            })
+        };
+        let mut mem = Oplog::new();
+        let mut file = Oplog::open(&path).unwrap();
+        for k in kinds(0) {
+            assert_eq!(mem.append(k.clone()).unwrap(), file.append(k).unwrap());
+        }
+        assert_eq!(mem.take_batch(150), file.take_batch(150));
+        assert_eq!(mem.pending(), file.pending());
+        assert_eq!(mem.read_from(1, 200), file.read_from(1, 200));
+        file.sync().unwrap();
+        mem.sync().unwrap();
+        drop(file);
+
+        // After the reopen everything is pending again, so the in-memory
+        // twin is a log the same appends went into and nothing was taken
+        // from.
+        let mut file = Oplog::open(&path).unwrap();
+        let mut mem = Oplog::new();
+        for k in kinds(0) {
+            mem.append(k).unwrap();
+        }
+        assert_eq!((mem.floor_lsn(), mem.next_lsn()), (file.floor_lsn(), file.next_lsn()));
+        for k in kinds(1) {
+            assert_eq!(mem.append(k.clone()).unwrap(), file.append(k).unwrap());
+        }
+        assert_eq!(mem.read_from(4, usize::MAX), file.read_from(4, usize::MAX));
+        assert_eq!(mem.take_batch(usize::MAX), file.take_batch(usize::MAX));
+        mem.ack_shipped(5);
+        file.ack_shipped(5);
+        assert_eq!(mem.read_from(2, usize::MAX), file.read_from(2, usize::MAX));
+        assert_eq!(mem.read_from(5, 40), file.read_from(5, 40));
         let _ = std::fs::remove_file(&path);
     }
 

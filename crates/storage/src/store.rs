@@ -3,7 +3,7 @@
 //! Records are appended to segment files and located through an in-memory
 //! directory (`RecordId` → segment/offset). Updates append a fresh entry
 //! and re-point the directory; the superseded bytes become dead space that
-//! [`RecordStore::compact`] reclaims. Each entry stores its payload either
+//! [`RecordStore::compact_step`] reclaims. Each entry stores its payload either
 //! **raw** or as a **backward delta** tagged with the base record it
 //! decodes against — the on-disk half of dbDedup's two-way encoding.
 //!
@@ -920,91 +920,14 @@ impl RecordStore {
         Ok(parsed.degraded_db.map(|db| String::from_utf8_lossy(db).into_owned()))
     }
 
-    /// Rewrites live entries into fresh segments, dropping dead space.
-    /// A record whose entry fails verification is quarantined (dropped
-    /// from the directory and counted) rather than aborting compaction.
-    ///
-    /// Stop-the-world: the store is locked for the whole rewrite. The
-    /// incremental alternative is [`RecordStore::compact_step`].
-    ///
-    /// Superseded segment files are **truncated to zero, not removed** —
-    /// the recovery scan walks segment indices contiguously from zero,
-    /// so removing `seg000000.dat` would make a reopened store blind to
-    /// every later segment.
-    pub fn compact(&self) -> Result<CompactStats, StoreError> {
-        let fault = self.config.fault.as_deref();
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let mut stats = CompactStats::default();
-        let ids: Vec<RecordId> = inner.directory.keys().copied().collect();
-        let new_idx = inner.active_idx + 1;
-        let mut old_total = 0u64;
-        for i in 0..new_idx {
-            if let Ok(meta) = fs::metadata(segment_path(&self.dir, i)) {
-                if meta.len() > 0 {
-                    stats.segments_rewritten += 1;
-                    old_total += meta.len();
-                }
-            }
-        }
-        let mut new_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(segment_path(&self.dir, new_idx))?;
-        fault_write(&mut new_file, fault, &segment_header())?;
-        let mut new_off = SEG_HDR_LEN as u64;
-        let mut new_dir = FxHashMap::default();
-        let (mut live_payload, mut live_uncompressed) = (0u64, 0u64);
-        for id in ids {
-            let loc = inner.directory[&id];
-            let raw = match read_entry_bytes(inner, &self.dir, loc) {
-                Ok(raw) => raw,
-                Err(StoreError::Corrupt(_)) => {
-                    inner.io.quarantined_entries += 1;
-                    stats.entries_skipped += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            fault_write(&mut new_file, fault, &raw)?;
-            inner.io.writes += 1;
-            inner.io.write_bytes += u64::from(loc.len);
-            live_payload += u64::from(loc.payload_len);
-            live_uncompressed += u64::from(loc.uncompressed_len);
-            new_dir.insert(id, Loc { seg: new_idx, off: new_off, ..loc });
-            new_off += u64::from(loc.len);
-            stats.bytes_scanned += u64::from(loc.len);
-        }
-        new_file.sync_data()?;
-        // Swap in the new segment; empty the old files (see doc comment
-        // for why truncate, not remove). Every stale put and tombstone is
-        // gone with them.
-        for i in 0..new_idx {
-            let _ = fault_truncate(&segment_path(&self.dir, i), 0, fault);
-        }
-        inner.readers = (0..=new_idx).map(|_| None).collect();
-        inner.active = new_file;
-        inner.active_idx = new_idx;
-        inner.active_off = new_off;
-        inner.directory = new_dir;
-        inner.dead_bytes = 0;
-        inner.tomb_bytes = 0;
-        inner.stale_puts.clear();
-        inner.cursor = None;
-        inner.live_payload_bytes = live_payload;
-        inner.live_uncompressed_bytes = live_uncompressed;
-        inner.cache.clear();
-        stats.bytes_reclaimed = old_total.saturating_sub(new_off);
-        Ok(stats)
-    }
-
     /// One bounded increment of background compaction: copies at most
     /// ~`max_bytes` of frame bytes forward from the best victim segment
     /// (the sealed segment with the most dead space) into the active
     /// segment, then returns. Progress persists in a cursor, so repeated
     /// calls walk whole segments; a finished segment is truncated to zero
-    /// and its dead space reclaimed. When every sealed segment is clean
+    /// (not removed: the recovery scan walks segment indices contiguously
+    /// from zero, so a missing `seg000000.dat` would blind a reopened store
+    /// to every later segment) and its dead space reclaimed. When every sealed segment is clean
     /// but the active segment holds dead bytes, the active segment is
     /// sealed (rotated) so the next calls can reclaim it too.
     ///
@@ -1577,6 +1500,19 @@ mod tests {
         RecordStore::open_temp(StoreConfig::default()).expect("temp store")
     }
 
+    /// Compacts to quiescence — bounded steps until one does nothing — and
+    /// returns what they did in total.
+    fn compact_fully(s: &RecordStore) -> CompactStats {
+        let mut total = CompactStats::default();
+        loop {
+            let step = s.compact_step(u64::MAX).unwrap();
+            if step.is_noop() {
+                return total;
+            }
+            total.merge(step);
+        }
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "dbdedup-store-test-{tag}-{}-{}",
@@ -1624,7 +1560,7 @@ mod tests {
             let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();
             assert!(s.recovery_report().is_clean());
             assert_eq!(s.degraded_records().unwrap(), vec![(RecordId(1), "db-a".to_string())]);
-            let stats = s.compact().unwrap();
+            let stats = compact_fully(&s);
             assert!(stats.bytes_reclaimed > 0);
             assert_eq!(
                 s.degraded_records().unwrap(),
@@ -1720,7 +1656,7 @@ mod tests {
                         5 => s.put_degraded(id, "db", &[step as u8; 64]).unwrap(),
                         6 | 7 => s.delete(id).unwrap(),
                         8 => drop(s.compact_step(3000).unwrap()),
-                        _ if step % 7 == 0 => drop(s.compact().unwrap()),
+                        _ if step % 7 == 0 => drop(compact_fully(&s)),
                         _ => {}
                     }
                     let inner = s.inner.lock();
@@ -1836,7 +1772,7 @@ mod tests {
             s.put(RecordId(i), StorageForm::Raw, &[2u8; 10]).unwrap();
         }
         assert!(s.dead_bytes() > 0);
-        let stats = s.compact().unwrap();
+        let stats = compact_fully(&s);
         assert!(stats.bytes_reclaimed > 0, "stats report the reclaim");
         assert!(stats.segments_rewritten >= 1);
         assert_eq!(stats.entries_skipped, 0);
@@ -1866,7 +1802,7 @@ mod tests {
             for i in 0..10u64 {
                 s.delete(RecordId(i)).unwrap();
             }
-            let _ = s.compact().unwrap();
+            let _ = compact_fully(&s);
         }
         {
             let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();

@@ -3,6 +3,8 @@
 //! and fault-injected replication that re-converges through anti-entropy
 //! resync.
 
+use dbdedup::delta::{DbDeltaConfig, DbDeltaEncoder};
+use dbdedup::engine::engine::RededupOutcome;
 use dbdedup::repl::{anti_entropy, AsyncReplicator, ShipOutcome};
 use dbdedup::storage::store::{RecordStore, StorageForm, StoreConfig};
 use dbdedup::util::dist::SplitMix64;
@@ -178,6 +180,24 @@ fn engine() -> DedupEngine {
     DedupEngine::open_temp(cfg).expect("engine")
 }
 
+/// `n` revisions of one `len`-byte document, each a few small edits past
+/// the last.
+fn revisions(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = SplitMix64::new(seed);
+    let mut doc: Vec<u8> = (0..len).map(|_| (rng.next_u64() % 26 + 97) as u8).collect();
+    let mut docs = vec![doc.clone()];
+    for _ in 1..n {
+        for _ in 0..5 {
+            let at = rng.next_below((doc.len() - 50) as u64) as usize;
+            for b in doc.iter_mut().skip(at).take(40) {
+                *b = (rng.next_u64() % 26 + 97) as u8;
+            }
+        }
+        docs.push(doc.clone());
+    }
+    docs
+}
+
 /// Crash-at-every-write sweep over the out-of-line re-dedup rewrite path.
 /// The rewrite's copy-before-supersede ordering promises: whatever write
 /// the crash lands on, (1) every record stays byte-readable, (2) a
@@ -188,18 +208,7 @@ fn engine() -> DedupEngine {
 #[test]
 fn rededup_rewrite_crash_sweep_preserves_records_and_backlog() {
     // A revision chain, so drained records delta-encode against each other.
-    let mut rng = SplitMix64::new(0x4ED0_0001);
-    let mut doc: Vec<u8> = (0..8_000).map(|_| (rng.next_u64() % 26 + 97) as u8).collect();
-    let mut docs = vec![doc.clone()];
-    for _ in 1..4 {
-        for _ in 0..5 {
-            let at = rng.next_below((doc.len() - 50) as u64) as usize;
-            for b in doc.iter_mut().skip(at).take(40) {
-                *b = (rng.next_u64() % 26 + 97) as u8;
-            }
-        }
-        docs.push(doc.clone());
-    }
+    let docs = revisions(4, 8_000, 0x4ED0_0001);
     let mut cfg = EngineConfig::default();
     cfg.min_benefit_bytes = 16;
     let burst: Vec<RecordId> = (1..docs.len() as u64).map(RecordId).collect();
@@ -271,6 +280,218 @@ fn rededup_rewrite_crash_sweep_preserves_records_and_backlog() {
     }
 }
 
+/// One oplog-silent local rewrite, staged for a crash at each of its
+/// writes. Record `i` always holds `docs[i]`.
+struct RewriteCase {
+    name: &'static str,
+    /// Durable state, built and closed before the faulted session opens.
+    setup: fn(&Path, &EngineConfig, &[Vec<u8>]),
+    /// In-memory state the rewrite needs (queued write-backs, tombstones),
+    /// built inside the faulted session; crashes are scheduled past it.
+    stage: fn(&mut DedupEngine, &[Vec<u8>]),
+    /// The rewrite itself; `peer` holds every record, for repairs. Run
+    /// again after recovery, as a restarted maintainer would.
+    rewrite: fn(&mut DedupEngine, &mut DedupEngine),
+    /// Records that must be live straight after recovery.
+    durable: &'static [u64],
+    /// Records that must read back once the rewrite has been re-run.
+    survivors: &'static [u64],
+}
+
+fn insert_all(e: &mut DedupEngine, docs: &[Vec<u8>], ids: std::ops::Range<usize>) {
+    for i in ids {
+        e.insert("db", RecordId(i as u64), &docs[i]).expect("insert");
+    }
+}
+
+fn chain_on_disk(dir: &Path, cfg: &EngineConfig, docs: &[Vec<u8>], n: usize) {
+    let store = RecordStore::open(dir, cache_free()).expect("open");
+    let mut e = DedupEngine::new(store, cfg.clone()).expect("engine");
+    insert_all(&mut e, docs, 0..n);
+    e.flush_all_writebacks().expect("flush");
+}
+
+const REWRITE_CASES: &[RewriteCase] = &[
+    RewriteCase {
+        name: "write-back flush",
+        setup: |dir, cfg, docs| chain_on_disk(dir, cfg, docs, 3),
+        // The index does not survive the reopen, so record 3 lands unique
+        // and 4 and 5 each queue a write-back for their predecessor.
+        stage: |e, docs| {
+            for i in 3..6 {
+                if !e.store().contains(RecordId(i as u64)) {
+                    insert_all(e, docs, i..i + 1);
+                }
+            }
+        },
+        rewrite: |e, _| drop(e.flush_all_writebacks()),
+        durable: &[0, 1, 2],
+        survivors: &[0, 1, 2],
+    },
+    RewriteCase {
+        name: "gc_record, mid-chain tombstone",
+        setup: |dir, cfg, docs| chain_on_disk(dir, cfg, docs, 5),
+        stage: |e, _| {
+            if e.delete(RecordId(2)).is_ok() && e.store().contains(RecordId(2)) {
+                assert!(e.chains().base_of(RecordId(2)).is_some(), "pinned mid-chain");
+            }
+        },
+        rewrite: |e, _| drop(e.gc_record(RecordId(2))),
+        durable: &[0, 1, 3, 4],
+        survivors: &[0, 1, 3, 4],
+    },
+    RewriteCase {
+        name: "gc_record, terminal tombstone",
+        setup: |dir, cfg, docs| chain_on_disk(dir, cfg, docs, 3),
+        stage: |e, _| {
+            if e.delete(RecordId(2)).is_ok() && e.store().contains(RecordId(2)) {
+                assert!(e.chains().base_of(RecordId(2)).is_none(), "pinned terminal raw base");
+            }
+        },
+        rewrite: |e, _| drop(e.gc_record(RecordId(2))),
+        durable: &[0, 1],
+        survivors: &[0, 1],
+    },
+    RewriteCase {
+        name: "re-dedup, tag clear after an interrupted rewrite",
+        // What a rewrite of record 1 leaves when it dies before its last
+        // write: the source already a delta against 1, 1 still tagged.
+        setup: |dir, cfg, docs| {
+            {
+                let store = RecordStore::open(dir, cache_free()).expect("open");
+                let mut e = DedupEngine::new(store, cfg.clone()).expect("engine");
+                insert_all(&mut e, docs, 0..1);
+                e.set_replication_pressure(true);
+                insert_all(&mut e, docs, 1..2);
+            }
+            let backward = DbDeltaEncoder::new(DbDeltaConfig::with_interval(cfg.anchor_interval))
+                .encode(&docs[1], &docs[0]);
+            RecordStore::open(dir, cache_free())
+                .expect("open")
+                .put(RecordId(0), StorageForm::Delta { base: RecordId(1) }, &backward.encode())
+                .expect("put");
+        },
+        stage: |e, _| assert_eq!(e.chains().base_of(RecordId(0)), Some(RecordId(1))),
+        rewrite: |e, _| {
+            let outcome = e.rededup_record(RecordId(1));
+            assert!(matches!(outcome, Ok(RededupOutcome::Skipped) | Err(_)), "{outcome:?}");
+        },
+        durable: &[0, 1],
+        survivors: &[0, 1],
+    },
+    RewriteCase {
+        name: "re-dedup, keep raw",
+        setup: |dir, cfg, docs| {
+            let store = RecordStore::open(dir, cache_free()).expect("open");
+            let mut e = DedupEngine::new(store, cfg.clone()).expect("engine");
+            e.set_replication_pressure(true);
+            insert_all(&mut e, docs, 0..1);
+        },
+        stage: |_, _| {},
+        rewrite: |e, _| {
+            let outcome = e.rededup_record(RecordId(0));
+            assert!(!matches!(outcome, Ok(RededupOutcome::Rededuped { .. })), "{outcome:?}");
+        },
+        durable: &[0],
+        survivors: &[0],
+    },
+    RewriteCase {
+        name: "repair_record, through a scrub heal",
+        setup: |dir, cfg, docs| chain_on_disk(dir, cfg, docs, 4),
+        // Rot record 1's frame underneath the engine. It is lost until a
+        // scrub heals it — crash or no crash — so it is not in `durable`.
+        stage: |e, _| {
+            use std::io::{Read, Seek, SeekFrom};
+            let Some((seg, off, _)) = e.store().frame_extent(RecordId(1)) else {
+                return; // recovery after a crash: already quarantined
+            };
+            let path = e.store().dir().join(format!("seg{seg:06}.dat"));
+            let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+            let mut b = [0u8; 1];
+            f.seek(SeekFrom::Start(off + 12)).unwrap();
+            f.read_exact(&mut b).unwrap();
+            f.seek(SeekFrom::Start(off + 12)).unwrap();
+            f.write_all(&[b[0] ^ 0x40]).unwrap();
+        },
+        rewrite: |e, peer| {
+            for _ in 0..64 {
+                match e.scrub_slice(1 << 20, Some(peer)) {
+                    Ok(slice) if !slice.pass_complete => {}
+                    _ => return,
+                }
+            }
+        },
+        durable: &[0, 2, 3],
+        survivors: &[0, 1, 2, 3],
+    },
+];
+
+/// Crash-at-every-write sweep over every caller of the engine's one
+/// local-rewrite primitive that has no sweep of its own: for each case and
+/// each write of the rewrite, a crash there must leave every live record
+/// reading its own bytes, the records the rewrite did not target live, and
+/// the oplog where it was — and re-running the rewrite after recovery must
+/// finish the job.
+#[test]
+fn local_rewrite_crash_sweep_keeps_records_and_oplog() {
+    let docs = revisions(6, 6_000, 0x10CA_1001);
+    let mut peer = engine();
+    insert_all(&mut peer, &docs, 0..docs.len());
+    for case in REWRITE_CASES {
+        let dir = temp_dir("rewrite-sweep");
+        let mut cfg = EngineConfig::default();
+        cfg.min_benefit_bytes = 16;
+        cfg.oplog_path = Some(dir.join("oplog"));
+        // Opens the staged engine behind an injector that crashes at write
+        // `crash_at` (never, for `None`); returns both.
+        let staged = |crash_at: Option<u64>| {
+            let _ = std::fs::remove_dir_all(&dir);
+            (case.setup)(&dir, &cfg, &docs);
+            let plan = crash_at.map_or(FaultPlan::new(), |k| FaultPlan::new().crash_at_write(k));
+            let inj = Arc::new(FaultInjector::new(plan));
+            let faulted = StoreConfig { fault: Some(Arc::clone(&inj)), ..cache_free() };
+            let store = RecordStore::open(&dir, faulted).expect("open faulted");
+            let mut e = DedupEngine::new(store, cfg.clone()).expect("engine faulted");
+            (case.stage)(&mut e, &docs);
+            (e, inj)
+        };
+        let first_write = staged(None).1.writes_seen();
+        for k in first_write.. {
+            let name = format!("{}, crash at write {k}", case.name);
+            let (mut e, inj) = staged(Some(k));
+            let lsn = e.oplog_next_lsn();
+            (case.rewrite)(&mut e, &mut peer);
+            assert_eq!(e.oplog_next_lsn(), lsn, "{name}: a local rewrite is oplog-silent");
+            let fired = inj.crashed();
+            drop(e);
+
+            let store = RecordStore::open(&dir, cache_free()).expect("reopen");
+            let mut e = DedupEngine::new(store, cfg.clone()).expect("engine recovered");
+            assert_eq!(e.oplog_next_lsn(), lsn, "{name}: oplog after recovery");
+            let live = e.live_record_ids();
+            for &id in &live {
+                assert_eq!(&e.read(id).unwrap()[..], &docs[id.0 as usize][..], "{name}: {id:?}");
+            }
+            for &id in case.durable {
+                assert!(live.contains(&RecordId(id)), "{name}: record {id} lost");
+            }
+            (case.stage)(&mut e, &docs);
+            let lsn = e.oplog_next_lsn();
+            (case.rewrite)(&mut e, &mut peer);
+            assert_eq!(e.oplog_next_lsn(), lsn, "{name}: re-run is oplog-silent");
+            for &id in case.survivors {
+                let got = e.read(RecordId(id)).unwrap_or_else(|err| panic!("{name}: {id}: {err}"));
+                assert_eq!(&got[..], &docs[id as usize][..], "{name}: record {id} after re-run");
+            }
+            if !fired {
+                assert!(k > first_write, "{}: the rewrite wrote nothing", case.name);
+                break;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A bit flip on a raw degraded-tagged pass-through record: the next open
 /// must salvage cleanly (quarantining exactly the damaged frame, with the
 /// skip counted and a typed event emitted), the rescanned re-dedup backlog
@@ -280,18 +501,7 @@ fn rededup_rewrite_crash_sweep_preserves_records_and_backlog() {
 fn bitflip_on_degraded_record_salvages_and_keeps_backlog_consistent() {
     use dbdedup::{MaintConfig, Maintainer};
     let dir = temp_dir("degraded-rot");
-    let mut rng = SplitMix64::new(0xDE64_0001);
-    let mut doc: Vec<u8> = (0..6_000).map(|_| (rng.next_u64() % 26 + 97) as u8).collect();
-    let mut docs = vec![doc.clone()];
-    for _ in 1..5 {
-        for _ in 0..5 {
-            let at = rng.next_below((doc.len() - 50) as u64) as usize;
-            for b in doc.iter_mut().skip(at).take(40) {
-                *b = (rng.next_u64() % 26 + 97) as u8;
-            }
-        }
-        docs.push(doc.clone());
-    }
+    let docs = revisions(5, 6_000, 0xDE64_0001);
     let mut cfg = EngineConfig::default();
     cfg.min_benefit_bytes = 16;
     let burst: Vec<RecordId> = (1..docs.len() as u64).map(RecordId).collect();
