@@ -3,6 +3,7 @@
 //! walk past. Oplog-silent — every write goes through `rewrite_local`.
 
 use super::{DedupEngine, EngineError};
+use bytes::Bytes;
 use dbdedup_obs::{EventKind, Severity, Stage};
 use dbdedup_util::ids::RecordId;
 
@@ -14,12 +15,23 @@ impl DedupEngine {
         self.chains.deleted_ids()
     }
 
+    /// The first `max` ids of [`gc_backlog_ids`](Self::gc_backlog_ids) —
+    /// one bounded GC slice — without materialising the rest.
+    pub fn gc_backlog_head(&self, max: usize) -> Vec<RecordId> {
+        self.chains.deleted_iter().take(max).collect()
+    }
+
+    /// Length of the chain-GC work list, in constant time.
+    pub fn gc_backlog_len(&self) -> usize {
+        self.chains.deleted_len()
+    }
+
     /// Bytes held on disk by deleted-but-referenced records. This dead
     /// space is invisible to segment dead-byte accounting — the entries
     /// are live in the store directory, only their content is
     /// client-deleted — so it gets its own gauge.
     pub fn pinned_dead_bytes(&self) -> u64 {
-        self.chains.deleted_ids().iter().filter_map(|&id| self.store.entry_len(id)).sum()
+        self.chains.deleted_iter().filter_map(|id| self.store.entry_len(id)).sum()
     }
 
     /// Actively splices one deleted record out of its chain — the
@@ -45,14 +57,24 @@ impl DedupEngine {
 
     fn gc_record_inner(&mut self, id: RecordId) -> Result<u64, EngineError> {
         let new_base = self.chains.base_of(id);
+        // The deleted record's own base, decoded for the first dependent
+        // and reused by the rest, with the path that decode walked (which
+        // starts at that base).
+        let mut base: Option<(Bytes, Vec<RecordId>)> = None;
         let mut reencoded = 0u64;
         for dep in self.chains.dependents_of(id) {
             let dep_content = self.decode_record(dep)?;
-            let base = match new_base {
-                Some(nb) => Some((nb, self.decode_record(nb)?)),
-                None => None,
-            };
-            self.splice_out(dep, &dep_content, base.as_ref().map(|(nb, c)| (*nb, &c[..])))?;
+            if let Some(nb) = new_base {
+                match &base {
+                    None => {
+                        let (content, path, _) = self.decode_with_path(nb)?;
+                        base = Some((content, path));
+                    }
+                    Some((_, path)) => self.recharge_decode(path),
+                }
+            }
+            let onto = base.as_ref().map(|(content, path)| (path[0], &content[..]));
+            self.splice_out(dep, &dep_content, onto)?;
             reencoded += 1;
         }
         // Queued writebacks that would re-delta something against the
@@ -65,6 +87,27 @@ impl DedupEngine {
         self.metrics.maint_reencoded += reencoded;
         self.events.record(Severity::Info, EventKind::MaintGc { id: id.0, reencoded });
         Ok(reencoded)
+    }
+
+    /// Charges one more decode along `path` without doing it: the reads it
+    /// would submit to the I/O meter, and the source-cache probes (up to
+    /// the first hit, which is where the walk would stop) it would promote.
+    /// Both steer what reaches the segments — the meter paces write-back
+    /// flushes, recency decides evictions and with them source selection —
+    /// so reusing a decoded base must leave them exactly where decoding it
+    /// again would. Neither a splice nor a decode changes what the cache
+    /// holds, so the probes hit and miss as that decode's would.
+    fn recharge_decode(&mut self, path: &[RecordId]) {
+        let mut reads = 1; // the walk's first node always comes from the store
+        for &node in &path[1..] {
+            if self.source_cache.get(node).is_some() {
+                break;
+            }
+            reads += 1;
+        }
+        if !self.unmetered_reads {
+            self.io.submit(reads);
+        }
     }
 
     /// Retires up to `max_records` versions sitting more than `max_tail`
@@ -136,6 +179,53 @@ mod tests {
         assert!(!e.store().contains(RecordId(2)));
         assert_eq!(e.retrievals_for(RecordId(1)), Some(0), "dependent re-stored raw");
         assert_eq!(&e.read(RecordId(1)).unwrap()[..], &docs[0][..]);
+    }
+
+    /// `gc_record_inner` as it was: the deleted record's base decoded once
+    /// per dependent. The oracle for what reusing that decode must leave
+    /// behind on the I/O meter and in the source cache.
+    fn gc_record_decoding_per_dependent(e: &mut DedupEngine, id: RecordId) -> u64 {
+        let new_base = e.chains.base_of(id);
+        let mut reencoded = 0;
+        for dep in e.chains.dependents_of(id) {
+            let dep_content = e.decode_record(dep).unwrap();
+            let base = new_base.map(|nb| (nb, e.decode_record(nb).unwrap()));
+            e.splice_out(dep, &dep_content, base.as_ref().map(|(nb, c)| (*nb, &c[..]))).unwrap();
+            reencoded += 1;
+        }
+        e.wb_cache.invalidate_by_base(id);
+        e.try_remove_deleted(id).unwrap();
+        reencoded
+    }
+
+    #[test]
+    fn reusing_the_decoded_base_charges_what_decoding_it_per_dependent_charged() {
+        // Under hop encoding (distance 16) version 32 of a chain is a hop
+        // base: versions 31 and 16 both decode through it.
+        const VICTIM: RecordId = RecordId(32);
+        let docs = versioned_docs(40, 46);
+        let build = || {
+            let mut e = engine();
+            for (i, d) in docs.iter().enumerate() {
+                e.insert("db", RecordId(i as u64), d).unwrap();
+            }
+            e.flush_all_writebacks().unwrap();
+            e.delete(VICTIM).unwrap();
+            assert!(e.chains().refcount(VICTIM) >= 2, "a multi-dependent victim");
+            assert!(e.chains().base_of(VICTIM).is_some(), "with a base of its own");
+            e
+        };
+        let (mut new, mut old) = (build(), build());
+        let dependents = u64::from(new.chains().refcount(VICTIM));
+        assert_eq!(new.gc_record(VICTIM).unwrap(), dependents);
+        assert_eq!(gc_record_decoding_per_dependent(&mut old, VICTIM), dependents);
+        assert_eq!(new.io_queue_len(), old.io_queue_len(), "same reads on the I/O meter");
+        let (a, b) = (new.metrics().source_cache, old.metrics().source_cache);
+        assert_eq!((a.hits, a.misses, a.evictions), (b.hits, b.misses, b.evictions));
+        assert!(new.store().segment_bytes().unwrap() == old.store().segment_bytes().unwrap());
+        for (i, d) in docs.iter().enumerate().filter(|(i, _)| *i as u64 != VICTIM.0) {
+            assert_eq!(&new.read(RecordId(i as u64)).unwrap()[..], &d[..], "record {i}");
+        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl DedupEngine {
             ingest_overloaded: self.governor.is_overloaded(),
             links: links.to_vec(),
             degraded_backlog: self.degraded.len() as u64,
-            gc_backlog: self.chains.deleted_ids().len() as u64,
+            gc_backlog: self.gc_backlog_len() as u64,
             reclaimable_dead_bytes: self.store.reclaimable_dead_bytes(),
             index_merge_backlog: self.index_merge_backlog(),
             scrub_unhealable: self.metrics.scrub_unhealable,
@@ -158,7 +158,7 @@ impl DedupEngine {
             events_logged: self.events.logged(),
             events_dropped: self.events.dropped(),
             events_ring_len: self.events.len() as u64,
-            maint_gc_backlog: self.chains.deleted_ids().len() as u64,
+            maint_gc_backlog: self.gc_backlog_len() as u64,
             maint_pinned_dead_bytes: self.pinned_dead_bytes(),
             maint_dead_bytes: self.store.dead_bytes(),
             maint_reclaimable_dead_bytes: self.store.reclaimable_dead_bytes(),

@@ -16,6 +16,7 @@
 use crate::policy::EncodingPolicy;
 use dbdedup_util::hash::fx::FxHashMap;
 use dbdedup_util::ids::RecordId;
+use std::collections::BTreeSet;
 
 /// A planned re-encoding: store `target` as a backward delta whose source
 /// (decode base) is `base`.
@@ -78,6 +79,14 @@ pub struct ChainStats {
 pub struct ChainManager {
     policy: EncodingPolicy,
     records: FxHashMap<RecordId, RecordState>,
+    /// Every `(base, dependent)` edge of the committed topology — the
+    /// reverse of `RecordState::base`, moved at the same sites that move a
+    /// refcount, so `refcount(b)` is always the number of edges under `b`
+    /// and a range scan lists them already sorted.
+    dependents: BTreeSet<(RecordId, RecordId)>,
+    /// Records with `deleted` set that are still tracked — the GC backlog,
+    /// moved wherever `deleted` moves.
+    deleted: BTreeSet<RecordId>,
     chains: Vec<ChainState>,
     stats: ChainStats,
 }
@@ -88,6 +97,8 @@ impl ChainManager {
         Self {
             policy,
             records: FxHashMap::default(),
+            dependents: BTreeSet::new(),
+            deleted: BTreeSet::new(),
             chains: Vec::new(),
             stats: ChainStats::default(),
         }
@@ -143,10 +154,11 @@ impl ChainManager {
             self.stats.chains += 1;
         }
         // Second pass: recompute reference counts.
-        for &(_, base) in &entries {
+        for &(id, base) in &entries {
             if let Some(b) = base {
                 let s = self.records.get_mut(&b).expect("recovered base must be a live record");
                 s.refcount += 1;
+                self.dependents.insert((b, id));
             }
         }
     }
@@ -250,9 +262,11 @@ impl ChainManager {
         if let Some(old) = old_base {
             let o = self.records.get_mut(&old).expect("old base tracked");
             o.refcount = o.refcount.saturating_sub(1);
+            self.dependents.remove(&(old, wb.target));
         }
         let b = self.records.get_mut(&wb.base).expect("writeback base tracked");
         b.refcount += 1;
+        self.dependents.insert((wb.base, wb.target));
         self.stats.committed_writebacks += 1;
     }
 
@@ -309,6 +323,7 @@ impl ChainManager {
     pub fn mark_deleted(&mut self, id: RecordId) -> bool {
         let r = self.records.get_mut(&id).expect("record tracked");
         r.deleted = true;
+        self.deleted.insert(id);
         r.refcount == 0
     }
 
@@ -322,10 +337,12 @@ impl ChainManager {
     pub fn remove(&mut self, id: RecordId) {
         let r = self.records.remove(&id).expect("record tracked");
         assert_eq!(r.refcount, 0, "cannot remove {id}: still a decode base");
+        self.deleted.remove(&id);
         if let Some(b) = r.base {
             if let Some(bs) = self.records.get_mut(&b) {
                 bs.refcount = bs.refcount.saturating_sub(1);
             }
+            self.dependents.remove(&(b, id));
         }
         // Clear any chain references to the removed record.
         let chain = &mut self.chains[r.chain as usize];
@@ -356,19 +373,27 @@ impl ChainManager {
     /// Records marked deleted but not yet physically removed — the chain
     /// GC backlog. Ascending id order.
     pub fn deleted_ids(&self) -> Vec<RecordId> {
-        let mut ids: Vec<RecordId> =
-            self.records.iter().filter(|(_, r)| r.deleted).map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
+        self.deleted.iter().copied().collect()
+    }
+
+    /// The GC backlog in ascending id order, without materialising it (a
+    /// bounded maintenance slice takes only the first few).
+    pub fn deleted_iter(&self) -> impl Iterator<Item = RecordId> + '_ {
+        self.deleted.iter().copied()
+    }
+
+    /// Length of the GC backlog.
+    pub fn deleted_len(&self) -> usize {
+        self.deleted.len()
     }
 
     /// Records whose committed decode base is `id` (the records pinning
     /// it). Ascending id order. Their count equals `refcount(id)`.
     pub fn dependents_of(&self, id: RecordId) -> Vec<RecordId> {
-        let mut ids: Vec<RecordId> =
-            self.records.iter().filter(|(_, r)| r.base == Some(id)).map(|(&id, _)| id).collect();
-        ids.sort_unstable();
-        ids
+        self.dependents
+            .range((id, RecordId(u64::MIN))..=(id, RecordId(u64::MAX)))
+            .map(|&(_, dep)| dep)
+            .collect()
     }
 
     /// How many records have been appended to `id`'s chain after it —
@@ -410,6 +435,7 @@ impl ChainManager {
             if let Some(o) = self.records.get_mut(&old) {
                 o.refcount = o.refcount.saturating_sub(1);
             }
+            self.dependents.remove(&(old, target));
         }
     }
 
@@ -424,9 +450,11 @@ impl ChainManager {
         if let Some(old) = old {
             let o = self.records.get_mut(&old).expect("old base tracked");
             o.refcount = o.refcount.saturating_sub(1);
+            self.dependents.remove(&(old, target));
         }
         let b = self.records.get_mut(&new_base).expect("new base tracked");
         b.refcount += 1;
+        self.dependents.insert((new_base, target));
     }
 }
 
@@ -670,6 +698,115 @@ mod tests {
             m.refcount(RecordId(3)),
             "dependents agree with refcount"
         );
+    }
+
+    /// The full-scan bodies `deleted_ids` and `dependents_of` had before the
+    /// indexes existed, kept as the oracles the indexes are checked against.
+    fn deleted_ids_scan(m: &ChainManager) -> Vec<RecordId> {
+        let mut ids: Vec<RecordId> =
+            m.records.iter().filter(|(_, r)| r.deleted).map(|(&id, _)| id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn dependents_of_scan(m: &ChainManager, id: RecordId) -> Vec<RecordId> {
+        let mut ids: Vec<RecordId> =
+            m.records.iter().filter(|(_, r)| r.base == Some(id)).map(|(&id, _)| id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Indexed answers equal the scans, for every id ever handed out (a
+    /// removed id must list nothing), and refcounts count the edges.
+    fn assert_indexes_match_scans(m: &ChainManager, max_id: u64, at: &str) {
+        let deleted = deleted_ids_scan(m);
+        assert_eq!(m.deleted_ids(), deleted, "{at}: deleted_ids");
+        assert_eq!(m.deleted_iter().collect::<Vec<_>>(), deleted, "{at}: deleted_iter");
+        assert_eq!(m.deleted_len(), deleted.len(), "{at}: deleted_len");
+        let mut edges = 0;
+        for id in (0..=max_id).map(RecordId) {
+            let deps = m.dependents_of(id);
+            assert_eq!(deps, dependents_of_scan(m, id), "{at}: dependents_of({id})");
+            assert_eq!(deps.len() as u32, m.refcount(id), "{at}: refcount({id})");
+            edges += deps.len();
+        }
+        assert_eq!(m.dependents.len(), edges, "{at}: no edge outlives its records");
+    }
+
+    #[test]
+    fn indexes_equal_full_scans_under_random_topology_edits() {
+        use dbdedup_util::dist::SplitMix64;
+        for seed in 0..9u64 {
+            let mut rng = SplitMix64::new(0x1DE7_0000 + seed);
+            let policy = match seed % 3 {
+                0 => EncodingPolicy::Backward,
+                1 => EncodingPolicy::Hop { distance: 4, max_levels: 2 },
+                _ => EncodingPolicy::VersionJumping { cluster: 4 },
+            };
+            let mut m = ChainManager::new(policy);
+            let mut next_id = 0u64;
+            let mut planned: Vec<Writeback> = Vec::new();
+            for step in 0..400 {
+                let live = m.tracked_ids();
+                let pick = |rng: &mut SplitMix64| live[rng.next_index(live.len())];
+                match rng.next_index(12) {
+                    _ if live.is_empty() => {
+                        m.start_chain(RecordId(next_id));
+                        next_id += 1;
+                    }
+                    0 => {
+                        m.start_chain(RecordId(next_id));
+                        next_id += 1;
+                    }
+                    1..=4 => {
+                        // Mostly extend heads, sometimes the overlapped case.
+                        let src = pick(&mut rng);
+                        planned.extend(m.append(RecordId(next_id), src).writebacks);
+                        next_id += 1;
+                    }
+                    5 | 6 => {
+                        // Commit a planned write-back whose ends both survive
+                        // (the engine drops the others at flush).
+                        if !planned.is_empty() {
+                            let wb = planned.swap_remove(rng.next_index(planned.len()));
+                            if live.contains(&wb.target) && live.contains(&wb.base) {
+                                m.commit_writeback(wb);
+                            }
+                        }
+                    }
+                    7 => {
+                        m.mark_deleted(pick(&mut rng));
+                    }
+                    8 => {
+                        let id = pick(&mut rng);
+                        if m.refcount(id) == 0 {
+                            m.remove(id);
+                        }
+                    }
+                    9 => m.clear_base(pick(&mut rng)),
+                    10 => {
+                        // Bases stay strictly newer, as the engine keeps them.
+                        let (a, b) = (pick(&mut rng), pick(&mut rng));
+                        if a != b {
+                            m.splice_base(a.min(b), a.max(b));
+                        }
+                    }
+                    _ => {
+                        // Restart: what a store scan reports, fed to a fresh
+                        // manager. Deletion marks are not persisted.
+                        let entries: Vec<_> = live.iter().map(|&id| (id, m.base_of(id))).collect();
+                        let refcounts: Vec<u32> = live.iter().map(|&id| m.refcount(id)).collect();
+                        m = ChainManager::new(policy);
+                        m.recover(entries);
+                        planned.clear();
+                        let after: Vec<u32> = live.iter().map(|&id| m.refcount(id)).collect();
+                        assert_eq!(after, refcounts, "seed {seed} step {step}: recover");
+                        assert_eq!(m.deleted_len(), 0);
+                    }
+                }
+                assert_indexes_match_scans(&m, next_id, &format!("seed {seed} step {step}"));
+            }
+        }
     }
 
     #[test]

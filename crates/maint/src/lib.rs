@@ -5,21 +5,19 @@
 //! bounded-pause compaction generalizes the host store's space reclaim).
 //!
 //! A [`Maintainer`] owns no data — it schedules bounded slices of six
-//! engine-side task types against a [`DedupEngine`]:
+//! engine-side task types against a [`DedupEngine`], in the order a
+//! [`tick`](Maintainer::tick) runs them:
 //!
-//! 1. **Chain GC** — deleted records pinned in the store because live
+//! 1. **Retention** — an optional policy capping how many versions a
+//!    chain keeps behind its head; retired versions are deleted locally
+//!    and flow through the GC path below.
+//! 2. **Chain GC** — deleted records pinned in the store because live
 //!    dependents decode through them. The read path splices these out
 //!    opportunistically, but cold chains are never read; the maintainer
-//!    walks the backlog ([`DedupEngine::gc_backlog_ids`]) and re-encodes
-//!    dependents so the tombstoned content can be physically removed.
-//! 2. **Incremental compaction** — superseded segment frames are
-//!    reclaimed one budgeted [`DedupEngine::compact_step`] at a time
-//!    (copy-forward of live frames, then truncate), instead of a
-//!    stop-the-world segment rewrite.
-//! 3. **Retention** — an optional policy capping how many versions a
-//!    chain keeps behind its head; retired versions are deleted locally
-//!    and flow through the same GC path.
-//! 4. **Out-of-line re-dedup** — records admitted raw while the
+//!    takes the head of the backlog ([`DedupEngine::gc_backlog_head`]) and
+//!    re-encodes dependents so the tombstoned content can be physically
+//!    removed.
+//! 3. **Out-of-line re-dedup** — records admitted raw while the
 //!    replication-pressure gate sheds dedup encoding stay compressible;
 //!    the maintainer drains the engine's degraded backlog
 //!    ([`DedupEngine::degraded_backlog_ids`]) through
@@ -27,21 +25,35 @@
 //!    after the burst. A drained backlog converges to the same storage
 //!    state a never-degraded run produces (the engine's convergence-parity
 //!    property).
-//!
-//! 5. **Integrity scrub** — a budgeted verified walk of the store behind
+//! 4. **Incremental compaction** — superseded segment frames are
+//!    reclaimed one budgeted [`DedupEngine::compact_step`] at a time
+//!    (copy-forward of live frames, then truncate), instead of a
+//!    stop-the-world segment rewrite. It follows re-dedup because each
+//!    rewrite supersedes a raw frame: dead space the same tick can start
+//!    on.
+//! 5. **Tiered-index run merging** — the memory-bounded feature index
+//!    spills cold entries into immutable on-disk runs; the maintainer
+//!    merges them pairwise ([`DedupEngine::index_merge_step`]) toward the
+//!    per-partition target so a cold lookup stays a single Bloom-gated
+//!    probe. Runs are derived local files, so merging is oplog-silent by
+//!    construction.
+//! 6. **Integrity scrub** — a budgeted verified walk of the store behind
 //!    a persistent cursor ([`DedupEngine::scrub_slice`]): frame checksums
 //!    re-read past the block cache, chain decodability back to the root,
 //!    and index ↔ store ↔ backlog consistency. Damage is quarantined and
 //!    healed in place — locally when the content survives in memory,
 //!    from an attached [`RepairSource`] otherwise — and a record no
 //!    source can supply is escalated in a typed [`ScrubReport`] rather
-//!    than panicking or silently vanishing.
-//! 6. **Tiered-index run merging** — the memory-bounded feature index
-//!    spills cold entries into immutable on-disk runs; the maintainer
-//!    merges them pairwise ([`DedupEngine::index_merge_step`]) toward the
-//!    per-partition target so a cold lookup stays a single Bloom-gated
-//!    probe. Runs are derived local files, so merging is oplog-silent by
-//!    construction.
+//!    than panicking or silently vanishing. Last, so that it verifies the
+//!    tick's own rewrites.
+//!
+//! Every slice is bounded in **bytes or items, never in time**: what a tick
+//! does is a function of the engine's state alone, so two runs of one seed
+//! write the same segments whatever the machine's speed. And every slice
+//! costs what it processes, not what the store holds: the backlogs are
+//! ordered sets kept by the chain manager, and the store finds a segment's
+//! live frames in a per-segment ordered view (see `DESIGN.md` §9, "What a
+//! tick costs").
 //!
 //! Everything here is **local-only**: re-encoding, compaction, retention,
 //! and repair never touch the oplog, so replicas converge regardless of
@@ -235,19 +247,22 @@ impl Maintainer {
     /// target. (Tombstone frames still shadowing stale puts are *not*
     /// reclaimable and do not count against quiescence.)
     pub fn quiesced(&self, engine: &DedupEngine) -> bool {
-        engine.gc_backlog_ids().is_empty()
+        engine.gc_backlog_len() == 0
             && engine.degraded_backlog_len() == 0
             && engine.reclaimable_dead_bytes() == 0
             && engine.index_merge_backlog() == 0
     }
 
-    /// Runs one bounded maintenance tick: retention, then chain GC, then
-    /// out-of-line re-dedup, then at most one budgeted compaction step.
-    /// Each task's slice is capped by the config, so a tick's foreground
-    /// impact is bounded no matter how much backlog has accumulated.
-    /// (Re-dedup runs before compaction because each rewrite supersedes a
-    /// raw frame — dead space the same tick's compaction step can start
-    /// reclaiming.)
+    /// Runs one bounded maintenance tick — the six tasks of the crate docs,
+    /// in their order: retention, chain GC, out-of-line re-dedup, at most
+    /// one budgeted compaction step, one budgeted index-run merge slice,
+    /// one budgeted scrub slice. Each task's slice is capped by the config
+    /// in items or bytes, so a tick's foreground impact is bounded no
+    /// matter how much backlog has accumulated, and an idle tick looks at
+    /// backlog *lengths* only. (Re-dedup runs before compaction because
+    /// each rewrite supersedes a raw frame — dead space the same tick's
+    /// compaction step can start reclaiming; scrub runs last so that it
+    /// verifies this tick's rewrites too.)
     pub fn tick(&mut self, engine: &mut DedupEngine) -> Result<TickReport, EngineError> {
         self.ticks += 1;
         let mut report = TickReport::default();
@@ -260,7 +275,7 @@ impl Maintainer {
             report.retired =
                 engine.retire_tail_versions(max_tail, self.cfg.retire_per_tick)?.len() as u64;
         }
-        for id in engine.gc_backlog_ids().into_iter().take(self.cfg.gc_per_tick) {
+        for id in engine.gc_backlog_head(self.cfg.gc_per_tick) {
             match engine.gc_record(id) {
                 Ok(n) => {
                     report.gc_records += 1;
@@ -446,9 +461,12 @@ impl Maintainer {
                 report.index_runs_merged += merged.runs_merged;
                 progress = true;
             }
-            let backlog = engine.gc_backlog_ids();
-            let only_broken = backlog.iter().all(|id| report.skipped_broken.contains(id));
-            if (backlog.is_empty() || only_broken)
+            // What is left of the backlog is drained as far as it can be
+            // when all of it was skipped as broken this pass. (A skipped id
+            // can since have left the backlog: removals cascade to bases.)
+            let still_broken =
+                report.skipped_broken.iter().filter(|&&id| engine.chains().is_deleted(id)).count();
+            if engine.gc_backlog_len() == still_broken
                 && engine.degraded_backlog_len() == 0
                 && engine.reclaimable_dead_bytes() == 0
                 && engine.index_merge_backlog() == 0
@@ -656,6 +674,40 @@ mod tests {
         assert!(flushed_total > 0, "pump must flush writebacks");
         assert!(e.pending_writebacks() == 0);
         assert!(m.quiesced(&e), "pump ticks must drain maintenance backlogs");
+    }
+
+    /// The regression guard for "a tick costs what it moves", in counts: on
+    /// a large store with nothing to do, a tick writes nothing and reads
+    /// only its scrub slice — it does not walk the store to find that out.
+    #[test]
+    fn tick_on_a_quiesced_store_writes_nothing_and_reads_only_its_scrub_slice() {
+        use dbdedup_storage::{FaultInjector, FaultPlan, RecordStore, StoreConfig};
+        let inj = std::sync::Arc::new(FaultInjector::new(FaultPlan::new()));
+        let store_cfg =
+            StoreConfig { fault: Some(std::sync::Arc::clone(&inj)), ..StoreConfig::default() };
+        let store = RecordStore::open_temp(store_cfg).unwrap();
+        let mut e = DedupEngine::new(store, EngineConfig::default()).unwrap();
+        let mut rng = SplitMix64::new(20_000);
+        for i in 0..20_000u64 {
+            let record: Vec<u8> = (0..48).map(|_| rng.next_u64() as u8).collect();
+            e.insert("db", RecordId(i), &record).unwrap();
+        }
+        for i in (0..20_000u64).step_by(50) {
+            e.delete(RecordId(i)).unwrap();
+        }
+        e.flush_all_writebacks().unwrap();
+        let mut m = Maintainer::new(MaintConfig::default());
+        let _ = m.run_until_quiesced(&mut e).unwrap();
+        assert!(m.quiesced(&e));
+        let (writes, io) = (inj.writes_seen(), e.store().io_stats());
+        let r = m.tick(&mut e).unwrap();
+        assert!(r.is_idle(), "{r:?}");
+        assert_eq!(inj.writes_seen(), writes, "an idle tick writes nothing");
+        assert!(r.scrub_verified > 0, "the scrub slice did run: {r:?}");
+        // Each frame of the slice is read twice: once past the block cache
+        // for its checksum, once through it for its chain.
+        let read = e.store().io_stats().read_bytes - io.read_bytes;
+        assert!(read <= 3 * m.config().scrub_budget_bytes, "{read} bytes read by an idle tick");
     }
 
     // ------------------------------------------------------------------

@@ -3,12 +3,14 @@
 //! byte-identical to a shadow map, (2) no tombstoned payload bytes
 //! anywhere in the segment files, and (3) the chain bookkeeping
 //! self-consistent. A crash sweep proves maintenance is interruptible at
-//! every write without losing live records.
+//! every write without losing live records, and a second sweep does the
+//! same for torn writes and transient I/O errors — which, now that
+//! compaction appends a run of frames per write, land inside runs.
 
 use dbdedup_core::{DedupEngine, EngineConfig, EngineError};
 use dbdedup_maint::{MaintConfig, Maintainer};
 use dbdedup_storage::store::{RecordStore, StoreConfig};
-use dbdedup_storage::{FaultInjector, FaultPlan};
+use dbdedup_storage::{FaultInjector, FaultKind, FaultPlan};
 use dbdedup_util::dist::SplitMix64;
 use dbdedup_util::ids::RecordId;
 use std::collections::BTreeMap;
@@ -266,4 +268,92 @@ fn crash_mid_maintenance_loses_no_live_records() {
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let path = entry.expect("dirent").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("file name"))).expect("copy");
+    }
+}
+
+fn open_engine(dir: &Path, fault: Option<Arc<FaultInjector>>, deleted: &[u64]) -> DedupEngine {
+    let cfg = StoreConfig { fault, ..Default::default() };
+    let store = RecordStore::open(dir, cfg).expect("open");
+    let mut e = DedupEngine::new(store, engine_cfg()).expect("engine");
+    // Deletion marks are not durable on their own; re-issue them as a
+    // recovery driver would replay its log.
+    for &id in deleted {
+        let _ = e.delete(RecordId(id));
+    }
+    e
+}
+
+/// Maintenance writes that tear (mid-header, mid-frame) or fail outright:
+/// a torn write is a crash, and the reopened store must read every live
+/// record; a failed write is not, and the *same* engine must go on to
+/// quiesce with every live record intact — a compaction run whose write
+/// failed left the directory pointing at the victim.
+#[test]
+fn torn_or_failed_write_mid_maintenance_loses_no_live_records() {
+    let template = temp_dir("faults-template");
+    let (shadow, deleted) = {
+        let store = RecordStore::open(&template, StoreConfig::default()).expect("open");
+        let mut e = DedupEngine::new(store, engine_cfg()).expect("engine");
+        let (shadow, deleted) = churn(&mut e, 0xFA17, 100);
+        e.flush_all_writebacks().expect("flush");
+        (shadow, deleted)
+    };
+    // A clean pass sizes the sweep, and shows that compaction's writes do
+    // carry several frames each here.
+    let ops = {
+        let dir = temp_dir("faults-probe");
+        copy_dir(&template, &dir);
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let mut e = open_engine(&dir, Some(Arc::clone(&inj)), &deleted);
+        let entries = e.store().io_stats().writes;
+        Maintainer::new(MaintConfig::default()).run_until_quiesced(&mut e).expect("quiesce");
+        let (ops, entries) = (inj.writes_seen(), e.store().io_stats().writes - entries);
+        assert!(entries > ops, "{entries} frames and headers in {ops} writes");
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+        ops
+    };
+    let kinds = [
+        FaultKind::ShortWrite { keep: 9 },
+        FaultKind::ShortWrite { keep: 3000 },
+        FaultKind::IoError,
+    ];
+    for k in (0..ops).step_by((ops as usize / 6).max(1)) {
+        for kind in kinds {
+            let at = format!("{kind:?} at write {k}");
+            let dir = temp_dir("faults-run");
+            copy_dir(&template, &dir);
+            let inj = Arc::new(FaultInjector::new(FaultPlan::new().fault_at(k, kind)));
+            {
+                let mut e = open_engine(&dir, Some(Arc::clone(&inj)), &deleted);
+                let mut m = Maintainer::new(MaintConfig::default());
+                let first = m.run_until_quiesced(&mut e);
+                if kind == FaultKind::IoError {
+                    assert!(first.is_err(), "{at}: the error must surface");
+                    assert!(!inj.crashed());
+                    m.run_until_quiesced(&mut e).unwrap_or_else(|e| panic!("{at}: retry: {e}"));
+                    assert!(m.quiesced(&e), "{at}");
+                    assert_matches_shadow(&mut e, &shadow, &deleted);
+                    assert_chain_invariants(&e);
+                }
+            }
+            let mut e = open_engine(&dir, None, &deleted);
+            let mut m = Maintainer::new(MaintConfig::default());
+            m.run_until_quiesced(&mut e)
+                .unwrap_or_else(|e| panic!("{at}: post-fault quiesce: {e}"));
+            assert!(m.quiesced(&e), "{at}");
+            assert_matches_shadow(&mut e, &shadow, &deleted);
+            assert_chain_invariants(&e);
+            drop(e);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&template);
 }

@@ -263,6 +263,10 @@ impl CompactStats {
 /// creates a `Loc` (append, recovery scan, compaction) copies them from the
 /// frame it just wrote or verified, and superseding, deleting or
 /// quarantining a record subtracts them without reading the old frame back.
+/// The same holds per segment for [`SegLive`]: a directory entry enters
+/// through [`Inner::add_sizes`] and leaves through [`Inner::forget_sizes`],
+/// and those two keep the totals, the segment's frame-byte counter and its
+/// position-ordered view in step.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
     seg: u32,
@@ -278,6 +282,55 @@ struct Loc {
     /// degraded work-list survives restart through the recovery scan.
     degraded: bool,
 }
+
+/// One segment's share of the directory: what the maintenance paths that
+/// work a segment at a time (scrub slice, victim choice, mid-compaction
+/// quarantine) read instead of walking every record.
+#[derive(Debug, Default)]
+struct SegLive {
+    /// `(offset, id)` of every put frame the directory has pointed at in
+    /// this segment since it was last emptied, ascending by offset (a
+    /// segment only grows at its tail). Superseding a frame leaves its
+    /// entry behind: an entry is live iff the directory still points `id`
+    /// at exactly this position, checked on use, and the list is dropped
+    /// whole when compaction empties the segment. 16 bytes per put frame on
+    /// disk.
+    frames: Vec<(u64, RecordId)>,
+    /// Sum of `Loc::len` over the directory entries in this segment.
+    live_frame_bytes: u64,
+}
+
+/// A kept frame of the pending compaction run (see [`CompactScratch`]).
+#[derive(Debug, Clone, Copy)]
+struct KeptFrame {
+    id: RecordId,
+    len: u32,
+    tombstone: bool,
+}
+
+/// Reusable buffers of [`RecordStore::compact_step`]: the read window over
+/// the victim, and the run of kept frames — adjacent in the victim, so one
+/// slice of the window — that the next write appends in one go.
+#[derive(Debug, Default)]
+struct CompactScratch {
+    /// Bytes `[win_off, win_off + window.len())` of segment `win_seg`;
+    /// `None` between steps (only the allocation is kept).
+    window: Vec<u8>,
+    win_seg: Option<u32>,
+    win_off: u64,
+    /// Frames examined and kept since the cursor, not yet written. Nothing
+    /// in memory (directory, counters, cursor) reflects them until their
+    /// write returned `Ok`.
+    run: Vec<KeptFrame>,
+    run_bytes: u64,
+    /// Offset in the active segment at which the run's first frame lands.
+    run_base: u64,
+}
+
+/// Floor and cap of one window read: a frame-per-step budget still reads a
+/// few frames' worth at once, an unbounded one does not map a whole segment.
+const COMPACT_WINDOW_MIN: u64 = 4 << 10;
+const COMPACT_WINDOW_MAX: u64 = 1 << 20;
 
 /// Resume point for incremental compaction: which sealed segment is being
 /// copied forward and how far the frame scan has progressed.
@@ -340,7 +393,10 @@ struct Inner {
     /// A tombstone whose id has no stale puts left shadows nothing and is
     /// dropped (not carried) when its segment is compacted.
     stale_puts: FxHashMap<RecordId, u32>,
+    /// Per-segment view of the directory, indexed by segment.
+    segs: Vec<SegLive>,
     cursor: Option<CompactCursor>,
+    compact: CompactScratch,
     scrub: ScrubCursor,
     io: IoStats,
     cache: BlockCache,
@@ -357,14 +413,46 @@ impl Inner {
         self.forget_sizes(old);
     }
 
+    /// Takes a frame the directory no longer points at out of the live
+    /// counters. Its entry in the segment's ordered view goes stale.
     fn forget_sizes(&mut self, old: Loc) {
         self.live_payload_bytes -= u64::from(old.payload_len);
         self.live_uncompressed_bytes -= u64::from(old.uncompressed_len);
+        self.segs[old.seg as usize].live_frame_bytes -= u64::from(old.len);
     }
 
-    fn add_sizes(&mut self, new: Loc) {
+    /// Books the frame the directory now points `id` at. Within a segment
+    /// callers arrive in offset order (appends, the recovery scan and
+    /// compaction's copies all move forward), which keeps the view sorted.
+    fn add_sizes(&mut self, id: RecordId, new: Loc) {
         self.live_payload_bytes += u64::from(new.payload_len);
         self.live_uncompressed_bytes += u64::from(new.uncompressed_len);
+        if self.segs.len() <= new.seg as usize {
+            self.segs.resize_with(new.seg as usize + 1, SegLive::default);
+        }
+        let seg = &mut self.segs[new.seg as usize];
+        debug_assert!(seg.frames.last().is_none_or(|&(off, _)| off < new.off));
+        seg.frames.push((new.off, id));
+        seg.live_frame_bytes += u64::from(new.len);
+    }
+
+    /// Whether the directory points `id` at exactly `(seg, off)`.
+    fn is_live_at(&self, id: RecordId, seg: u32, off: u64) -> bool {
+        self.directory.get(&id).is_some_and(|loc| loc.seg == seg && loc.off == off)
+    }
+
+    /// The live frames of `seg` at or past `from`, in on-disk order.
+    fn live_frames_from(&self, seg: u32, from: u64) -> impl Iterator<Item = (RecordId, Loc)> + '_ {
+        let frames = self.segs.get(seg as usize).map_or(&[][..], |s| &s.frames[..]);
+        let start = frames.partition_point(|&(off, _)| off < from);
+        frames[start..].iter().filter_map(move |&(off, id)| {
+            let loc = *self.directory.get(&id)?;
+            (loc.seg == seg && loc.off == off).then_some((id, loc))
+        })
+    }
+
+    fn seg_live_frame_bytes(&self, seg: u32) -> u64 {
+        self.segs.get(seg as usize).map_or(0, |s| s.live_frame_bytes)
     }
 }
 
@@ -481,7 +569,9 @@ impl RecordStore {
                 dead_bytes: 0,
                 tomb_bytes: 0,
                 stale_puts: FxHashMap::default(),
+                segs: Vec::new(),
                 cursor: None,
+                compact: CompactScratch::default(),
                 scrub: ScrubCursor::default(),
                 io: IoStats::default(),
                 cache: BlockCache::new(config.block_cache_bytes),
@@ -617,7 +707,7 @@ impl RecordStore {
                         inner.tomb_bytes += u64::from(loc.len);
                     } else {
                         inner.directory.insert(parsed.id, loc);
-                        inner.add_sizes(loc);
+                        inner.add_sizes(parsed.id, loc);
                     }
                     report.entries_recovered += 1;
                     pos += FRAME_HDR + len;
@@ -741,7 +831,7 @@ impl RecordStore {
             inner.tomb_bytes += total as u64;
         } else {
             inner.directory.insert(id, loc);
-            inner.add_sizes(loc);
+            inner.add_sizes(id, loc);
         }
         Ok(())
     }
@@ -945,12 +1035,34 @@ impl RecordStore {
     /// state where every live record decodes (the copy, being later in
     /// replay order, wins).
     pub fn compact_step(&self, max_bytes: u64) -> Result<CompactStats, StoreError> {
-        let fault = self.config.fault.as_deref();
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
+        // The scratch buffers live in `inner` only between steps.
+        let mut scratch = std::mem::take(&mut inner.compact);
+        let result = self.compact_step_with(inner, &mut scratch, max_bytes);
+        // An error leaves the unwritten run behind: forget it, the cursor
+        // still sits at its first frame.
+        scratch.run.clear();
+        scratch.run_bytes = 0;
+        scratch.win_seg = None;
+        if scratch.window.capacity() as u64 > COMPACT_WINDOW_MAX {
+            scratch.window = Vec::new(); // one oversized frame grew it
+        }
+        inner.compact = scratch;
+        result
+    }
+
+    fn compact_step_with(
+        &self,
+        inner: &mut Inner,
+        scratch: &mut CompactScratch,
+        max_bytes: u64,
+    ) -> Result<CompactStats, StoreError> {
+        let fault = self.config.fault.as_deref();
+        let budget = max_bytes.max(1);
         let mut stats = CompactStats::default();
         let mut spent = 0u64;
-        while spent < max_bytes.max(1) {
+        while spent < budget {
             let Some(mut cur) = inner.cursor else {
                 match self.pick_victim(inner)? {
                     Some(cur) => {
@@ -986,6 +1098,11 @@ impl RecordStore {
                 // Segment fully processed: free it.
                 fault_truncate(&segment_path(&self.dir, cur.seg), 0, fault)?;
                 inner.readers[cur.seg as usize] = None;
+                // Whatever the ordered view still lists here is stale.
+                if let Some(seg) = inner.segs.get_mut(cur.seg as usize) {
+                    debug_assert_eq!(seg.live_frame_bytes, 0);
+                    seg.frames = Vec::new();
+                }
                 // Everything in the victim except the frames that were
                 // live (and moved) was dead space — including the old
                 // copies of carried tombstones, whose fresh copies were
@@ -999,16 +1116,7 @@ impl RecordStore {
                 inner.cursor = None;
                 continue;
             }
-            match self.step_one_frame(inner, &mut cur, fault, &mut stats)? {
-                0 => {
-                    // Unrecoverable scan position; cursor advanced to end.
-                    inner.cursor = Some(cur);
-                }
-                n => {
-                    spent += n;
-                    inner.cursor = Some(cur);
-                }
-            }
+            spent += self.step_frames(inner, scratch, &mut cur, budget - spent, &mut stats)?;
         }
         stats.bytes_scanned += spent;
         Ok(stats)
@@ -1024,10 +1132,6 @@ impl RecordStore {
             // segments now would only shuffle those tombstones around.
             return Ok(None);
         }
-        let mut live_per_seg: FxHashMap<u32, u64> = FxHashMap::default();
-        for loc in inner.directory.values() {
-            *live_per_seg.entry(loc.seg).or_insert(0) += u64::from(loc.len);
-        }
         let mut best: Option<(u64, u32, u64)> = None; // (dead, seg, file_len)
         for seg in 0..inner.active_idx {
             let Ok(meta) = fs::metadata(segment_path(&self.dir, seg)) else { continue };
@@ -1035,7 +1139,7 @@ impl RecordStore {
             if file_len == 0 {
                 continue; // already compacted away
             }
-            let live = live_per_seg.get(&seg).copied().unwrap_or(0);
+            let live = inner.seg_live_frame_bytes(seg);
             let dead = file_len.saturating_sub(SEG_HDR_LEN as u64).saturating_sub(live);
             if dead > 0 && best.map(|(d, _, _)| dead > d).unwrap_or(true) {
                 best = Some((dead, seg, file_len));
@@ -1052,7 +1156,7 @@ impl RecordStore {
         }
         // No sealed victim. If the active segment carries the dead
         // space, seal it (rotate) and compact the now-sealed segment.
-        let active_live = live_per_seg.get(&inner.active_idx).copied().unwrap_or(0);
+        let active_live = inner.seg_live_frame_bytes(inner.active_idx);
         let active_dead =
             inner.active_off.saturating_sub(SEG_HDR_LEN as u64).saturating_sub(active_live);
         if active_dead > 0 {
@@ -1070,85 +1174,203 @@ impl RecordStore {
         Ok(None)
     }
 
-    /// Processes the single frame at the cursor: copy, drop, or
-    /// quarantine. Returns the frame bytes consumed (0 when the scan had
-    /// to abandon the rest of the segment).
-    fn step_one_frame(
+    /// Processes the victim's frames from the cursor until `budget` frame
+    /// bytes are examined, the segment ends, or damage abandons the rest of
+    /// it. Each frame is copied, dropped or quarantined exactly as if it
+    /// were stepped alone; only the I/O is batched — the victim is read
+    /// through `scratch.window` and every run of adjacent kept frames goes
+    /// out in one write ([`Self::flush_run`]). A dropped frame ends the run
+    /// *before* its own bookkeeping is applied, so at any failure the
+    /// cursor sits at the first frame whose fate is not yet in memory.
+    /// Returns the frame bytes consumed.
+    fn step_frames(
         &self,
         inner: &mut Inner,
+        scratch: &mut CompactScratch,
         cur: &mut CompactCursor,
-        fault: Option<&FaultInjector>,
+        budget: u64,
         stats: &mut CompactStats,
     ) -> Result<u64, StoreError> {
-        ensure_reader(inner, &self.dir, cur.seg)?;
-        let f = inner.readers[cur.seg as usize].as_mut().expect("reader opened");
-        f.seek(SeekFrom::Start(cur.off))?;
-        let mut hdr = [0u8; FRAME_HDR];
-        let frame = (|| -> std::io::Result<Option<Vec<u8>>> {
-            f.read_exact(&mut hdr)?;
+        let mut spent = 0u64;
+        while spent < budget {
+            // `cur.off` trails the scan by the pending run.
+            let at = cur.off + scratch.run_bytes;
+            if at >= cur.file_len {
+                break;
+            }
+            let want = (budget - spent).clamp(COMPACT_WINDOW_MIN, COMPACT_WINDOW_MAX);
+            // A frame that verifies counts as read even if its entry then
+            // fails to parse (it was *written* malformed).
+            let frame = self.frame_in_window(inner, scratch, cur, at, want)?;
+            let parsed = frame.and_then(|(pos, entry_len)| {
+                inner.io.reads += 1;
+                inner.io.read_bytes += (FRAME_HDR + entry_len) as u64;
+                let entry = &scratch.window[pos + FRAME_HDR..pos + FRAME_HDR + entry_len];
+                let parsed = parse_entry(entry).ok()?;
+                Some((parsed.id, parsed.tombstone, (FRAME_HDR + entry_len) as u64))
+            });
+            let Some((id, tombstone, total)) = parsed else {
+                // First bad frame: what was kept before it lands first,
+                // then the rest of the segment is given up.
+                self.flush_run(inner, scratch, cur)?;
+                self.quarantine_from(inner, cur, stats);
+                inner.cursor = Some(*cur);
+                break;
+            };
+            // A tombstone is carried to the tail while it still shadows a
+            // stale put (it stays the latest entry for its id, so replay
+            // still ends deleted); a put is carried while it is the live
+            // frame.
+            let keep = if tombstone {
+                !inner.directory.contains_key(&id)
+                    && inner.stale_puts.get(&id).copied().unwrap_or(0) > 0
+            } else {
+                inner.is_live_at(id, cur.seg, at)
+            };
+            if keep {
+                // Where appending frame by frame would rotate before this
+                // frame, the run ends so that its write lands first.
+                if !scratch.run.is_empty()
+                    && scratch.run_base + scratch.run_bytes >= self.config.segment_bytes
+                {
+                    self.flush_run(inner, scratch, cur)?;
+                }
+                if scratch.run.is_empty() {
+                    // A full active segment is rotated by the run's flush.
+                    scratch.run_base = if inner.active_off >= self.config.segment_bytes {
+                        SEG_HDR_LEN as u64
+                    } else {
+                        inner.active_off
+                    };
+                }
+                scratch.run.push(KeptFrame { id, len: total as u32, tombstone });
+                scratch.run_bytes += total;
+            } else {
+                self.flush_run(inner, scratch, cur)?;
+                if tombstone {
+                    inner.tomb_bytes = inner.tomb_bytes.saturating_sub(total);
+                } else if let Some(n) = inner.stale_puts.get_mut(&id) {
+                    *n -= 1;
+                    if *n == 0 {
+                        inner.stale_puts.remove(&id);
+                    }
+                }
+                cur.off += total;
+                inner.cursor = Some(*cur);
+            }
+            spent += total;
+        }
+        // Copy-before-truncate: nothing stays pending past the step.
+        self.flush_run(inner, scratch, cur)?;
+        Ok(spent)
+    }
+
+    /// Makes `scratch.window` hold the whole frame starting at victim
+    /// offset `at` and verifies it (marker, in-bounds length, CRC). Returns
+    /// its position in the window and its entry length, or `None` when no
+    /// valid frame starts there. The window is re-read — about `want`
+    /// bytes, more for a larger frame — only when the frame crosses its end,
+    /// after the pending run (a slice of the old window) has been written.
+    fn frame_in_window(
+        &self,
+        inner: &mut Inner,
+        scratch: &mut CompactScratch,
+        cur: &mut CompactCursor,
+        at: u64,
+        want: u64,
+    ) -> Result<Option<(usize, usize)>, StoreError> {
+        let left = cur.file_len - at;
+        if left < FRAME_HDR as u64 {
+            return Ok(None); // trailing fragment too short to be a frame
+        }
+        let mut need = FRAME_HDR as u64;
+        loop {
+            let held = (scratch.win_off + scratch.window.len() as u64).saturating_sub(at);
+            if scratch.win_seg != Some(cur.seg) || at < scratch.win_off || held < need {
+                self.flush_run(inner, scratch, cur)?;
+                let len = want.max(need).min(left) as usize;
+                ensure_reader(inner, &self.dir, cur.seg)?;
+                let f = inner.readers[cur.seg as usize].as_mut().expect("reader opened");
+                f.seek(SeekFrom::Start(at))?;
+                scratch.window.resize(len, 0);
+                scratch.win_seg = Some(cur.seg);
+                scratch.win_off = at;
+                let mut got = 0;
+                while got < len {
+                    match f.read(&mut scratch.window[got..])? {
+                        0 => break,
+                        n => got += n,
+                    }
+                }
+                scratch.window.truncate(got);
+                if (got as u64) < need {
+                    // The file is shorter than the cursor was told.
+                    return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+                }
+            }
+            let pos = (at - scratch.win_off) as usize;
+            let hdr = &scratch.window[pos..pos + FRAME_HDR];
             if hdr[..2] != FRAME_MARKER {
                 return Ok(None);
             }
             let len = u32::from_le_bytes(hdr[2..6].try_into().expect("4 bytes")) as usize;
-            if len > MAX_ENTRY_BYTES || (cur.off + (FRAME_HDR + len) as u64) > cur.file_len {
+            let total = (FRAME_HDR + len) as u64;
+            if len > MAX_ENTRY_BYTES || total > left {
                 return Ok(None);
             }
-            let mut buf = vec![0u8; FRAME_HDR + len];
-            buf[..FRAME_HDR].copy_from_slice(&hdr);
-            f.read_exact(&mut buf[FRAME_HDR..])?;
-            Ok(Some(buf))
-        })()
-        .map_err(StoreError::from)?;
-        let frame = frame.filter(|buf| frame_at(buf, 0).is_some());
-        let Some(frame) = frame else {
-            return self.quarantine_from(inner, cur, stats);
-        };
-        let total = frame.len() as u64;
-        inner.io.reads += 1;
-        inner.io.read_bytes += total;
-        let parsed = match parse_entry(&frame[FRAME_HDR..]) {
-            Ok(p) => p,
-            Err(_) => return self.quarantine_from(inner, cur, stats),
-        };
-        let id = parsed.id;
-        if parsed.tombstone {
-            let needed = !inner.directory.contains_key(&id)
-                && inner.stale_puts.get(&id).copied().unwrap_or(0) > 0;
-            if needed {
-                // Copy the tombstone to the tail: it stays the latest
-                // entry for its id, so replay still ends deleted.
-                copy_frame_to_active(inner, &self.dir, fault, &frame, self.config.segment_bytes)?;
+            if need < total {
+                need = total; // header seen; now the whole frame
+                continue;
+            }
+            return Ok(frame_at(&scratch.window, pos).map(|entry_len| (pos, entry_len)));
+        }
+    }
+
+    /// Appends the pending run to the active segment with one write
+    /// (rotating first if the segment is full) and only then re-points the
+    /// directory at the copies, books carried tombstones, and moves
+    /// `active_off`, the I/O counters and the cursor past the run. If the
+    /// write fails, memory still describes the victim: no entry names bytes
+    /// that were never written.
+    fn flush_run(
+        &self,
+        inner: &mut Inner,
+        scratch: &mut CompactScratch,
+        cur: &mut CompactCursor,
+    ) -> Result<(), StoreError> {
+        if scratch.run.is_empty() {
+            return Ok(());
+        }
+        let fault = self.config.fault.as_deref();
+        if inner.active_off >= self.config.segment_bytes {
+            rotate_active(inner, &self.dir, fault)?;
+        }
+        let start = (cur.off - scratch.win_off) as usize;
+        let bytes = &scratch.window[start..start + scratch.run_bytes as usize];
+        fault_write(&mut inner.active, fault, bytes)?;
+        for frame in scratch.run.drain(..) {
+            let total = u64::from(frame.len);
+            let (seg, off) = (inner.active_idx, inner.active_off);
+            inner.active_off += total;
+            inner.io.writes += 1;
+            inner.io.write_bytes += total;
+            if frame.tombstone {
                 inner.dead_bytes += total;
                 cur.carried_tombs += total;
             } else {
-                inner.tomb_bytes = inner.tomb_bytes.saturating_sub(total);
-            }
-        } else {
-            let live = inner
-                .directory
-                .get(&id)
-                .map(|loc| loc.seg == cur.seg && loc.off == cur.off)
-                .unwrap_or(false);
-            if live {
-                let prev = inner.directory[&id];
-                let (seg, off) = copy_frame_to_active(
-                    inner,
-                    &self.dir,
-                    fault,
-                    &frame,
-                    self.config.segment_bytes,
-                )?;
-                inner.directory.insert(id, Loc { seg, off, ..prev });
+                let loc = inner.directory.get_mut(&frame.id).expect("kept put is live");
+                let prev = *loc;
+                (loc.seg, loc.off) = (seg, off);
+                let moved = *loc;
+                inner.forget_sizes(prev);
+                inner.add_sizes(frame.id, moved);
                 cur.live_moved += total;
-            } else if let Some(n) = inner.stale_puts.get_mut(&id) {
-                *n -= 1;
-                if *n == 0 {
-                    inner.stale_puts.remove(&id);
-                }
             }
+            cur.off += total;
         }
-        cur.off += total;
-        Ok(total)
+        scratch.run_bytes = 0;
+        inner.cursor = Some(*cur);
+        Ok(())
     }
 
     /// Salvage path for in-segment damage found mid-compaction: drop any
@@ -1160,15 +1382,8 @@ impl RecordStore {
         inner: &mut Inner,
         cur: &mut CompactCursor,
         stats: &mut CompactStats,
-    ) -> Result<u64, StoreError> {
-        let seg = cur.seg;
-        let from = cur.off;
-        let doomed: Vec<(RecordId, Loc)> = inner
-            .directory
-            .iter()
-            .filter(|(_, loc)| loc.seg == seg && loc.off >= from)
-            .map(|(&id, &loc)| (id, loc))
-            .collect();
+    ) {
+        let doomed: Vec<(RecordId, Loc)> = inner.live_frames_from(cur.seg, cur.off).collect();
         for (id, loc) in doomed {
             inner.directory.remove(&id);
             // Count the lost entry as dead so the completion-time
@@ -1184,7 +1399,6 @@ impl RecordStore {
         // The skipped run was dead (or just became dead); completion
         // accounting treats everything not copied as reclaimed.
         cur.off = cur.file_len;
-        Ok(0)
     }
 
     /// One bounded increment of the integrity scrub: verifies up to
@@ -1212,19 +1426,17 @@ impl RecordStore {
                 break;
             }
             // Live frames of the cursor segment still ahead of the cursor,
-            // in on-disk order.
-            let mut locs: Vec<(RecordId, Loc)> = inner
-                .directory
-                .iter()
-                .filter(|(_, loc)| loc.seg == cur.seg && loc.off >= cur.off)
-                .map(|(&id, &loc)| (id, loc))
-                .collect();
-            if locs.is_empty() {
-                inner.scrub = ScrubCursor { seg: cur.seg + 1, off: 0 };
-                continue;
-            }
-            locs.sort_unstable_by_key(|&(_, loc)| loc.off);
-            for (id, loc) in locs {
+            // in on-disk order: the segment's ordered view from the cursor
+            // on, walked by index because verification needs `inner`.
+            let (first, end) = inner.segs.get(cur.seg as usize).map_or((0, 0), |s| {
+                (s.frames.partition_point(|&(off, _)| off < cur.off), s.frames.len())
+            });
+            for i in first..end {
+                let (off, id) = inner.segs[cur.seg as usize].frames[i];
+                let Some(&loc) = inner.directory.get(&id) else { continue };
+                if loc.seg != cur.seg || loc.off != off {
+                    continue; // superseded since: a stale entry
+                }
                 if verify_frame_on_disk(inner, &self.dir, loc)? {
                     slice.clean.push(id);
                 } else {
@@ -1270,47 +1482,33 @@ impl RecordStore {
     }
 }
 
-/// Opens the next segment as the active one.
+/// Opens the next segment as the active one. Nothing in `inner` moves
+/// until the new segment's header is written: a failed rotation leaves the
+/// old segment active (and at most an empty file behind, which the next
+/// attempt reuses), so no later append can be booked at an offset of a file
+/// it did not go to.
 fn rotate_active(
     inner: &mut Inner,
     dir: &Path,
     fault: Option<&FaultInjector>,
 ) -> Result<(), StoreError> {
-    inner.active_idx += 1;
-    inner.active = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .read(true)
-        .open(segment_path(dir, inner.active_idx))?;
-    fault_write(&mut inner.active, fault, &segment_header())?;
+    let next = inner.active_idx + 1;
+    let mut file =
+        OpenOptions::new().create(true).append(true).read(true).open(segment_path(dir, next))?;
+    fault_write(&mut file, fault, &segment_header())?;
+    // The sealed segment's ordered view has stopped growing.
+    if let Some(sealed) = inner.segs.get_mut(inner.active_idx as usize) {
+        sealed.frames.shrink_to_fit();
+    }
+    inner.active_idx = next;
+    inner.active = file;
     inner.io.writes += 1;
     inner.io.write_bytes += SEG_HDR_LEN as u64;
     inner.active_off = SEG_HDR_LEN as u64;
-    if inner.readers.len() <= inner.active_idx as usize {
-        inner.readers.resize_with(inner.active_idx as usize + 1, || None);
+    if inner.readers.len() <= next as usize {
+        inner.readers.resize_with(next as usize + 1, || None);
     }
     Ok(())
-}
-
-/// Appends an already-framed entry verbatim to the active segment
-/// (rotating first if full) and returns its new location.
-fn copy_frame_to_active(
-    inner: &mut Inner,
-    dir: &Path,
-    fault: Option<&FaultInjector>,
-    framed: &[u8],
-    segment_bytes: u64,
-) -> Result<(u32, u64), StoreError> {
-    if inner.active_off >= segment_bytes {
-        rotate_active(inner, dir, fault)?;
-    }
-    fault_write(&mut inner.active, fault, framed)?;
-    let seg = inner.active_idx;
-    let off = inner.active_off;
-    inner.active_off += framed.len() as u64;
-    inner.io.writes += 1;
-    inner.io.write_bytes += framed.len() as u64;
-    Ok((seg, off))
 }
 
 impl Drop for RecordStore {
@@ -1500,17 +1698,22 @@ mod tests {
         RecordStore::open_temp(StoreConfig::default()).expect("temp store")
     }
 
-    /// Compacts to quiescence — bounded steps until one does nothing — and
-    /// returns what they did in total.
-    fn compact_fully(s: &RecordStore) -> CompactStats {
+    /// Compacts to quiescence — steps of `budget` until one does nothing —
+    /// and returns what they did in total.
+    fn compact_to_quiescence(s: &RecordStore, budget: u64) -> CompactStats {
         let mut total = CompactStats::default();
-        loop {
-            let step = s.compact_step(u64::MAX).unwrap();
+        for _ in 0..1_000_000 {
+            let step = s.compact_step(budget).unwrap();
             if step.is_noop() {
                 return total;
             }
             total.merge(step);
         }
+        panic!("compaction at budget {budget} did not quiesce");
+    }
+
+    fn compact_fully(s: &RecordStore) -> CompactStats {
+        compact_to_quiescence(s, u64::MAX)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1620,9 +1823,113 @@ mod tests {
         assert_eq!(s.stored_uncompressed_bytes(), 300);
     }
 
+    /// `scrub_step` as it was before the ordered view existed — filter the
+    /// whole directory for the cursor segment, sort by offset — kept as the
+    /// oracle the indexed walk is checked against.
+    fn scrub_step_scan(s: &RecordStore, max_bytes: u64) -> VerifySlice {
+        let mut inner = s.inner.lock();
+        let inner = &mut *inner;
+        let mut slice = VerifySlice::default();
+        'outer: while slice.bytes_verified < max_bytes.max(1) {
+            let cur = inner.scrub;
+            if cur.seg > inner.active_idx {
+                inner.scrub = ScrubCursor::default();
+                slice.pass_complete = true;
+                break;
+            }
+            let mut locs: Vec<(RecordId, Loc)> = inner
+                .directory
+                .iter()
+                .filter(|(_, loc)| loc.seg == cur.seg && loc.off >= cur.off)
+                .map(|(&id, &loc)| (id, loc))
+                .collect();
+            if locs.is_empty() {
+                inner.scrub = ScrubCursor { seg: cur.seg + 1, off: 0 };
+                continue;
+            }
+            locs.sort_unstable_by_key(|&(_, loc)| loc.off);
+            for (id, loc) in locs {
+                if verify_frame_on_disk(inner, &s.dir, loc).unwrap() {
+                    slice.clean.push(id);
+                } else {
+                    slice.corrupt.push(id);
+                }
+                slice.bytes_verified += u64::from(loc.len);
+                inner.scrub = ScrubCursor { seg: loc.seg, off: loc.off + u64::from(loc.len) };
+                if slice.bytes_verified >= max_bytes.max(1) {
+                    break 'outer;
+                }
+            }
+            inner.scrub = ScrubCursor { seg: cur.seg + 1, off: 0 };
+        }
+        slice
+    }
+
+    /// One full scrub pass per budget, slice by slice: the indexed walk and
+    /// the scan report the same frames and leave the same cursor.
+    fn assert_scrub_matches_scan(s: &RecordStore, at: &str) {
+        for budget in [1, 4 << 10, 64 << 10] {
+            s.inner.lock().scrub = ScrubCursor::default();
+            loop {
+                let from = s.scrub_position();
+                let want = scrub_step_scan(s, budget);
+                let want_pos = s.scrub_position();
+                s.inner.lock().scrub = ScrubCursor { seg: from.0, off: from.1 };
+                let got = s.scrub_step(budget).unwrap();
+                let ctx = format!("{at}: budget {budget} from {from:?}");
+                assert_eq!(got.clean, want.clean, "{ctx}");
+                assert_eq!(got.corrupt, want.corrupt, "{ctx}");
+                assert_eq!(got.bytes_verified, want.bytes_verified, "{ctx}");
+                assert_eq!(got.pass_complete, want.pass_complete, "{ctx}");
+                assert_eq!(s.scrub_position(), want_pos, "{ctx}");
+                if got.pass_complete {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The per-segment half of the "always the sum over the directory"
+    /// invariant: the ordered view, read the way maintenance reads it, is
+    /// the directory sorted by position, and each segment's frame-byte
+    /// counter is the directory's sum for that segment.
+    fn assert_segment_views_match_directory(inner: &Inner, at: &str) {
+        let mut by_position: Vec<(u32, u64, RecordId)> =
+            inner.directory.iter().map(|(&id, loc)| (loc.seg, loc.off, id)).collect();
+        by_position.sort_unstable();
+        let view: Vec<(u32, u64, RecordId)> = (0..inner.segs.len() as u32)
+            .flat_map(|seg| inner.live_frames_from(seg, 0).map(move |(id, loc)| (seg, loc.off, id)))
+            .collect();
+        assert_eq!(view, by_position, "{at}: ordered view");
+        for seg in 0..=inner.active_idx {
+            let sum: u64 = inner
+                .directory
+                .values()
+                .filter(|loc| loc.seg == seg)
+                .map(|loc| u64::from(loc.len))
+                .sum();
+            assert_eq!(inner.seg_live_frame_bytes(seg), sum, "{at}: live frame bytes of seg {seg}");
+        }
+    }
+
+    /// Flips one byte inside the frame at `loc`, behind the store's back.
+    fn rot_frame(dir: &Path, loc: Loc) {
+        let mut f =
+            OpenOptions::new().read(true).write(true).open(segment_path(dir, loc.seg)).unwrap();
+        let at = loc.off + u64::from(loc.len) - 1;
+        let mut b = [0u8; 1];
+        f.seek(SeekFrom::Start(at)).unwrap();
+        f.read_exact(&mut b).unwrap();
+        f.seek(SeekFrom::Start(at)).unwrap();
+        f.write_all(&[b[0] ^ 0x10]).unwrap();
+    }
+
     /// The live-byte counters, maintained from `Loc` sizes alone, equal the
     /// sum over the directory at every step of a churn and equal what a
-    /// fresh recovery scan of the same directory computes from the frames.
+    /// fresh recovery scan of the same directory computes from the frames —
+    /// and so do the per-segment counters and the ordered view that scrub,
+    /// victim choice and mid-compaction quarantine read, with `scrub_step`
+    /// over that view reporting what the directory scan reports.
     #[test]
     fn live_byte_counters_match_directory_and_reopen_after_churn() {
         for block_compression in [false, true] {
@@ -1657,9 +1964,27 @@ mod tests {
                         6 | 7 => s.delete(id).unwrap(),
                         8 => drop(s.compact_step(3000).unwrap()),
                         _ if step % 7 == 0 => drop(compact_fully(&s)),
+                        _ if step % 7 == 3 => {
+                            // Rot a live frame: both scrubs must name it.
+                            // Then quarantine it as the scrubber would, and
+                            // compact the damage off the disk (giving up
+                            // the rest of its segment) so that a reopen
+                            // finds what memory holds.
+                            let live = s.inner.lock().directory.get(&id).copied();
+                            if let Some(loc) = live {
+                                rot_frame(&dir, loc);
+                                assert_scrub_matches_scan(&s, &format!("step {step} (rot)"));
+                                assert_eq!(s.quarantine(id).unwrap(), Some(u64::from(loc.len)));
+                                let _ = compact_fully(&s);
+                            }
+                        }
                         _ => {}
                     }
+                    if step % 50 == 0 {
+                        assert_scrub_matches_scan(&s, &format!("step {step}"));
+                    }
                     let inner = s.inner.lock();
+                    assert_segment_views_match_directory(&inner, &format!("step {step}"));
                     let sum = |f: fn(&Loc) -> u32| {
                         inner.directory.values().map(|loc| u64::from(f(loc))).sum::<u64>()
                     };
@@ -1883,6 +2208,302 @@ mod tests {
                 }
             }
             assert_eq!(s.reclaimable_dead_bytes(), 0);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // ------------------------------------------------------------------
+    // Windowed compaction ≡ frame-at-a-time compaction
+    // ------------------------------------------------------------------
+
+    /// A fixed churned store over many small segments: frames from 60 B to
+    /// 6 KB (so they straddle a 4 KiB window, and one outgrows it), stale
+    /// puts, tombstones that outlive their segment, degraded tags.
+    fn churned_store(dir: &Path, fault: Option<Arc<FaultInjector>>) -> RecordStore {
+        let cfg =
+            StoreConfig { segment_bytes: 8192, block_cache_bytes: 0, fault, ..Default::default() };
+        let s = RecordStore::open(dir, cfg).unwrap();
+        let mut rng = dbdedup_util::dist::SplitMix64::new(0xC0A1_E5CE);
+        for step in 0..700u64 {
+            let id = RecordId(rng.next_index(90) as u64);
+            let len = match rng.next_index(12) {
+                0 => 6000,
+                1..=3 => 40 + rng.next_index(200),
+                _ => 300 + rng.next_index(1200),
+            };
+            match rng.next_index(8) {
+                0 | 1 => s.delete(id).unwrap(),
+                2 => s.put_degraded(id, "db", &vec![step as u8; len]).unwrap(),
+                3 => {
+                    s.put(id, StorageForm::Delta { base: RecordId(7) }, &vec![id.0 as u8; len])
+                        .unwrap();
+                }
+                _ => s.put(id, StorageForm::Raw, &vec![step as u8; len]).unwrap(),
+            }
+        }
+        s
+    }
+
+    fn live_payloads(s: &RecordStore) -> Vec<(RecordId, StoredRecord)> {
+        let mut ids: Vec<RecordId> = s.live_forms().into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        ids.into_iter().map(|id| (id, s.get(id).unwrap())).collect()
+    }
+
+    #[test]
+    fn windowed_compaction_writes_the_segments_frame_at_a_time_compaction_writes() {
+        // Budget 1 degenerates to one frame per step and one write per kept
+        // frame: the reference. The others read through 4 KiB windows,
+        // through one window per step, and through whole segments.
+        let mut reference = None;
+        for budget in [1, 4096, 256 << 10, 1 << 20] {
+            let dir = temp_dir("windowed");
+            let s = churned_store(&dir, None);
+            let before = live_payloads(&s);
+            let stats = compact_to_quiescence(&s, budget);
+            assert_eq!(stats.entries_skipped, 0);
+            assert_eq!(s.reclaimable_dead_bytes(), 0);
+            assert_eq!(live_payloads(&s), before, "budget {budget}: every record reads as before");
+            let io = s.io_stats();
+            let outcome = (s.segment_bytes().unwrap(), stats, io.reads, io.writes, io.read_bytes);
+            assert!(outcome.0.len() > 20, "rotations mid-run need many segments");
+            match &reference {
+                None => reference = Some(outcome),
+                Some(r) => {
+                    assert!(outcome.0 == r.0, "budget {budget}: segment files differ");
+                    assert_eq!((outcome.1, outcome.2, outcome.3, outcome.4), (r.1, r.2, r.3, r.4));
+                }
+            }
+            drop(s);
+            let reopened = RecordStore::open(&dir, StoreConfig::default()).unwrap();
+            assert!(reopened.recovery_report().is_clean(), "budget {budget}");
+            assert_eq!(live_payloads(&reopened), before, "budget {budget}: after reopen");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn damage_anywhere_in_a_window_takes_the_frame_at_a_time_path() {
+        // Rot the first, a middle and the last frame of the first victim
+        // while the store is open (the directory still points at them):
+        // whatever the window size, compaction keeps what precedes the
+        // damage, gives up the rest of that segment, and ends with the same
+        // files, stats and survivors as stepping one frame at a time.
+        for which in 0..3 {
+            let mut reference = None;
+            for budget in [1, 4096, 256 << 10] {
+                let dir = temp_dir("windowed-damage");
+                let s = churned_store(&dir, None);
+                // A sealed segment that will be compacted (it holds dead
+                // bytes) and has the most live frames to lose.
+                let victim = {
+                    let inner = s.inner.lock();
+                    (0..inner.active_idx)
+                        .filter(|&seg| {
+                            let len = fs::metadata(segment_path(&dir, seg)).unwrap().len();
+                            len - SEG_HDR_LEN as u64 > inner.seg_live_frame_bytes(seg)
+                        })
+                        .max_by_key(|&seg| inner.live_frames_from(seg, 0).count())
+                        .expect("a dirty sealed segment")
+                };
+                let frames: Vec<Loc> =
+                    s.inner.lock().live_frames_from(victim, 0).map(|(_, loc)| loc).collect();
+                assert!(frames.len() >= 3, "victim {victim} has {} live frames", frames.len());
+                rot_frame(
+                    &dir,
+                    [frames[0], frames[frames.len() / 2], frames[frames.len() - 1]][which],
+                );
+                let stats = compact_to_quiescence(&s, budget);
+                assert!(stats.entries_skipped >= 1, "damage {which} budget {budget}: {stats:?}");
+                let survivors = live_payloads(&s);
+                let outcome = (s.segment_bytes().unwrap(), stats, survivors);
+                match &reference {
+                    None => reference = Some(outcome),
+                    Some(r) => {
+                        assert!(outcome.0 == r.0, "damage {which} budget {budget}: files differ");
+                        assert_eq!(outcome.1, r.1, "damage {which} budget {budget}");
+                        assert_eq!(outcome.2, r.2, "damage {which} budget {budget}");
+                    }
+                }
+                drop(s);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn carried_tombstone_rides_in_the_run_between_its_live_neighbours() {
+        let dir = temp_dir("carried-tomb");
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let cfg = StoreConfig {
+            segment_bytes: 2048,
+            fault: Some(Arc::clone(&inj)),
+            ..Default::default()
+        };
+        {
+            let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+            // seg 0: X and a filler. seg 1: A, X's tombstone, B, then C —
+            // superseded from seg 2, which makes seg 1 the first victim
+            // while X's stale put still sits in seg 0.
+            s.put(RecordId(100), StorageForm::Raw, &[0x58; 1500]).unwrap();
+            s.put(RecordId(1), StorageForm::Raw, &[0xF0; 600]).unwrap();
+            s.put(RecordId(2), StorageForm::Raw, &[0xAA; 300]).unwrap();
+            s.delete(RecordId(100)).unwrap();
+            s.put(RecordId(3), StorageForm::Raw, &[0xBB; 300]).unwrap();
+            s.put(RecordId(4), StorageForm::Raw, &[0xCC; 1800]).unwrap();
+            s.put(RecordId(4), StorageForm::Raw, &[0xCD; 10]).unwrap();
+            assert_eq!(s.frame_extent(RecordId(2)).unwrap().0, 1);
+            assert_eq!(s.frame_extent(RecordId(4)).unwrap().0, 2);
+            let (writes, tombs) = (inj.writes_seen(), s.tombstone_bytes());
+            let step = s.compact_step(u64::MAX).unwrap();
+            assert_eq!(step.segments_rewritten, 2, "seg 1, then seg 0: {step:?}");
+            // Seg 1's kept frames — A, the tombstone, B — went out as one
+            // write; seg 0's filler as another. No rotation in between.
+            assert_eq!(inj.writes_seen() - writes, 2);
+            assert_eq!(s.tombstone_bytes(), tombs, "the tombstone was carried, not dropped");
+            let a = s.frame_extent(RecordId(2)).unwrap();
+            let b = s.frame_extent(RecordId(3)).unwrap();
+            assert_eq!(a.0, b.0);
+            assert_eq!(b.1 - (a.1 + u64::from(a.2)), tombs, "the tombstone sits between A and B");
+        }
+        let s = RecordStore::open(&dir, cfg).unwrap();
+        assert!(!s.contains(RecordId(100)), "replay still ends deleted");
+        assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[0xAA; 300][..]);
+        assert_eq!(&s.get(RecordId(3)).unwrap().payload[..], &[0xBB; 300][..]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store in `dir`, opened under `cfg`, whose compaction cursor sits in
+    /// a sealed victim just past its one stale frame, with `n + 1` small
+    /// live frames in a row ahead of it. Returns the store and the ids of
+    /// those frames in victim order.
+    fn sealed_victim_with_one_long_run(
+        dir: &Path,
+        cfg: StoreConfig,
+        n: u64,
+    ) -> (RecordStore, Vec<RecordId>) {
+        {
+            // Built in one default-sized segment, whatever `cfg` rotates at.
+            let s = RecordStore::open(dir, StoreConfig::default()).unwrap();
+            for i in 0..=n {
+                s.put(RecordId(i), StorageForm::Raw, &[i as u8; 100]).unwrap();
+            }
+            s.put(RecordId(0), StorageForm::Raw, &[0xEE; 100]).unwrap();
+        }
+        let s = RecordStore::open(dir, cfg).unwrap();
+        // A one-byte budget seals the active segment as the victim and
+        // stops after its first frame, the stale put of record 0.
+        let first = s.compact_step(1).unwrap();
+        assert!(first.bytes_scanned > 0 && first.segments_rewritten == 0, "{first:?}");
+        let ids = (1..=n).chain([0]).map(RecordId).collect();
+        (s, ids)
+    }
+
+    #[test]
+    fn one_compaction_step_writes_once_per_run_not_once_per_frame() {
+        // The regression guard, in counts: physical writes per step.
+        let dir = temp_dir("one-write");
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let cfg = StoreConfig { fault: Some(Arc::clone(&inj)), ..Default::default() };
+        let (s, ids) = sealed_victim_with_one_long_run(&dir, cfg, 240);
+        let (ops, io) = (inj.writes_seen(), s.io_stats());
+        let step = s.compact_step(256 << 10).unwrap();
+        assert_eq!(step.segments_rewritten, 1, "{step:?}");
+        assert_eq!(inj.writes_seen() - ops, 1, "241 adjacent live frames, one write");
+        assert_eq!(s.io_stats().writes - io.writes, 241, "`writes` still counts entries");
+        assert_eq!(s.io_stats().write_bytes - io.write_bytes, step.bytes_scanned);
+        for id in ids {
+            assert_eq!(s.get(id).unwrap().payload.len(), 100);
+        }
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        // With segments small enough to rotate mid-run, each rotation costs
+        // its header and one more run; the files are what per-frame
+        // appends leave (see the equivalence test above).
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let cfg = StoreConfig {
+            segment_bytes: 8192,
+            fault: Some(Arc::clone(&inj)),
+            ..Default::default()
+        };
+        let (s, _) = sealed_victim_with_one_long_run(&dir, cfg, 240);
+        let (ops, segs) = (inj.writes_seen(), s.inner.lock().active_idx);
+        let step = s.compact_step(256 << 10).unwrap();
+        let rotations = u64::from(s.inner.lock().active_idx - segs);
+        assert!(rotations >= 2 && step.segments_rewritten == 1, "{rotations} {step:?}");
+        assert!(
+            inj.writes_seen() - ops <= 1 + 2 * rotations,
+            "{} ops, {rotations} rotations",
+            inj.writes_seen() - ops
+        );
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_run_write_leaves_memory_describing_the_victim() {
+        // Where the run's write lands in the op stream, from a clean run.
+        let dir = temp_dir("failed-run");
+        let probe = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let cfg = StoreConfig { fault: Some(Arc::clone(&probe)), ..Default::default() };
+        drop(sealed_victim_with_one_long_run(&dir, cfg, 50));
+        let run_op = probe.writes_seen();
+        let _ = fs::remove_dir_all(&dir);
+
+        let plan = FaultPlan::new().fault_at(run_op, FaultKind::IoError);
+        let cfg = StoreConfig {
+            block_cache_bytes: 0,
+            fault: Some(Arc::new(FaultInjector::new(plan))),
+            ..Default::default()
+        };
+        let (s, ids) = sealed_victim_with_one_long_run(&dir, cfg, 50);
+        let snapshot = |s: &RecordStore| {
+            let inner = s.inner.lock();
+            let locs: Vec<(u32, u64)> =
+                ids.iter().map(|id| (inner.directory[id].seg, inner.directory[id].off)).collect();
+            let cur = inner.cursor.expect("mid-victim");
+            (locs, inner.active_off, inner.io.writes, inner.dead_bytes, cur.off, cur.live_moved)
+        };
+        let before = snapshot(&s);
+        assert!(matches!(s.compact_step(256 << 10), Err(StoreError::Io(_))));
+        assert_eq!(snapshot(&s), before, "no entry names bytes that were never written");
+        assert_segment_views_match_directory(&s.inner.lock(), "after the failed run");
+        for &id in &ids {
+            assert_eq!(s.get(id).unwrap().payload.len(), 100, "still served from the victim");
+        }
+        // The error was transient: the next step redoes the run.
+        let step = s.compact_step(256 << 10).unwrap();
+        assert_eq!(step.segments_rewritten, 1, "{step:?}");
+        assert_eq!(s.reclaimable_dead_bytes(), 0);
+        for &id in &ids {
+            assert_eq!(s.get(id).unwrap().payload.len(), 100);
+        }
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_segment_ending_in_a_fragment_shorter_than_a_header_still_compacts() {
+        let dir = temp_dir("short-tail");
+        let cfg = StoreConfig { segment_bytes: 1024, block_cache_bytes: 0, ..Default::default() };
+        {
+            let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+            for i in 0..12u64 {
+                s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+            }
+            s.put(RecordId(0), StorageForm::Raw, &[0xFF; 20]).unwrap();
+        }
+        let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
+        f.write_all(&[0xDB, 0x5E, 1]).unwrap();
+        drop(f);
+        let s = RecordStore::open(&dir, cfg).unwrap();
+        assert_eq!(s.recovery_report().quarantined_bytes, 3);
+        let stats = compact_to_quiescence(&s, 4096);
+        assert!(stats.entries_skipped >= 1, "{stats:?}");
+        assert_eq!(s.reclaimable_dead_bytes(), 0);
+        for i in 1..12u64 {
+            assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &[i as u8; 200][..]);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -2173,6 +2794,43 @@ mod tests {
         // Transient: the next put succeeds.
         s.put(RecordId(2), StorageForm::Raw, b"fine").unwrap();
         assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], b"fine");
+    }
+
+    #[test]
+    fn failed_rotation_leaves_the_old_segment_active() {
+        // Ops: 0 = seg 0 header, 1..=3 = puts, 4 = seg 1 header (fails).
+        let dir = temp_dir("rotate-fail");
+        let plan = FaultPlan::new().fault_at(4, FaultKind::IoError);
+        let cfg = StoreConfig {
+            segment_bytes: 512,
+            block_cache_bytes: 0,
+            fault: Some(Arc::new(FaultInjector::new(plan))),
+            ..Default::default()
+        };
+        {
+            let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+            for i in 0..3u64 {
+                s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+            }
+            assert!(matches!(
+                s.put(RecordId(3), StorageForm::Raw, &[3; 200]),
+                Err(StoreError::Io(_))
+            ));
+            assert_eq!(s.inner.lock().active_idx, 0, "the rotation did not happen");
+            // The retry rotates for real; every frame is where the
+            // directory says it is.
+            for i in 3..6u64 {
+                s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+            }
+            assert_eq!(s.frame_extent(RecordId(3)).unwrap().0, 1);
+            for i in 0..6u64 {
+                assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &[i as u8; 200][..]);
+            }
+        }
+        let s = RecordStore::open(&dir, StoreConfig { fault: None, ..cfg }).unwrap();
+        assert!(s.recovery_report().is_clean());
+        assert_eq!(s.len(), 6);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

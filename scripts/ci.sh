@@ -48,13 +48,34 @@ echo "==> perf determinism guard"
 #   seed sweep; a failure prints the seed, and re-running it replays the
 #   exact schedule) and dbdedup-repl `catchup_props`.
 # * maintenance — dbdedup-maint `gc_props` (churn → quiesce byte-equality,
-#   tombstone scrub, crash sweep), `rededup_props` (a degraded burst drained
+#   tombstone scrub, crash sweep, torn-write and I/O-error sweep). The two
+#   regression guards for "a tick costs what it moves" count writes, not
+#   time: dbdedup-maint
+#   `tick_on_a_quiesced_store_writes_nothing_and_reads_only_its_scrub_slice`
+#   (an idle tick on 20 000 records: 0 physical writes, reads bounded by the
+#   scrub budget) and dbdedup-storage
+#   `one_compaction_step_writes_once_per_run_not_once_per_frame` (one
+#   `compact_step(256 KiB)` over 241 adjacent live frames: 1 physical
+#   write, at most 1 + 2 per rotation crossed). Beside them, byte identity
+#   and index ≡ scan: dbdedup-storage
+#   `windowed_compaction_writes_the_segments_frame_at_a_time_compaction_writes`,
+#   `damage_anywhere_in_a_window_takes_the_frame_at_a_time_path` and
+#   `live_byte_counters_match_directory_and_reopen_after_churn` (ordered
+#   view ≡ sorted directory, `scrub_step` ≡ its directory-scan oracle);
+#   dbdedup-encoding `indexes_equal_full_scans_under_random_topology_edits`;
+#   dbdedup-core
+#   `reusing_the_decoded_base_charges_what_decoding_it_per_dependent_charged`.
+#   `rededup_props` (a degraded burst drained
 #   must equal a never-degraded run byte for byte, oplog-silently) and
 #   `scrub_props` (flip every byte of a small store: scrub-and-heal converges
 #   to a never-corrupted control, detects every live-frame flip, escalates
 #   typed when no repair source exists); `fault_injection` (crash at every
 #   write of the store, of the re-dedup rewrite, and of every other local
-#   rewrite; `bitflip_on_degraded*` is the degraded-record salvage test).
+#   rewrite; `faults_inside_a_coalesced_compaction_run_lose_no_live_record`
+#   puts a crash, a
+#   tear mid-frame, a tear on a frame boundary and an I/O error at every
+#   write of a compaction whose writes carry several frames;
+#   `bitflip_on_degraded*` is the degraded-record salvage test).
 # * tiered index — dbdedup-index `bloom_props`/`tiered_props`, and
 #   `index_tiering` (≤1 cold probe per lookup, budgeted oplog-silent merges,
 #   quarantine-and-rebuild after run corruption, maintainer/health

@@ -174,6 +174,119 @@ fn fault_plan_crash_at_every_write_recovers_prefix() {
     }
 }
 
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// Compaction appends every run of adjacent kept frames with one write, so
+/// a fault no longer hits a frame: it hits a run. At every write op of a
+/// compaction to quiescence, a crash, a write torn mid-frame, a write torn
+/// exactly between two frames of the run, and a transient I/O error: after
+/// the error the store still serves every record (its directory names no
+/// bytes the failed write never wrote) and finishes the job, and after any
+/// of them a reopen reads every record's bytes from whichever copy survived.
+#[test]
+fn faults_inside_a_coalesced_compaction_run_lose_no_live_record() {
+    const SEGMENT: u64 = 4096;
+    let cfg = |fault| StoreConfig { segment_bytes: SEGMENT, fault, ..cache_free() };
+    let template = temp_dir("run-template");
+    let mut model = std::collections::BTreeMap::new();
+    let mut deleted = Vec::new();
+    let frame_len;
+    {
+        // Equal-sized frames, so a cut at one frame length is a cut on a
+        // frame boundary of any run.
+        let store = RecordStore::open(&template, cfg(None)).expect("open");
+        for i in 0..72u64 {
+            store.put(RecordId(i), StorageForm::Raw, &[i as u8; 180]).expect("put");
+            model.insert(i, vec![i as u8; 180]);
+        }
+        frame_len = store.frame_extent(RecordId(0)).unwrap().2;
+        for i in (0..72u64).step_by(6) {
+            store.put(RecordId(i), StorageForm::Raw, &[0xEE ^ i as u8; 180]).expect("overwrite");
+            model.insert(i, vec![0xEE ^ i as u8; 180]);
+        }
+        for i in (3..72u64).step_by(12) {
+            store.delete(RecordId(i)).expect("delete");
+            model.remove(&i);
+            deleted.push(i);
+        }
+    }
+    let check = |store: &RecordStore, at: &str| {
+        for (&id, data) in &model {
+            let got = store.get(RecordId(id)).unwrap_or_else(|e| panic!("{at}: record {id}: {e}"));
+            assert_eq!(&got.payload[..], &data[..], "{at}: record {id}");
+        }
+        for &id in &deleted {
+            assert!(!store.contains(RecordId(id)), "{at}: deleted record {id} is back");
+        }
+    };
+    // A clean pass sizes the sweep and shows that runs do coalesce here.
+    let ops = {
+        let dir = temp_dir("run-probe");
+        copy_dir(&template, &dir);
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let store = RecordStore::open(&dir, cfg(Some(Arc::clone(&inj)))).expect("open");
+        let entries = store.io_stats().writes;
+        while !store.compact_step(2048).expect("clean compaction").is_noop() {}
+        check(&store, "clean pass");
+        let (ops, entries) = (inj.writes_seen(), store.io_stats().writes - entries);
+        assert!(entries > ops + 10, "{entries} frames and headers in {ops} writes");
+        let _ = std::fs::remove_dir_all(&dir);
+        ops
+    };
+    let kinds = [
+        FaultKind::Crash,
+        FaultKind::ShortWrite { keep: frame_len + frame_len / 2 },
+        FaultKind::ShortWrite { keep: frame_len },
+        FaultKind::IoError,
+    ];
+    for k in 0..ops {
+        for kind in kinds {
+            let at = format!("{kind:?} at write {k}");
+            let dir = temp_dir("run-fault");
+            copy_dir(&template, &dir);
+            let inj = Arc::new(FaultInjector::new(FaultPlan::new().fault_at(k, kind)));
+            {
+                let store = RecordStore::open(&dir, cfg(Some(Arc::clone(&inj)))).expect("open");
+                loop {
+                    match store.compact_step(2048) {
+                        Ok(step) if step.is_noop() => break,
+                        Ok(_) => {}
+                        // A zombie may fail any way it likes; a live store
+                        // only fails the way it was told to.
+                        Err(_) if inj.crashed() => break,
+                        Err(e) => {
+                            assert_eq!(kind, FaultKind::IoError, "{at}: {e}");
+                            check(&store, &format!("{at}, right after the error"));
+                        }
+                    }
+                    if inj.crashed() {
+                        break; // the process is dead
+                    }
+                }
+                if kind == FaultKind::IoError {
+                    assert_eq!(inj.faults_injected(), 1, "{at}");
+                    assert_eq!(store.reclaimable_dead_bytes(), 0, "{at}: retried to the end");
+                    check(&store, &format!("{at}, after retrying"));
+                }
+            }
+            let store = RecordStore::open(&dir, cfg(None))
+                .unwrap_or_else(|e| panic!("{at}: reopen failed: {e}"));
+            check(&store, &format!("{at}, reopened"));
+            while !store.compact_step(2048).expect("post-fault compaction").is_noop() {}
+            assert_eq!(store.reclaimable_dead_bytes(), 0, "{at}");
+            check(&store, &format!("{at}, reopened and compacted"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&template);
+}
+
 fn engine() -> DedupEngine {
     let mut cfg = EngineConfig::default();
     cfg.min_benefit_bytes = 16;
