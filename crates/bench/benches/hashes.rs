@@ -19,11 +19,25 @@ fn bench_block_hashes(c: &mut Criterion) {
     g.bench_function("sha1", |b| {
         b.iter(|| black_box(sha1(black_box(&data))));
     });
-    // The segment-frame checksum: under every store put and cache-miss get.
-    g.bench_function("crc32", |b| {
-        b.iter(|| black_box(crc32(black_box(&data))));
-    });
     g.finish();
+}
+
+/// The segment-frame checksum — under every store put, cache-miss get,
+/// compaction window, scrub slice and recovery scan — at the sizes those
+/// see: a small-record frame, a page, a wiki revision, a compaction window.
+/// Non-constant input: a kernel is not measured on one repeated byte.
+fn bench_crc32(c: &mut Criterion) {
+    let data: Vec<u8> =
+        (0u64..64 << 10).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8).collect();
+    for (label, len) in [("300B", 300), ("4KiB", 4 << 10), ("17KiB", 17 << 10), ("64KiB", 64 << 10)]
+    {
+        let mut g = c.benchmark_group(format!("crc32_{label}"));
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function("crc32", |b| {
+            b.iter(|| black_box(crc32(black_box(&data[..len]))));
+        });
+        g.finish();
+    }
 }
 
 fn bench_rolling(c: &mut Criterion) {
@@ -56,5 +70,5 @@ fn bench_rolling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_block_hashes, bench_rolling);
+criterion_group!(benches, bench_block_hashes, bench_crc32, bench_rolling);
 criterion_main!(benches);

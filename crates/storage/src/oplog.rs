@@ -28,16 +28,6 @@ pub enum OplogPayload {
     },
 }
 
-impl OplogPayload {
-    /// Bytes this payload contributes to network transfer.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            OplogPayload::Raw(b) => b.len(),
-            OplogPayload::Forward { delta, .. } => delta.len() + 8,
-        }
-    }
-}
-
 /// The operation kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OplogKind {
@@ -312,8 +302,11 @@ impl Oplog {
             }
             off += 4 + len;
         }
-        // Replayed entries are all pending again (re-shipping is idempotent
-        // by id/LSN); the retention floor restarts at the replayed prefix.
+        // Replayed entries are all pending again, shipped ones included, and
+        // re-applying one is *not* idempotent (a replayed insert is inserted
+        // twice; ROADMAP item 1(c)), so whoever reopens a log must not
+        // re-ship what a replica already applied. The retention floor
+        // restarts at the replayed prefix.
         log.floor_lsn = min_lsn.unwrap_or(0);
         log.next_lsn = max_lsn.map_or(0, |m| m + 1);
         log.sink = Some(file);
@@ -550,10 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn forward_payload_wire_len_counts_base_ref() {
-        let p = OplogPayload::Forward { base: RecordId(1), delta: Bytes::from_static(&[0; 10]) };
-        assert_eq!(p.wire_len(), 18);
-        assert_eq!(raw(&[0; 10]).wire_len(), 10);
+    fn forward_payload_encoded_len_counts_base_ref() {
+        // `encoded_len` is what `append` returns and the engine books as
+        // network bytes: a forward payload carries its 8-byte base id on
+        // top of what a raw payload of the same length costs.
+        let entry =
+            |payload| OplogEntry { lsn: 3, kind: OplogKind::Insert { id: RecordId(1), payload } };
+        let fwd =
+            entry(OplogPayload::Forward { base: RecordId(1), delta: Bytes::from_static(&[0; 10]) });
+        let raw = entry(raw(&[0; 10]));
+        assert_eq!(fwd.encoded_len(), raw.encoded_len() + 8);
+        assert_eq!(
+            (fwd.encoded_len(), raw.encoded_len()),
+            (fwd.encode().len(), raw.encode().len())
+        );
     }
 
     #[test]
@@ -574,8 +577,9 @@ mod tests {
             assert_eq!(b.len(), 1);
         }
         {
-            // Recovery replays the full durable log (shipped entries are
-            // re-shipped; replication apply is idempotent by id/LSN).
+            // Recovery replays the full durable log: shipped entries come
+            // back as pending. Re-applying them is not idempotent (ROADMAP
+            // item 1(c)); this only checks what the log itself replays.
             let mut log = Oplog::open(&path).unwrap();
             assert_eq!(log.pending(), 2);
             let batch = log.take_batch(usize::MAX);

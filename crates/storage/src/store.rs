@@ -841,7 +841,9 @@ impl RecordStore {
         self.inner.lock().directory.contains_key(&id)
     }
 
-    /// Reads `id`, verifying the frame checksum before parsing.
+    /// Reads `id`, verifying the frame checksum before parsing. An
+    /// uncompressed payload is returned as a view into the verified frame
+    /// (the block cache's buffer), not a copy of it.
     pub fn get(&self, id: RecordId) -> Result<StoredRecord, StoreError> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -855,7 +857,8 @@ impl RecordStore {
                     .map_err(|e| StoreError::Corrupt(e.to_string()))?,
             )
         } else {
-            Bytes::copy_from_slice(parsed.payload)
+            let start = raw.len() - parsed.payload.len();
+            Bytes::from_shared(Arc::clone(&raw), start..raw.len())
         };
         Ok(StoredRecord { form: parsed.form, payload })
     }
@@ -1519,11 +1522,7 @@ impl Drop for RecordStore {
     }
 }
 
-fn read_entry_bytes(
-    inner: &mut Inner,
-    dir: &Path,
-    loc: Loc,
-) -> Result<std::sync::Arc<Vec<u8>>, StoreError> {
+fn read_entry_bytes(inner: &mut Inner, dir: &Path, loc: Loc) -> Result<Arc<Vec<u8>>, StoreError> {
     let key = BlockKey { seg: loc.seg, off: loc.off };
     if let Some(cached) = inner.cache.get(key) {
         return Ok(cached);
@@ -1546,8 +1545,8 @@ fn read_entry_bytes(
             loc.seg, loc.off
         )));
     }
-    let arc = std::sync::Arc::new(buf);
-    inner.cache.insert(key, std::sync::Arc::clone(&arc));
+    let arc = Arc::new(buf);
+    inner.cache.insert(key, Arc::clone(&arc));
     Ok(arc)
 }
 
@@ -2884,6 +2883,54 @@ mod tests {
         assert!(matches!(s.get(RecordId(1)), Err(StoreError::Corrupt(_))));
         assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[0xBB; 300][..]);
         assert!(s.io_stats().verify_failures >= 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn get_hands_out_a_view_of_the_verified_frame_not_a_copy() {
+        let dir = temp_dir("view");
+        let s =
+            RecordStore::open(&dir, StoreConfig { block_compression: true, ..Default::default() })
+                .unwrap();
+        let mut rng = dbdedup_util::dist::SplitMix64::new(25);
+        let noise: Vec<u8> = (0..17 << 10).map(|_| rng.next_u64() as u8).collect();
+        let text = b"field = value; ".repeat(400);
+        let delta = StorageForm::Delta { base: RecordId(1) };
+        s.put(RecordId(1), StorageForm::Raw, &noise).unwrap(); // incompressible: kept as is
+        s.put(RecordId(2), delta, &text).unwrap();
+        let stored = |id| s.inner.lock().directory[&RecordId(id)].payload_len;
+        assert_eq!(stored(1), noise.len() as u32);
+        assert!(stored(2) < text.len() as u32);
+        // Uncompressed: the payload is the tail of the frame the miss
+        // verified and cached, and a hit hands out the same bytes again.
+        let r = s.get(RecordId(1)).unwrap();
+        assert_eq!(&r.payload[..], &noise[..]);
+        let loc = s.inner.lock().directory[&RecordId(1)];
+        let frame =
+            s.inner.lock().cache.get(BlockKey { seg: loc.seg, off: loc.off }).expect("cached");
+        assert_eq!(r.payload.as_ptr_range().end, frame.as_ptr_range().end);
+        assert!(frame.as_ptr_range().contains(&r.payload.as_ptr()));
+        assert_eq!(s.get(RecordId(1)).unwrap().payload.as_ptr(), r.payload.as_ptr());
+        // Compressed: still decompressed, into a buffer of its own.
+        let z = s.get(RecordId(2)).unwrap();
+        assert_eq!((z.form, &z.payload[..]), (delta, &text[..]));
+        let _ = fs::remove_dir_all(&dir);
+
+        // Rot on disk is refused at the frame check — no view is made of it
+        // — while a view handed out earlier keeps the bytes that verified.
+        let dir = temp_dir("view-rot");
+        let s = RecordStore::open(&dir, StoreConfig { block_cache_bytes: 0, ..Default::default() })
+            .unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &noise).unwrap();
+        let before = s.get(RecordId(1)).unwrap();
+        let loc = s.inner.lock().directory[&RecordId(1)];
+        let path = segment_path(&dir, 0);
+        let mut buf = fs::read(&path).unwrap();
+        buf[loc.off as usize + loc.len as usize - 1] ^= 0x01;
+        fs::write(&path, &buf).unwrap();
+        assert!(matches!(s.get(RecordId(1)), Err(StoreError::Corrupt(_))));
+        assert_eq!(s.io_stats().verify_failures, 1);
+        assert_eq!(&before.payload[..], &noise[..]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -28,8 +28,19 @@ echo "==> perf determinism guard"
 # be re-run alone (`cargo test -q -p <crate> --test <suite> [filter]`, or
 # `--lib <path>` for unit tests); a failing property prints its seed:
 #
-# * kernel identity — dbdedup-util `hash::crc32` (sliced CRC-32 against a
-#   bit-at-a-time reference at every length/alignment/split) and
+# * kernel identity — dbdedup-util `hash::crc32`: the four-lane kernel
+#   against a bit-at-a-time reference at every length from 0 to three 2 KiB
+#   superblocks + 16 at 8 alignments
+#   (`sliced_matches_bitwise_reference_at_every_length_and_alignment`), at
+#   every split of two superblocks
+#   (`incremental_matches_oneshot_at_every_split`) and under seeded random
+#   multi-splits (`incremental_matches_oneshot_under_random_multi_splits`);
+#   the root package's `frame_golden` (`cargo test -q --test frame_golden`:
+#   FNV-1a of the segment files a fixed store sequence writes, and `crc32` at
+#   the superblock seams, pinned to the slicing-by-16 kernel's values);
+#   dbdedup-storage `get_hands_out_a_view_of_the_verified_frame_not_a_copy`
+#   and the `bytes` shim's own tests (`cargo test -q -p bytes`: `From<Vec>`
+#   keeps the allocation, a view compares/hashes/prints by content);
 #   `hash::gear`; dbdedup-chunker `boundary_diff` (the one gear scan against
 #   two byte-at-a-time oracles with golden pins, anchors against an oracle
 #   that rolls nothing, the lane-parallel Rabin scan against the loop it
