@@ -8,7 +8,7 @@
 
 use dbdedup_bench::scale;
 use dbdedup_core::EngineConfig;
-use dbdedup_repl::ReplicaPair;
+use dbdedup_repl::ReplicaSet;
 use dbdedup_util::fmt::format_ratio;
 use dbdedup_workloads::{standard_suite, Op};
 
@@ -20,19 +20,19 @@ fn main() {
     for mut wl in standard_suite(n, 42) {
         let mut cfg = EngineConfig::with_chunk_size(64);
         cfg.min_benefit_bytes = 16;
-        let mut pair = ReplicaPair::open_temp(cfg).expect("pair");
+        let mut set = ReplicaSet::open_temp(cfg, 1).expect("replica set");
         let db = wl.db();
         let mut original = 0u64;
         for op in &mut wl {
             if let Op::Insert { id, data } = op {
                 original += data.len() as u64;
-                pair.primary.insert(db, id, &data).expect("insert");
+                set.primary.insert(db, id, &data).expect("insert");
             }
         }
-        pair.sync().expect("sync");
-        pair.flush_both().expect("flush");
-        let stored = pair.primary.store().stored_payload_bytes();
-        let net = pair.network_stats().bytes;
+        set.sync().expect("sync");
+        set.flush_all().expect("flush");
+        let stored = set.primary.store().stored_payload_bytes();
+        let net = set.total_network_bytes();
         let storage_ratio = original as f64 / stored as f64;
         let network_ratio = original as f64 / net as f64;
         let gap = 100.0 * (1.0 - storage_ratio / network_ratio);

@@ -313,18 +313,15 @@ impl DedupEngine {
         let degraded: BTreeMap<RecordId, String> = store.degraded_records()?.into_iter().collect();
         let tracer = StageTracer::new(config.trace_sample_every);
         let events = EventLog::shared(config.event_log_capacity);
-        // Surface what salvage recovery found on the way up: quarantined
-        // checksum failures and torn-tail truncation are the first things
-        // an operator reads after a crash.
-        let recovery = store.io_stats();
-        if recovery.quarantined_entries > 0 || recovery.truncated_tail_bytes > 0 {
-            events.record(
-                Severity::Error,
-                EventKind::Salvage {
-                    quarantined: recovery.quarantined_entries,
-                    truncated_bytes: recovery.truncated_tail_bytes,
-                },
-            );
+        // Surface what salvage recovery found on the way up, in the store
+        // and in the durable oplog: quarantined checksum failures and
+        // torn-tail truncation are the first things an operator reads
+        // after a crash.
+        let (recovery, cut) = (store.io_stats(), oplog.recovery_report());
+        let quarantined = recovery.quarantined_entries + cut.quarantined_entries;
+        let truncated_bytes = recovery.truncated_tail_bytes + cut.truncated_tail_bytes;
+        if quarantined > 0 || truncated_bytes > 0 {
+            events.record(Severity::Error, EventKind::Salvage { quarantined, truncated_bytes });
         }
         // One warning per skipped frame with its exact location, so an
         // operator can correlate quarantines with device-level errors.

@@ -24,6 +24,11 @@
 //! | entries               (entry_count × { checksum u16, slot u32 })
 //! | crc32 u32             (over every preceding byte)
 //! ```
+//!
+//! A run keeps one whole-file CRC footer rather than the per-frame framing
+//! of the store's segments and the oplog: it is immutable and written by
+//! temp file + rename, so it never has a torn tail to salvage, and any
+//! damage condemns the whole run, which is rebuilt rather than resynced.
 
 use crate::bloom::BloomFilter;
 use dbdedup_util::hash::crc32;
@@ -180,11 +185,7 @@ impl DiskRun {
         if bytes.len() < HEADER_BYTES + OFFSET_SLOTS * 4 + 4 {
             return Err(RunError::Corrupt(format!("short file: {} bytes", bytes.len())));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(RunError::Corrupt("crc mismatch".into()));
-        }
+        let body = checked_body(&bytes)?;
         let mut r = ByteReader::new(body);
         let magic = r.get_bytes(4).map_err(|_| RunError::Corrupt("truncated magic".into()))?;
         if magic != MAGIC {
@@ -270,12 +271,7 @@ impl DiskRun {
         if bytes.len() as u64 != expect {
             return Err(RunError::Corrupt("length changed since open".into()));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(RunError::Corrupt("crc mismatch".into()));
-        }
-        let data = &body[self.entries_base as usize..];
+        let data = &checked_body(&bytes)?[self.entries_base as usize..];
         let mut out = Vec::with_capacity(self.entry_count as usize);
         for chunk in data.chunks_exact(RUN_ENTRY_BYTES) {
             out.push((
@@ -329,6 +325,16 @@ impl DiskRun {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Splits the CRC footer off a whole run file and checks it against the
+/// body, which it returns. `file` holds at least the footer.
+fn checked_body(file: &[u8]) -> Result<&[u8], RunError> {
+    let (body, footer) = file.split_at(file.len() - 4);
+    if crc32(body) != u32::from_le_bytes(footer.try_into().expect("4 bytes")) {
+        return Err(RunError::Corrupt("crc mismatch".into()));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]

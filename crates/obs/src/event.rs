@@ -111,11 +111,12 @@ pub enum EventKind {
         /// `true` entering pass-through, `false` resuming full pipeline.
         on: bool,
     },
-    /// Salvage recovery quarantined entries / truncated a torn tail.
+    /// Salvage recovery quarantined entries / truncated a torn tail, in the
+    /// store's segments or the durable oplog.
     Salvage {
         /// Entries quarantined for bad checksums.
         quarantined: u64,
-        /// Torn-tail bytes truncated from the active segment.
+        /// Torn-tail bytes truncated from the active segment or the oplog.
         truncated_bytes: u64,
     },
     /// A read failed because corruption broke the decode chain.

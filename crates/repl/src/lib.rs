@@ -13,8 +13,9 @@
 //!
 //! Two drivers are provided:
 //!
-//! * [`pair::ReplicaPair`] — synchronous, deterministic; used by the
-//!   experiment harnesses (network-byte accounting for Fig. 11).
+//! * [`set::ReplicaSet`] — synchronous, deterministic, one primary fanning
+//!   out to N secondaries with per-link cursors, health and byte-accurate
+//!   network accounting; used by the experiment harnesses (Fig. 11).
 //! * [`asynch::AsyncReplicator`] — a crossbeam-channel pipeline with the
 //!   secondary applying batches on its own thread, mirroring the paper's
 //!   asynchronous push model, with bounded retry for transient apply
@@ -45,7 +46,6 @@
 
 pub mod asynch;
 pub mod health;
-pub mod pair;
 pub mod repair;
 pub mod resync;
 pub mod set;
@@ -53,8 +53,7 @@ pub mod sim;
 
 pub use asynch::{AsyncReplicator, ShipOutcome};
 pub use health::{HealthTracker, ReplicaHealth};
-pub use pair::{NetworkStats, ReplicaPair};
 pub use repair::{FetchStats, RepairFetcher};
 pub use resync::{anti_entropy, anti_entropy_with_clock, ResyncReport};
-pub use set::ReplicaSet;
+pub use set::{NetworkStats, ReplicaSet};
 pub use sim::{SimConfig, SimReport, Simulation};

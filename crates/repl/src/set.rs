@@ -13,7 +13,6 @@
 //! (the decision table in DESIGN.md §7.2).
 
 use crate::health::{HealthTracker, ReplicaHealth};
-use crate::pair::NetworkStats;
 use crate::resync::anti_entropy;
 use dbdedup_core::{DedupEngine, EngineConfig, EngineError};
 use dbdedup_obs::{EventKind, Severity, Stage};
@@ -26,6 +25,19 @@ fn elapsed_ns(t0: std::time::Instant) -> u64 {
 
 /// Lag (oplog entries) past which a link is declared `Lagging`.
 const DEFAULT_LAG_THRESHOLD: u64 = 64;
+
+/// One link's transport counters. Frames are the encoded batches a network
+/// transport would carry, so `bytes` is exactly the replication traffic the
+/// paper's Fig. 11 reports.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NetworkStats {
+    /// Batches shipped primary → secondary.
+    pub batches: u64,
+    /// Total frame bytes transferred.
+    pub bytes: u64,
+    /// Oplog entries replicated.
+    pub entries: u64,
+}
 
 /// A primary plus N secondaries joined by byte-counted in-process links.
 pub struct ReplicaSet {
@@ -262,6 +274,34 @@ mod tests {
                 assert_eq!(&sec.read(id).unwrap()[..], &want[..]);
             }
         }
+    }
+
+    #[test]
+    fn updates_and_deletes_replicate() {
+        let mut set = ReplicaSet::open_temp(cfg(), 1).unwrap();
+        set.primary.insert("db", RecordId(1), &vec![b'x'; 5_000]).unwrap();
+        set.primary.insert("db", RecordId(2), &vec![b'y'; 5_000]).unwrap();
+        set.primary.update(RecordId(1), b"updated content").unwrap();
+        set.primary.delete(RecordId(2)).unwrap();
+        set.sync().unwrap();
+        assert_eq!(&set.secondaries[0].read(RecordId(1)).unwrap()[..], b"updated content");
+        assert!(set.secondaries[0].read(RecordId(2)).is_err());
+    }
+
+    #[test]
+    fn network_traffic_is_compressed() {
+        let mut set = ReplicaSet::open_temp(cfg(), 1).unwrap();
+        let mut original = 0u64;
+        for op in Wikipedia::insert_only(80, 3) {
+            if let Op::Insert { id, data } = op {
+                original += data.len() as u64;
+                set.primary.insert("wikipedia", id, &data).unwrap();
+            }
+        }
+        set.sync().unwrap();
+        assert_eq!(set.link_stats()[0].entries, 80);
+        let ratio = original as f64 / set.total_network_bytes() as f64;
+        assert!(ratio > 3.0, "network compression ratio {ratio:.2}");
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //!   flips, transient I/O errors, crash-at-write-K) threaded through the
 //!   store's write path, so crash/corruption recovery is testable from a
 //!   seed.
+//! * `frame` (crate-private) — the one **on-disk framing** of segments and
+//!   the oplog file: checksummed header and frames, and what a recovery
+//!   scan finds at an offset (valid frame, damaged run, torn tail).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +36,7 @@
 pub mod blockcache;
 pub mod blockz;
 pub mod fault;
+pub(crate) mod frame;
 pub mod iometer;
 pub mod oplog;
 pub mod store;

@@ -7,10 +7,13 @@
 //! with storage (Fig. 11). Entries serialize to a compact wire format so
 //! network accounting is byte-accurate.
 
+use crate::frame::{self, Damage};
+use crate::store::{RecoveryReport, SalvagedFrame};
 use bytes::Bytes;
 use dbdedup_util::codec::{varint_len, ByteReader, ByteWriter, CodecError};
 use dbdedup_util::ids::RecordId;
 use std::collections::VecDeque;
+use std::io::{Read, Write};
 
 /// An insert/update payload as shipped over the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,9 +208,10 @@ impl std::error::Error for CursorGap {}
 
 /// The primary's oplog with a ship cursor and bounded retention of
 /// already-shipped entries — in memory only, or ([`Oplog::open`]) also
-/// framed into a log file that is replayed on the next open, so a restarted
-/// primary can resume replication from where it left off (MongoDB's oplog
-/// is likewise a durable collection).
+/// written to a log file, framed and checksummed like a store segment, that
+/// is replayed on the next open, so a restarted primary can resume
+/// replication from where it left off (MongoDB's oplog is likewise a
+/// durable collection).
 ///
 /// Shipment no longer discards entries: the queue keeps a contiguous run
 /// `[floor_lsn, next_lsn)` and a cursor separating shipped from pending.
@@ -240,6 +244,8 @@ pub struct Oplog {
     /// deployment truncates the file by retention policy, which is
     /// orthogonal to this reproduction).
     sink: Option<std::fs::File>,
+    /// What [`Oplog::open`] cut from the file.
+    recovery: RecoveryReport,
 }
 
 /// Default retention budget for already-shipped entries (catch-up window).
@@ -269,48 +275,72 @@ impl Oplog {
             shipped_bytes: 0,
             retain_bytes,
             sink: None,
+            recovery: RecoveryReport::default(),
         }
     }
 
-    /// Opens (or creates) a durable oplog at `path`, replaying any existing
-    /// entries into the pending queue. A torn or corrupt tail ends the
-    /// replay at the last intact entry.
+    /// Opens (or creates) a durable oplog at `path`, replaying its entries
+    /// into the pending queue. The file is framed like a store segment,
+    /// under its own magic (version 2; a headerless version-1 file reads as
+    /// a damaged header). Replay keeps the **longest verified prefix**: the
+    /// first frame that fails its CRC, does not decode or does not carry
+    /// the next LSN ends it, and the file is truncated there, valid frames
+    /// after the damage included, so that `entries[i]` keeps LSN
+    /// `floor_lsn + i` and later appends extend the prefix. A damaged
+    /// header cuts the whole file, like the store's active segment's.
+    ///
+    /// Replayed entries are all pending again, shipped ones included, and
+    /// re-applying one is still *not* idempotent (a replayed insert is
+    /// inserted twice; ROADMAP item 1(c)): whoever reopens a log must not
+    /// re-ship what a replica already applied.
     pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::Read;
         let mut file =
             std::fs::OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
         let mut log = Self::new();
-        let mut off = 0usize;
-        let mut min_lsn = None;
-        let mut max_lsn = None;
-        while off + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4")) as usize;
-            if off + 4 + len > buf.len() {
-                break; // torn tail write
-            }
-            let mut r = ByteReader::new(&buf[off + 4..off + 4 + len]);
-            match OplogEntry::decode(&mut r) {
-                Ok(e) => {
-                    min_lsn = Some(min_lsn.map_or(e.lsn, |m: u64| m.min(e.lsn)));
-                    max_lsn = Some(max_lsn.map_or(e.lsn, |m: u64| m.max(e.lsn)));
-                    log.pending_bytes += len;
-                    log.entries.push_back((e, len as u32));
+        // A header that does not verify makes the whole file a torn tail.
+        let valid = frame::OPLOG.header_valid(&buf);
+        let (mut keep, mut damage) = (if valid { frame::FILE_HDR } else { 0 }, Damage::Torn);
+        while valid && keep < buf.len() {
+            match frame::classify(&buf, keep, |entry| {
+                let e = OplogEntry::decode(&mut ByteReader::new(entry)).ok()?;
+                (log.entries.is_empty() || e.lsn == log.next_lsn).then_some((e, entry.len()))
+            }) {
+                Ok(((e, wire_len), len)) => {
+                    log.queue(e, wire_len);
+                    keep += len;
                 }
-                Err(_) => break, // corrupt tail: stop replay
+                Err(found) => {
+                    damage = found;
+                    break;
+                }
             }
-            off += 4 + len;
         }
-        // Replayed entries are all pending again, shipped ones included, and
-        // re-applying one is *not* idempotent (a replayed insert is inserted
-        // twice; ROADMAP item 1(c)), so whoever reopens a log must not
-        // re-ship what a replica already applied. The retention floor
-        // restarts at the replayed prefix.
-        log.floor_lsn = min_lsn.unwrap_or(0);
-        log.next_lsn = max_lsn.map_or(0, |m| m + 1);
+        log.floor_lsn = log.entries.front().map_or(0, |(e, _)| e.lsn);
+        let (cut, report) = ((buf.len() - keep) as u64, &mut log.recovery);
+        (report.segments_scanned, report.entries_recovered) = (1, log.entries.len() as u64);
+        if cut > 0 {
+            file.set_len(keep as u64)?;
+            if let Damage::UpTo(_) = damage {
+                (report.quarantined_entries, report.quarantined_bytes) = (1, cut);
+                report.skipped.push(SalvagedFrame { segment: 0, offset: keep as u64, bytes: cut });
+            } else {
+                report.truncated_tail_bytes = cut;
+            }
+            report.notes.push(format!("oplog: cut {cut} bytes at offset {keep} ({damage:?})"));
+        }
+        if keep == 0 {
+            file.write_all(&frame::OPLOG.header())?;
+        }
         log.sink = Some(file);
         Ok(log)
+    }
+
+    /// What [`Oplog::open`] cut from the file: damage with valid frames
+    /// after it as quarantined, a torn tail or damaged header as truncated.
+    pub fn recovery_report(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// Adjusts the retention budget in place, trimming immediately if the
@@ -329,16 +359,17 @@ impl Oplog {
         let entry = OplogEntry { lsn, kind };
         let wire_len = entry.encoded_len();
         if let Some(file) = &mut self.sink {
-            use std::io::Write;
-            let mut framed = ByteWriter::with_capacity(4 + wire_len);
-            framed.put_u32(wire_len as u32);
-            entry.encode_to(&mut framed);
-            file.write_all(framed.as_slice())?;
+            file.write_all(&frame::build(wire_len, |w| entry.encode_to(w)))?;
         }
-        self.next_lsn += 1;
+        self.queue(entry, wire_len);
+        Ok((lsn, wire_len))
+    }
+
+    /// Queues `entry` as the newest pending one.
+    fn queue(&mut self, entry: OplogEntry, wire_len: usize) {
+        self.next_lsn = entry.lsn + 1;
         self.pending_bytes += wire_len;
         self.entries.push_back((entry, wire_len as u32));
-        Ok((lsn, wire_len))
     }
 
     /// Forces appended entries to stable storage (a no-op without a file).
@@ -609,6 +640,61 @@ mod tests {
         }
         let log = Oplog::open(&path).unwrap();
         assert_eq!(log.pending(), 1, "intact prefix replayed, torn tail dropped");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn insert(id: u64, fill: u8) -> OplogKind {
+        OplogKind::Insert { id: RecordId(id), payload: raw(&[fill; 40]) }
+    }
+
+    /// Every entry the log holds, in order.
+    fn replayed(log: &Oplog) -> Vec<OplogEntry> {
+        log.read_from(log.floor_lsn(), usize::MAX).unwrap()
+    }
+
+    #[test]
+    fn entries_appended_after_a_torn_tail_survive_the_next_reopen() {
+        let path =
+            std::env::temp_dir().join(format!("dbdedup-oplog-retear-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut log = Oplog::open(&path).unwrap();
+            log.append(insert(1, 0xA1)).unwrap();
+            log.append(insert(2, 0xA2)).unwrap();
+        }
+        // A crash tore the second entry's write.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 5).unwrap();
+        {
+            let mut log = Oplog::open(&path).unwrap();
+            assert_eq!(log.next_lsn(), 1, "the torn entry is gone");
+            log.append(insert(3, 0xA3)).unwrap();
+        }
+        let log = Oplog::open(&path).unwrap();
+        let want = [(0, insert(1, 0xA1)), (1, insert(3, 0xA3))];
+        assert_eq!(replayed(&log), want.map(|(lsn, kind)| OplogEntry { lsn, kind }));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_flipped_byte_ends_the_replay_before_the_entry_it_hit() {
+        let path = std::env::temp_dir().join(format!("dbdedup-oplog-flip-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let kinds = [insert(1, 0xB1), insert(2, 0xB2), insert(3, 0xB3)];
+        {
+            let mut log = Oplog::open(&path).unwrap();
+            for kind in &kinds {
+                log.append(kind.clone()).unwrap();
+            }
+        }
+        // Rot one byte inside the second entry's payload.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.windows(40).position(|w| w == [0xB2; 40]).unwrap() + 20;
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let log = Oplog::open(&path).unwrap();
+        let intact = vec![OplogEntry { lsn: 0, kind: kinds[0].clone() }];
+        assert_eq!(replayed(&log), intact, "no altered entry, and nothing after it");
         let _ = std::fs::remove_file(&path);
     }
 

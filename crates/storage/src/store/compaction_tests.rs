@@ -1,0 +1,442 @@
+// The record store's compaction tests, included by `tests.rs` (so they
+// share its imports and helpers and keep their `store::tests::` paths).
+
+#[test]
+fn compaction_reclaims_dead_space() {
+    let s = store();
+    for i in 0..50u64 {
+        s.put(RecordId(i), StorageForm::Raw, &vec![1u8; 1000]).unwrap();
+    }
+    for i in 0..25u64 {
+        s.delete(RecordId(i)).unwrap();
+    }
+    for i in 25..50u64 {
+        s.put(RecordId(i), StorageForm::Raw, &[2u8; 10]).unwrap();
+    }
+    assert!(s.dead_bytes() > 0);
+    let stats = compact_fully(&s);
+    assert!(stats.bytes_reclaimed > 0, "stats report the reclaim");
+    assert!(stats.segments_rewritten >= 1);
+    assert_eq!(stats.entries_skipped, 0);
+    assert_eq!(s.dead_bytes(), 0);
+    assert_eq!(s.tombstone_bytes(), 0, "full compaction drops all tombstones");
+    for i in 25..50u64 {
+        assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &vec![2u8; 10][..]);
+    }
+    assert_eq!(s.len(), 25);
+    // Still writable post-compaction.
+    s.put(RecordId(99), StorageForm::Raw, b"after").unwrap();
+    assert_eq!(&s.get(RecordId(99)).unwrap().payload[..], b"after");
+}
+
+#[test]
+fn reopen_after_compact_keeps_records() {
+    // Regression: compaction used to *remove* superseded segment
+    // files, but the recovery scan walks indices contiguously from
+    // zero — a reopened store found no seg000000.dat and silently
+    // came up empty.
+    let dir = temp_dir("reopen-compact");
+    {
+        let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();
+        for i in 0..20u64 {
+            s.put(RecordId(i), StorageForm::Raw, &[i as u8; 100]).unwrap();
+        }
+        for i in 0..10u64 {
+            s.delete(RecordId(i)).unwrap();
+        }
+        let _ = compact_fully(&s);
+    }
+    {
+        let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();
+        assert!(s.recovery_report().is_clean());
+        assert_eq!(s.len(), 10);
+        for i in 10..20u64 {
+            assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &vec![i as u8; 100][..]);
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compact_step_drains_dead_space_incrementally() {
+    let cfg = StoreConfig { segment_bytes: 4096, ..Default::default() };
+    let s = RecordStore::open_temp(cfg).unwrap();
+    for i in 0..100u64 {
+        s.put(RecordId(i), StorageForm::Raw, &vec![i as u8; 400]).unwrap();
+    }
+    for i in 0..50u64 {
+        s.delete(RecordId(i)).unwrap();
+    }
+    for i in 50..100u64 {
+        s.put(RecordId(i), StorageForm::Raw, &[i as u8; 40]).unwrap();
+    }
+    assert!(s.reclaimable_dead_bytes() > 0);
+    let mut total = CompactStats::default();
+    let mut steps = 0;
+    while s.reclaimable_dead_bytes() > 0 {
+        let stats = s.compact_step(2048).unwrap();
+        if stats.is_noop() {
+            break;
+        }
+        total.merge(stats);
+        steps += 1;
+        assert!(steps < 10_000, "incremental compaction must terminate");
+    }
+    assert_eq!(s.reclaimable_dead_bytes(), 0, "all reclaimable space drained");
+    assert!(total.bytes_reclaimed > 0);
+    assert!(total.segments_rewritten > 1, "walked multiple segments");
+    assert!(steps > 1, "budget forced multiple bounded steps");
+    for i in 50..100u64 {
+        assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &[i as u8; 40][..]);
+    }
+    assert_eq!(s.len(), 50);
+    // Still writable, and the store reopens to the same contents.
+    s.put(RecordId(200), StorageForm::Raw, b"post-step").unwrap();
+    assert_eq!(&s.get(RecordId(200)).unwrap().payload[..], b"post-step");
+}
+
+#[test]
+fn compact_step_survives_reopen_midway() {
+    let dir = temp_dir("step-reopen");
+    let cfg = StoreConfig { segment_bytes: 2048, ..Default::default() };
+    {
+        let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+        for i in 0..60u64 {
+            s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+        }
+        for i in 0..30u64 {
+            s.delete(RecordId(i)).unwrap();
+        }
+        // Partial pass only: stop with the cursor mid-segment.
+        let _ = s.compact_step(512).unwrap();
+    }
+    {
+        let s = RecordStore::open(&dir, cfg).unwrap();
+        assert!(s.recovery_report().is_clean());
+        assert_eq!(s.len(), 30);
+        for i in 30..60u64 {
+            assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &vec![i as u8; 200][..]);
+            assert!(!s.contains(RecordId(i - 30)), "deleted stays deleted");
+        }
+        // And compaction can finish after the reopen.
+        while s.reclaimable_dead_bytes() > 0 {
+            if s.compact_step(4096).unwrap().is_noop() {
+                break;
+            }
+        }
+        assert_eq!(s.reclaimable_dead_bytes(), 0);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ------------------------------------------------------------------
+// Windowed compaction ≡ frame-at-a-time compaction
+// ------------------------------------------------------------------
+
+/// A fixed churned store over many small segments: frames from 60 B to
+/// 6 KB (so they straddle a 4 KiB window, and one outgrows it), stale
+/// puts, tombstones that outlive their segment, degraded tags.
+fn churned_store(dir: &Path, fault: Option<Arc<FaultInjector>>) -> RecordStore {
+    let cfg =
+        StoreConfig { segment_bytes: 8192, block_cache_bytes: 0, fault, ..Default::default() };
+    let s = RecordStore::open(dir, cfg).unwrap();
+    let mut rng = dbdedup_util::dist::SplitMix64::new(0xC0A1_E5CE);
+    for step in 0..700u64 {
+        let id = RecordId(rng.next_index(90) as u64);
+        let len = match rng.next_index(12) {
+            0 => 6000,
+            1..=3 => 40 + rng.next_index(200),
+            _ => 300 + rng.next_index(1200),
+        };
+        match rng.next_index(8) {
+            0 | 1 => s.delete(id).unwrap(),
+            2 => s.put_degraded(id, "db", &vec![step as u8; len]).unwrap(),
+            3 => {
+                s.put(id, StorageForm::Delta { base: RecordId(7) }, &vec![id.0 as u8; len])
+                    .unwrap();
+            }
+            _ => s.put(id, StorageForm::Raw, &vec![step as u8; len]).unwrap(),
+        }
+    }
+    s
+}
+
+fn live_payloads(s: &RecordStore) -> Vec<(RecordId, StoredRecord)> {
+    let mut ids: Vec<RecordId> = s.live_forms().into_iter().map(|(id, _)| id).collect();
+    ids.sort_unstable();
+    ids.into_iter().map(|id| (id, s.get(id).unwrap())).collect()
+}
+
+#[test]
+fn windowed_compaction_writes_the_segments_frame_at_a_time_compaction_writes() {
+    // Budget 1 degenerates to one frame per step and one write per kept
+    // frame: the reference. The others read through 4 KiB windows,
+    // through one window per step, and through whole segments.
+    let mut reference = None;
+    for budget in [1, 4096, 256 << 10, 1 << 20] {
+        let dir = temp_dir("windowed");
+        let s = churned_store(&dir, None);
+        let before = live_payloads(&s);
+        let stats = compact_to_quiescence(&s, budget);
+        assert_eq!(stats.entries_skipped, 0);
+        assert_eq!(s.reclaimable_dead_bytes(), 0);
+        assert_eq!(live_payloads(&s), before, "budget {budget}: every record reads as before");
+        let io = s.io_stats();
+        let outcome = (s.segment_bytes().unwrap(), stats, io.reads, io.writes, io.read_bytes);
+        assert!(outcome.0.len() > 20, "rotations mid-run need many segments");
+        match &reference {
+            None => reference = Some(outcome),
+            Some(r) => {
+                assert!(outcome.0 == r.0, "budget {budget}: segment files differ");
+                assert_eq!((outcome.1, outcome.2, outcome.3, outcome.4), (r.1, r.2, r.3, r.4));
+            }
+        }
+        drop(s);
+        let reopened = RecordStore::open(&dir, StoreConfig::default()).unwrap();
+        assert!(reopened.recovery_report().is_clean(), "budget {budget}");
+        assert_eq!(live_payloads(&reopened), before, "budget {budget}: after reopen");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn damage_anywhere_in_a_window_takes_the_frame_at_a_time_path() {
+    // Rot the first, a middle and the last frame of the first victim
+    // while the store is open (the directory still points at them):
+    // whatever the window size, compaction keeps what precedes the
+    // damage, gives up the rest of that segment, and ends with the same
+    // files, stats and survivors as stepping one frame at a time.
+    for which in 0..3 {
+        let mut reference = None;
+        for budget in [1, 4096, 256 << 10] {
+            let dir = temp_dir("windowed-damage");
+            let s = churned_store(&dir, None);
+            // A sealed segment that will be compacted (it holds dead
+            // bytes) and has the most live frames to lose.
+            let victim = {
+                let inner = s.inner.lock();
+                (0..inner.active_idx)
+                    .filter(|&seg| {
+                        let len = fs::metadata(segment_path(&dir, seg)).unwrap().len();
+                        len - frame::FILE_HDR as u64 > inner.seg_live_frame_bytes(seg)
+                    })
+                    .max_by_key(|&seg| inner.live_frames_from(seg, 0).count())
+                    .expect("a dirty sealed segment")
+            };
+            let frames: Vec<Loc> =
+                s.inner.lock().live_frames_from(victim, 0).map(|(_, loc)| loc).collect();
+            assert!(frames.len() >= 3, "victim {victim} has {} live frames", frames.len());
+            rot_frame(&dir, [frames[0], frames[frames.len() / 2], frames[frames.len() - 1]][which]);
+            let stats = compact_to_quiescence(&s, budget);
+            assert!(stats.entries_skipped >= 1, "damage {which} budget {budget}: {stats:?}");
+            let survivors = live_payloads(&s);
+            let outcome = (s.segment_bytes().unwrap(), stats, survivors);
+            match &reference {
+                None => reference = Some(outcome),
+                Some(r) => {
+                    assert!(outcome.0 == r.0, "damage {which} budget {budget}: files differ");
+                    assert_eq!(outcome.1, r.1, "damage {which} budget {budget}");
+                    assert_eq!(outcome.2, r.2, "damage {which} budget {budget}");
+                }
+            }
+            drop(s);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn carried_tombstone_rides_in_the_run_between_its_live_neighbours() {
+    let dir = temp_dir("carried-tomb");
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let cfg =
+        StoreConfig { segment_bytes: 2048, fault: Some(Arc::clone(&inj)), ..Default::default() };
+    {
+        let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+        // seg 0: X and a filler. seg 1: A, X's tombstone, B, then C —
+        // superseded from seg 2, which makes seg 1 the first victim
+        // while X's stale put still sits in seg 0.
+        s.put(RecordId(100), StorageForm::Raw, &[0x58; 1500]).unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &[0xF0; 600]).unwrap();
+        s.put(RecordId(2), StorageForm::Raw, &[0xAA; 300]).unwrap();
+        s.delete(RecordId(100)).unwrap();
+        s.put(RecordId(3), StorageForm::Raw, &[0xBB; 300]).unwrap();
+        s.put(RecordId(4), StorageForm::Raw, &[0xCC; 1800]).unwrap();
+        s.put(RecordId(4), StorageForm::Raw, &[0xCD; 10]).unwrap();
+        assert_eq!(s.frame_extent(RecordId(2)).unwrap().0, 1);
+        assert_eq!(s.frame_extent(RecordId(4)).unwrap().0, 2);
+        let (writes, tombs) = (inj.writes_seen(), s.tombstone_bytes());
+        let step = s.compact_step(u64::MAX).unwrap();
+        assert_eq!(step.segments_rewritten, 2, "seg 1, then seg 0: {step:?}");
+        // Seg 1's kept frames — A, the tombstone, B — went out as one
+        // write; seg 0's filler as another. No rotation in between.
+        assert_eq!(inj.writes_seen() - writes, 2);
+        assert_eq!(s.tombstone_bytes(), tombs, "the tombstone was carried, not dropped");
+        let a = s.frame_extent(RecordId(2)).unwrap();
+        let b = s.frame_extent(RecordId(3)).unwrap();
+        assert_eq!(a.0, b.0);
+        assert_eq!(b.1 - (a.1 + u64::from(a.2)), tombs, "the tombstone sits between A and B");
+    }
+    let s = RecordStore::open(&dir, cfg).unwrap();
+    assert!(!s.contains(RecordId(100)), "replay still ends deleted");
+    assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[0xAA; 300][..]);
+    assert_eq!(&s.get(RecordId(3)).unwrap().payload[..], &[0xBB; 300][..]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store in `dir`, opened under `cfg`, whose compaction cursor sits in
+/// a sealed victim just past its one stale frame, with `n + 1` small
+/// live frames in a row ahead of it. Returns the store and the ids of
+/// those frames in victim order.
+fn sealed_victim_with_one_long_run(
+    dir: &Path,
+    cfg: StoreConfig,
+    n: u64,
+) -> (RecordStore, Vec<RecordId>) {
+    {
+        // Built in one default-sized segment, whatever `cfg` rotates at.
+        let s = RecordStore::open(dir, StoreConfig::default()).unwrap();
+        for i in 0..=n {
+            s.put(RecordId(i), StorageForm::Raw, &[i as u8; 100]).unwrap();
+        }
+        s.put(RecordId(0), StorageForm::Raw, &[0xEE; 100]).unwrap();
+    }
+    let s = RecordStore::open(dir, cfg).unwrap();
+    // A one-byte budget seals the active segment as the victim and
+    // stops after its first frame, the stale put of record 0.
+    let first = s.compact_step(1).unwrap();
+    assert!(first.bytes_scanned > 0 && first.segments_rewritten == 0, "{first:?}");
+    let ids = (1..=n).chain([0]).map(RecordId).collect();
+    (s, ids)
+}
+
+#[test]
+fn one_compaction_step_writes_once_per_run_not_once_per_frame() {
+    // The regression guard, in counts: physical writes per step.
+    let dir = temp_dir("one-write");
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let cfg = StoreConfig { fault: Some(Arc::clone(&inj)), ..Default::default() };
+    let (s, ids) = sealed_victim_with_one_long_run(&dir, cfg, 240);
+    let (ops, io) = (inj.writes_seen(), s.io_stats());
+    let step = s.compact_step(256 << 10).unwrap();
+    assert_eq!(step.segments_rewritten, 1, "{step:?}");
+    assert_eq!(inj.writes_seen() - ops, 1, "241 adjacent live frames, one write");
+    assert_eq!(s.io_stats().writes - io.writes, 241, "`writes` still counts entries");
+    assert_eq!(s.io_stats().write_bytes - io.write_bytes, step.bytes_scanned);
+    for id in ids {
+        assert_eq!(s.get(id).unwrap().payload.len(), 100);
+    }
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+
+    // With segments small enough to rotate mid-run, each rotation costs
+    // its header and one more run; the files are what per-frame
+    // appends leave (see the equivalence test above).
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let cfg =
+        StoreConfig { segment_bytes: 8192, fault: Some(Arc::clone(&inj)), ..Default::default() };
+    let (s, _) = sealed_victim_with_one_long_run(&dir, cfg, 240);
+    let (ops, segs) = (inj.writes_seen(), s.inner.lock().active_idx);
+    let step = s.compact_step(256 << 10).unwrap();
+    let rotations = u64::from(s.inner.lock().active_idx - segs);
+    assert!(rotations >= 2 && step.segments_rewritten == 1, "{rotations} {step:?}");
+    assert!(
+        inj.writes_seen() - ops <= 1 + 2 * rotations,
+        "{} ops, {rotations} rotations",
+        inj.writes_seen() - ops
+    );
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_run_write_leaves_memory_describing_the_victim() {
+    // Where the run's write lands in the op stream, from a clean run.
+    let dir = temp_dir("failed-run");
+    let probe = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let cfg = StoreConfig { fault: Some(Arc::clone(&probe)), ..Default::default() };
+    drop(sealed_victim_with_one_long_run(&dir, cfg, 50));
+    let run_op = probe.writes_seen();
+    let _ = fs::remove_dir_all(&dir);
+
+    let plan = FaultPlan::new().fault_at(run_op, FaultKind::IoError);
+    let cfg = StoreConfig {
+        block_cache_bytes: 0,
+        fault: Some(Arc::new(FaultInjector::new(plan))),
+        ..Default::default()
+    };
+    let (s, ids) = sealed_victim_with_one_long_run(&dir, cfg, 50);
+    let snapshot = |s: &RecordStore| {
+        let inner = s.inner.lock();
+        let locs: Vec<(u32, u64)> =
+            ids.iter().map(|id| (inner.directory[id].seg, inner.directory[id].off)).collect();
+        let cur = inner.cursor.expect("mid-victim");
+        (locs, inner.active_off, inner.io.writes, inner.dead_bytes, cur.off, cur.live_moved)
+    };
+    let before = snapshot(&s);
+    assert!(matches!(s.compact_step(256 << 10), Err(StoreError::Io(_))));
+    assert_eq!(snapshot(&s), before, "no entry names bytes that were never written");
+    assert_segment_views_match_directory(&s.inner.lock(), "after the failed run");
+    for &id in &ids {
+        assert_eq!(s.get(id).unwrap().payload.len(), 100, "still served from the victim");
+    }
+    // The error was transient: the next step redoes the run.
+    let step = s.compact_step(256 << 10).unwrap();
+    assert_eq!(step.segments_rewritten, 1, "{step:?}");
+    assert_eq!(s.reclaimable_dead_bytes(), 0);
+    for &id in &ids {
+        assert_eq!(s.get(id).unwrap().payload.len(), 100);
+    }
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sealed_segment_ending_in_a_fragment_shorter_than_a_header_still_compacts() {
+    let dir = temp_dir("short-tail");
+    let cfg = StoreConfig { segment_bytes: 1024, block_cache_bytes: 0, ..Default::default() };
+    {
+        let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+        for i in 0..12u64 {
+            s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+        }
+        s.put(RecordId(0), StorageForm::Raw, &[0xFF; 20]).unwrap();
+    }
+    let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
+    f.write_all(&[0xDB, 0x5E, 1]).unwrap();
+    drop(f);
+    let s = RecordStore::open(&dir, cfg).unwrap();
+    assert_eq!(s.recovery_report().quarantined_bytes, 3);
+    let stats = compact_to_quiescence(&s, 4096);
+    assert!(stats.entries_skipped >= 1, "{stats:?}");
+    assert_eq!(s.reclaimable_dead_bytes(), 0);
+    for i in 1..12u64 {
+        assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], &[i as u8; 200][..]);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tombstones_dropped_once_stale_puts_are_gone() {
+    let cfg = StoreConfig { segment_bytes: 1 << 20, ..Default::default() };
+    let s = RecordStore::open_temp(cfg).unwrap();
+    s.put(RecordId(1), StorageForm::Raw, &[1u8; 500]).unwrap();
+    s.put(RecordId(2), StorageForm::Raw, &[2u8; 500]).unwrap();
+    s.delete(RecordId(1)).unwrap();
+    assert!(s.tombstone_bytes() > 0);
+    // Everything sits in the active segment; the step seals it and
+    // copies forward. The stale put for id 1 is dropped first, so by
+    // the time the tombstone is scanned it shadows nothing.
+    let mut steps = 0;
+    while s.reclaimable_dead_bytes() > 0 || s.tombstone_bytes() > 0 {
+        if s.compact_step(u64::MAX).unwrap().is_noop() {
+            break;
+        }
+        steps += 1;
+        assert!(steps < 100);
+    }
+    assert_eq!(s.tombstone_bytes(), 0, "tombstone physically gone");
+    assert_eq!(s.dead_bytes(), 0);
+    assert!(!s.contains(RecordId(1)));
+    assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[2u8; 500][..]);
+}

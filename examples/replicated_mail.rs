@@ -11,7 +11,7 @@
 
 use dbdedup::util::fmt::{format_bytes, format_ratio};
 use dbdedup::workloads::{Enron, Op};
-use dbdedup::{EngineConfig, ReplicaPair};
+use dbdedup::{EngineConfig, ReplicaSet};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inserts =
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut cfg = EngineConfig::default();
     cfg.min_benefit_bytes = 16;
-    let mut pair = ReplicaPair::open_temp(cfg)?;
+    let mut set = ReplicaSet::open_temp(cfg, 1)?;
 
     println!("ingesting {inserts} email messages on the primary...");
     let mut ids = Vec::new();
@@ -27,28 +27,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for op in Enron::insert_only(inserts, 99) {
         if let Op::Insert { id, data } = op {
             original += data.len() as u64;
-            pair.primary.insert("enron", id, &data)?;
+            set.primary.insert("enron", id, &data)?;
             ids.push(id);
             // Ship continuously, as MongoDB's oplog syncer would.
-            if pair.primary.oplog_pending() > 32 {
-                pair.sync()?;
+            if set.primary.oplog_pending() > 32 {
+                set.sync()?;
             }
         }
     }
-    pair.sync()?;
-    pair.flush_both()?;
+    set.sync()?;
+    set.flush_all()?;
 
     println!("verifying replica convergence on all {} messages...", ids.len());
     for id in &ids {
         assert_eq!(
-            &pair.primary.read(*id)?[..],
-            &pair.secondary.read(*id)?[..],
+            &set.primary.read(*id)?[..],
+            &set.secondaries[0].read(*id)?[..],
             "replica diverged at {id}"
         );
     }
 
-    let net = pair.network_stats();
-    let stored = pair.primary.store().stored_payload_bytes();
+    let net = set.link_stats()[0];
+    let stored = set.primary.store().stored_payload_bytes();
     println!("\n--- replication report ---");
     println!("messages:             {}", ids.len());
     println!("original volume:      {}", format_bytes(original));
@@ -58,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("storage compression:  {}", format_ratio(original as f64 / stored as f64));
     println!(
         "secondary storage:    {} (byte-identical: {})",
-        format_bytes(pair.secondary.store().stored_payload_bytes()),
-        pair.secondary.store().stored_payload_bytes() == stored,
+        format_bytes(set.secondaries[0].store().stored_payload_bytes()),
+        set.secondaries[0].store().stored_payload_bytes() == stored,
     );
     Ok(())
 }

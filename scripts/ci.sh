@@ -49,6 +49,19 @@ echo "==> perf determinism guard"
 #   encode, size on the Fig. 15 pairs); dbdedup-storage `store::tests` (the
 #   size-carrying directory: no frame re-read on supersede, live counters
 #   equal a reopen's); dbdedup-cache (anchor accounting).
+# * one frame format under segments and the oplog file — dbdedup-storage
+#   `frame::tests` (`cargo test -q -p dbdedup-storage --lib frame::`:
+#   headers name their kind and any flip invalidates them, frames verify
+#   only where they start, damage up to the next frame vs a torn tail); the
+#   oplog sweep suite `oplog_sweeps` (`cargo test -q -p dbdedup-storage
+#   --test oplog_sweeps`: flip every byte, header included, and tear at
+#   every offset of a small oplog file — the replay is exactly the frames
+#   before the damage, the cut is reported, and an append survives the next
+#   reopen); the two regressions that fail on a length-prefixed oplog,
+#   `oplog::tests::entries_appended_after_a_torn_tail_survive_the_next_reopen`
+#   and `oplog::tests::a_flipped_byte_ends_the_replay_before_the_entry_it_hit`,
+#   and their engine-level twin `cargo test -q --test durability
+#   durable_oplog_keeps_entries_appended_after_a_torn_tail`.
 # * one scan, one pipeline — `one_scan` (serial ≡ 4-worker parallel, primary
 #   ≡ secondary, cache miss ≡ hit, a Rabin store reopened under the default
 #   kind) and `differential` (ParallelIngest at every worker count commits

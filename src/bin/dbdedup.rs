@@ -9,7 +9,7 @@
 
 use dbdedup::util::fmt::{format_bytes, format_ops, format_ratio};
 use dbdedup::workloads::{Enron, MessageBoards, Op, StackExchange, Wikipedia, Workload};
-use dbdedup::{DedupEngine, EngineConfig, ReplicaPair};
+use dbdedup::{DedupEngine, EngineConfig, ReplicaSet};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -145,7 +145,7 @@ fn cmd_replicate(args: &Args) {
     let n = args.n();
     let mut cfg = EngineConfig::default();
     cfg.min_benefit_bytes = 16;
-    let mut pair = ReplicaPair::open_temp(cfg).expect("pair");
+    let mut set = ReplicaSet::open_temp(cfg, 1).expect("replica set");
     let mut wl = workload(name, n, 42);
     let db = wl.db();
     let mut original = 0u64;
@@ -153,22 +153,22 @@ fn cmd_replicate(args: &Args) {
     for op in &mut wl {
         if let Op::Insert { id, data } = op {
             original += data.len() as u64;
-            pair.primary.insert(db, id, &data).expect("insert");
+            set.primary.insert(db, id, &data).expect("insert");
             ids.push(id);
-            if pair.primary.oplog_pending() > 64 {
-                pair.sync().expect("sync");
+            if set.primary.oplog_pending() > 64 {
+                set.sync().expect("sync");
             }
         }
     }
-    pair.sync().expect("sync");
-    pair.flush_both().expect("flush");
+    set.sync().expect("sync");
+    set.flush_all().expect("flush");
     for id in &ids {
         assert_eq!(
-            &pair.primary.read(*id).expect("read")[..],
-            &pair.secondary.read(*id).expect("read")[..]
+            &set.primary.read(*id).expect("read")[..],
+            &set.secondaries[0].read(*id).expect("read")[..]
         );
     }
-    let net = pair.network_stats();
+    let net = set.link_stats()[0];
     println!("replicated {} records of {name}", ids.len());
     println!("original volume:     {}", format_bytes(original));
     println!("wire bytes:          {} in {} batches", format_bytes(net.bytes), net.batches);

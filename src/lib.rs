@@ -60,6 +60,6 @@ pub use dbdedup_core::{
 };
 pub use dbdedup_encoding::EncodingPolicy;
 pub use dbdedup_maint::{MaintConfig, Maintainer};
-pub use dbdedup_repl::{AsyncReplicator, ReplicaPair, ResyncReport};
+pub use dbdedup_repl::{AsyncReplicator, ReplicaSet, ResyncReport};
 pub use dbdedup_storage::{FaultInjector, FaultKind, FaultPlan, RecoveryReport};
 pub use dbdedup_util::ids::RecordId;

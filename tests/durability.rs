@@ -2,6 +2,7 @@
 //! over the recovered store serves every record — delta-encoded chains
 //! included (decode follows on-disk base pointers, not in-memory state).
 
+use dbdedup::storage::oplog::OplogKind;
 use dbdedup::storage::store::{CompactStats, RecordStore, StoreConfig};
 use dbdedup::workloads::wikipedia::revision_chain;
 use dbdedup::{DedupEngine, EngineConfig, RecordId};
@@ -149,6 +150,54 @@ fn durable_oplog_resumes_replication_after_restart() {
             assert_eq!(&secondary.read(RecordId(i as u64)).unwrap()[..], &rev[..]);
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn durable_oplog_keeps_entries_appended_after_a_torn_tail() {
+    let dir = temp_dir("oplog-torn");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let oplog_path = dir.join("oplog.log");
+    let store_dir = dir.join("store");
+    let chain = revision_chain(8, 5);
+    let open = || {
+        let store = RecordStore::open(&store_dir, StoreConfig::default()).expect("open");
+        let mut c = cfg();
+        c.oplog_path = Some(oplog_path.clone());
+        DedupEngine::new(store, c).expect("engine")
+    };
+    {
+        let mut e = open();
+        for (i, rev) in chain.iter().enumerate().take(4) {
+            e.insert("wikipedia", RecordId(i as u64), rev).expect("insert");
+        }
+    }
+    // A crash tore the last oplog write.
+    let len = std::fs::metadata(&oplog_path).expect("oplog").len();
+    let file = std::fs::OpenOptions::new().write(true).open(&oplog_path).expect("oplog");
+    file.set_len(len - 3).expect("tear");
+    {
+        let mut e = open();
+        assert_eq!(e.oplog_next_lsn(), 3, "the torn entry is cut");
+        assert_eq!(e.event_log().of_kind("salvage").len(), 1, "and the cut is reported");
+        for (i, rev) in chain.iter().enumerate().skip(4) {
+            e.insert("wikipedia", RecordId(i as u64), rev).expect("insert after reopen");
+        }
+    }
+    let mut e = open();
+    assert!(e.event_log().of_kind("salvage").is_empty(), "the second reopen finds nothing");
+    let batch = e.take_oplog_batch(usize::MAX);
+    let lsns: Vec<u64> = batch.iter().map(|entry| entry.lsn).collect();
+    assert_eq!(lsns, (0..7).collect::<Vec<_>>(), "three survivors, then four new entries");
+    let after: Vec<RecordId> = batch[3..]
+        .iter()
+        .map(|entry| match entry.kind {
+            OplogKind::Insert { id, .. } => id,
+            ref other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(after, (4..8).map(RecordId).collect::<Vec<_>>(), "appended after the reopen");
+    drop(e);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,7 +23,7 @@ use dbdedup::engine::ChunkerKind;
 use dbdedup::storage::store::{RecordStore, StoreConfig};
 use dbdedup::workloads::wikipedia::revision_chain;
 use dbdedup::{
-    DedupEngine, EngineConfig, IngestConfig, InsertOutcome, ParallelIngest, RecordId, ReplicaPair,
+    DedupEngine, EngineConfig, IngestConfig, InsertOutcome, ParallelIngest, RecordId, ReplicaSet,
     ShardedEngine,
 };
 
@@ -89,25 +89,25 @@ fn serial_and_four_worker_ingest_commit_identical_bytes() {
 #[test]
 fn primary_and_secondary_hold_the_same_content() {
     let ops = interleaved_chains(40);
-    let mut pair = ReplicaPair::open_temp(cfg()).expect("pair");
+    let mut set = ReplicaSet::open_temp(cfg(), 1).expect("replica set");
     for (i, (id, data)) in ops.iter().enumerate() {
-        pair.primary.insert("wikipedia", *id, data).expect("insert");
+        set.primary.insert("wikipedia", *id, data).expect("insert");
         if i % 8 == 7 {
-            pair.sync().expect("sync");
+            set.sync().expect("sync");
         }
     }
-    pair.sync().expect("sync");
-    pair.flush_both().expect("flush");
+    set.sync().expect("sync");
+    set.flush_all().expect("flush");
     for (id, data) in &ops {
-        let want = pair.primary.content_checksum(*id).expect("primary checksum");
-        assert_eq!(pair.secondary.content_checksum(*id).expect("secondary checksum"), want);
-        assert_eq!(&pair.secondary.read(*id).expect("secondary read")[..], &data[..]);
+        let want = set.primary.content_checksum(*id).expect("primary checksum");
+        assert_eq!(set.secondaries[0].content_checksum(*id).expect("secondary checksum"), want);
+        assert_eq!(&set.secondaries[0].read(*id).expect("secondary read")[..], &data[..]);
     }
     // The secondary regenerated the same backward deltas, hop bases
     // included, from records it had never scanned.
     assert_eq!(
-        pair.primary.store().stored_payload_bytes(),
-        pair.secondary.store().stored_payload_bytes()
+        set.primary.store().stored_payload_bytes(),
+        set.secondaries[0].store().stored_payload_bytes()
     );
 }
 

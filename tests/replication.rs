@@ -3,7 +3,7 @@
 
 use dbdedup::repl::{AsyncReplicator, ShipOutcome};
 use dbdedup::workloads::{standard_suite, Op};
-use dbdedup::{DedupEngine, EngineConfig, RecordId, ReplicaPair};
+use dbdedup::{DedupEngine, EngineConfig, RecordId, ReplicaSet};
 
 fn cfg() -> EngineConfig {
     let mut c = EngineConfig::default();
@@ -14,28 +14,28 @@ fn cfg() -> EngineConfig {
 #[test]
 fn all_workloads_converge() {
     for mut wl in standard_suite(120, 7) {
-        let mut pair = ReplicaPair::open_temp(cfg()).expect("pair");
+        let mut set = ReplicaSet::open_temp(cfg(), 1).expect("replica set");
         let db = wl.db();
         let mut ids = Vec::new();
         for op in &mut wl {
             if let Op::Insert { id, data } = op {
-                pair.primary.insert(db, id, &data).expect("insert");
+                set.primary.insert(db, id, &data).expect("insert");
                 ids.push(id);
             }
         }
-        pair.sync().expect("sync");
-        pair.flush_both().expect("flush");
+        set.sync().expect("sync");
+        set.flush_all().expect("flush");
         for id in ids {
             assert_eq!(
-                &pair.primary.read(id).unwrap()[..],
-                &pair.secondary.read(id).unwrap()[..],
+                &set.primary.read(id).unwrap()[..],
+                &set.secondaries[0].read(id).unwrap()[..],
                 "{}: record {id} diverged",
                 wl.name()
             );
         }
         assert_eq!(
-            pair.primary.store().stored_payload_bytes(),
-            pair.secondary.store().stored_payload_bytes(),
+            set.primary.store().stored_payload_bytes(),
+            set.secondaries[0].store().stored_payload_bytes(),
             "{}: storage footprints must converge",
             wl.name()
         );
@@ -45,19 +45,19 @@ fn all_workloads_converge() {
 #[test]
 fn network_savings_mirror_storage_savings() {
     // Fig 11: the two ratios are within a few percent of each other.
-    let mut pair = ReplicaPair::open_temp(cfg()).expect("pair");
+    let mut set = ReplicaSet::open_temp(cfg(), 1).expect("replica set");
     let mut wl = standard_suite(200, 8).into_iter().next().expect("wikipedia");
     let mut original = 0u64;
     for op in &mut *wl {
         if let Op::Insert { id, data } = op {
             original += data.len() as u64;
-            pair.primary.insert("wikipedia", id, &data).expect("insert");
+            set.primary.insert("wikipedia", id, &data).expect("insert");
         }
     }
-    pair.sync().expect("sync");
-    pair.flush_both().expect("flush");
-    let storage = original as f64 / pair.primary.store().stored_payload_bytes() as f64;
-    let network = original as f64 / pair.network_stats().bytes as f64;
+    set.sync().expect("sync");
+    set.flush_all().expect("flush");
+    let storage = original as f64 / set.primary.store().stored_payload_bytes() as f64;
+    let network = original as f64 / set.total_network_bytes() as f64;
     assert!(storage > 3.0 && network > 3.0, "storage {storage:.1} network {network:.1}");
     let gap = (1.0 - storage / network).abs();
     assert!(gap < 0.25, "storage-vs-network gap too large: {gap:.2}");
@@ -65,30 +65,32 @@ fn network_savings_mirror_storage_savings() {
 
 #[test]
 fn interleaved_sync_and_mutation() {
-    let mut pair = ReplicaPair::open_temp(cfg()).expect("pair");
+    let mut set = ReplicaSet::open_temp(cfg(), 1).expect("replica set");
     let mut wl = standard_suite(100, 9).into_iter().next().expect("wikipedia");
     let mut ids = Vec::new();
     for (k, op) in (&mut *wl).enumerate() {
         if let Op::Insert { id, data } = op {
-            pair.primary.insert("wikipedia", id, &data).expect("insert");
+            set.primary.insert("wikipedia", id, &data).expect("insert");
             ids.push(id);
             if k % 7 == 0 {
-                pair.sync().expect("sync");
+                set.sync().expect("sync");
             }
             if k % 13 == 0 && ids.len() > 2 {
                 let victim = ids[ids.len() / 2];
-                if pair.primary.read(victim).is_ok() {
-                    pair.primary.delete(victim).expect("delete");
+                if set.primary.read(victim).is_ok() {
+                    set.primary.delete(victim).expect("delete");
                 }
             }
         }
     }
-    pair.sync().expect("sync");
-    pair.flush_both().expect("flush");
+    set.sync().expect("sync");
+    set.flush_all().expect("flush");
     for id in ids {
-        match pair.primary.read(id) {
-            Ok(content) => assert_eq!(&pair.secondary.read(id).unwrap()[..], &content[..]),
-            Err(_) => assert!(pair.secondary.read(id).is_err(), "{id} deleted on one side only"),
+        match set.primary.read(id) {
+            Ok(content) => assert_eq!(&set.secondaries[0].read(id).unwrap()[..], &content[..]),
+            Err(_) => {
+                assert!(set.secondaries[0].read(id).is_err(), "{id} deleted on one side only")
+            }
         }
     }
 }
@@ -125,15 +127,15 @@ fn async_replicator_under_load() {
 
 #[test]
 fn secondary_serves_reads_of_old_versions() {
-    let mut pair = ReplicaPair::open_temp(cfg()).expect("pair");
+    let mut set = ReplicaSet::open_temp(cfg(), 1).expect("replica set");
     let chain = dbdedup::workloads::wikipedia::revision_chain(40, 11);
     for (i, rev) in chain.iter().enumerate() {
-        pair.primary.insert("wikipedia", RecordId(i as u64), rev).expect("insert");
+        set.primary.insert("wikipedia", RecordId(i as u64), rev).expect("insert");
     }
-    pair.sync().expect("sync");
-    pair.flush_both().expect("flush");
+    set.sync().expect("sync");
+    set.flush_all().expect("flush");
     // Time-travel reads on the secondary.
     for (i, rev) in chain.iter().enumerate() {
-        assert_eq!(&pair.secondary.read(RecordId(i as u64)).unwrap()[..], &rev[..]);
+        assert_eq!(&set.secondaries[0].read(RecordId(i as u64)).unwrap()[..], &rev[..]);
     }
 }
