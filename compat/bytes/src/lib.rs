@@ -8,8 +8,8 @@
 //!
 //! Like the real crate, a `Bytes` is a view — a range of a shared buffer —
 //! so the conversions the read path makes are copy-free too:
-//! `Bytes::from(Vec<u8>)` takes the vector's allocation as it is (every
-//! decoded delta hop), and [`Bytes::from_shared`] hands out part of a
+//! `Bytes::from(Vec<u8>)` takes the vector's allocation as it is (a record
+//! decoded down its delta chain), and [`Bytes::from_shared`] hands out part of a
 //! buffer someone else already holds (a record's payload inside the block
 //! cache's verified frame).
 

@@ -2,7 +2,7 @@
 //! Fig. 15, plus re-encode (Algorithm 2) and decode costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dbdedup_delta::{reencode, xdelta_compress, DbDeltaConfig, DbDeltaEncoder};
+use dbdedup_delta::{reencode, xdelta_compress, DbDeltaConfig, DbDeltaEncoder, Delta};
 use dbdedup_workloads::wikipedia::revision_chain;
 use std::hint::black_box;
 
@@ -47,10 +47,34 @@ fn bench_reencode_and_decode(c: &mut Criterion) {
     });
     let wire = fwd.encode();
     g.bench_function("wire_decode", |b| {
-        b.iter(|| black_box(dbdedup_delta::Delta::decode(black_box(&wire)).expect("decode")));
+        b.iter(|| black_box(Delta::decode(black_box(&wire)).expect("decode")));
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_reencode_and_decode);
+/// A read's unit of work: one stored delta applied to its base, at the
+/// ≈ 17 KB record size of the Wikipedia workloads — through a decoded
+/// `Delta` as the read path did, and straight from the wire as it does now.
+fn bench_apply_from_wire(c: &mut Criterion) {
+    let src = revision_chain(1, 11).remove(0)[..17 << 10].to_vec();
+    let mut tgt = src.clone();
+    for at in [1_000, 6_000, 11_000, 16_000] {
+        tgt.splice(at..at + 20, b"a sentence edited in this revision".iter().copied());
+    }
+    let wire = DbDeltaEncoder::default().encode(&src, &tgt).encode();
+    let mut g = c.benchmark_group("delta_apply_17KiB");
+    g.throughput(Throughput::Bytes(tgt.len() as u64));
+    g.bench_function("decode_then_apply", |b| {
+        b.iter(|| black_box(Delta::decode(black_box(&wire)).expect("decode").apply(&src)));
+    });
+    let mut out = Vec::new();
+    g.bench_function("apply_encoded", |b| {
+        b.iter(|| {
+            Delta::apply_encoded(black_box(&wire), &src, black_box(&mut out)).expect("apply")
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_encode, bench_reencode_and_decode, bench_apply_from_wire);
 criterion_main!(benches);

@@ -122,6 +122,12 @@ impl SourceRecordCache {
         self.map.contains_key(&id)
     }
 
+    /// `id`'s content, *without* touching recency or stats: for a reader
+    /// that must leave the cache exactly as it found it.
+    pub fn peek(&self, id: RecordId) -> Option<Bytes> {
+        self.map.get(&id).map(|e| e.source.data.clone())
+    }
+
     /// Fetches `id`'s content, promoting it to most-recently-used. Counts
     /// a hit or miss.
     pub fn get(&mut self, id: RecordId) -> Option<Bytes> {
@@ -303,6 +309,18 @@ mod tests {
         assert!(c.contains(RecordId(1)));
         c.insert(RecordId(3), bytes(100, 3));
         assert!(!c.contains(RecordId(1)), "1 was still LRU and must be evicted");
+        assert_eq!(c.stats().hits + c.stats().misses, 0);
+    }
+
+    #[test]
+    fn peek_does_not_touch_stats_or_recency() {
+        let mut c = SourceRecordCache::new(200);
+        c.insert(RecordId(1), bytes(100, 1));
+        c.insert(RecordId(2), bytes(100, 2));
+        assert_eq!(c.peek(RecordId(1)), Some(bytes(100, 1)));
+        assert_eq!(c.peek(RecordId(9)), None);
+        c.insert(RecordId(3), bytes(100, 3));
+        assert!(!c.contains(RecordId(1)), "a peeked entry stays least recently used");
         assert_eq!(c.stats().hits + c.stats().misses, 0);
     }
 

@@ -186,6 +186,17 @@ enum Rewrite {
     Splice { base: RecordId },
 }
 
+/// The one splice read-side GC makes on a decode path: `dead`, the first
+/// deleted node past the record read, is cut out from under `dep`, the node
+/// above it, which is re-encoded against `dead`'s own base on the path (or
+/// stored raw when `dead` ended the path).
+struct Splice {
+    dep: RecordId,
+    dep_content: Bytes,
+    dead: RecordId,
+    base: Option<(RecordId, Bytes)>,
+}
+
 /// Buffers the insert path fills for every record and reuses for the next.
 #[derive(Debug, Default)]
 struct InsertScratch {
@@ -874,12 +885,39 @@ impl DedupEngine {
         }
         self.tracer.sample();
         let t = self.tracer.start();
+        if let Some(content) = self.cached_raw(id) {
+            self.tracer.stop(t, Stage::DecodeChain);
+            self.metrics.read_retrievals.record(0);
+            return Ok(content);
+        }
         let decoded = self.decode_with_path(id);
         self.tracer.stop(t, Stage::DecodeChain);
-        let (content, path, contents) = decoded?;
+        let (content, path, splice) = decoded?;
         self.metrics.read_retrievals.record((path.len() - 1) as u64);
-        self.gc_on_path(&path, &contents)?;
+        self.gc_on_path(splice)?;
         Ok(content)
+    }
+
+    /// A record stored raw that the source cache holds is its own content:
+    /// `read` serves it from there. The store read it replaces is still
+    /// charged to the I/O meter, and the cache's recency and stats stay
+    /// untouched: the meter paces write-back flushes and recency steers
+    /// source selection, so both must stand exactly where the store read
+    /// would leave them. A record stored as a delta never comes from here,
+    /// even when cached (a pending hop base), so read-side GC sees every path
+    /// it saw before. `decode_record` (scrub, GC, source fetch) never comes
+    /// here either: the scrub must see a damaged frame behind a cached copy.
+    fn cached_raw(&mut self, id: RecordId) -> Option<Bytes> {
+        // The peek is a plain map lookup; the store's locked directory lookup
+        // is paid only by reads the cache holds.
+        let content = self.source_cache.peek(id)?;
+        if self.store.form(id)? != StorageForm::Raw {
+            return None;
+        }
+        if !self.unmetered_reads {
+            self.io.submit(1);
+        }
+        Some(content)
     }
 
     /// Decodes a record's content without GC or metrics (internal).
@@ -906,23 +944,27 @@ impl DedupEngine {
         EngineError::ChainBroken { id, broken_at, detail: detail.into() }
     }
 
-    /// Walks base pointers to a raw record, then applies deltas back down.
-    /// Returns the content, the path `[id, …, raw]`, and each path node's
-    /// decoded content.
+    /// Walks base pointers up to a raw record (or, past `id`, to a base the
+    /// source cache holds), checking each delta's wire form on the way;
+    /// then applies each delta straight from its wire bytes on the way back
+    /// down, alternating two buffers. Returns the content, the path `[id,
+    /// …, base]`, and — when the path passes a deleted node — the splice
+    /// read-side GC makes there, the only intermediate contents kept.
     #[allow(clippy::type_complexity)]
     fn decode_with_path(
         &mut self,
         id: RecordId,
-    ) -> Result<(Bytes, Vec<RecordId>, Vec<Bytes>), EngineError> {
+    ) -> Result<(Bytes, Vec<RecordId>, Option<Splice>), EngineError> {
         let mut path = vec![id];
-        let mut deltas: Vec<Delta> = Vec::new();
-        let tail_content: Bytes;
+        // Each delta on the path, a view of the frame it was read in.
+        let mut deltas: Vec<Bytes> = Vec::new();
+        let tail: Bytes;
         loop {
             let cur = *path.last().expect("path non-empty");
             // Decode bases may be served from the source cache (§4.1 Read).
             if cur != id {
                 if let Some(c) = self.source_cache.get(cur) {
-                    tail_content = c;
+                    tail = c;
                     break;
                 }
             }
@@ -944,61 +986,68 @@ impl DedupEngine {
             }
             match sr.form {
                 StorageForm::Raw => {
-                    tail_content = sr.payload;
+                    tail = sr.payload;
                     break;
                 }
                 StorageForm::Delta { base } => {
-                    match Delta::decode(&sr.payload) {
-                        Ok(d) => deltas.push(d),
-                        Err(e) => {
-                            return Err(self.chain_broken(
-                                id,
-                                cur,
-                                format!("stored delta undecodable: {e}"),
-                            ))
-                        }
+                    if let Err(e) = Delta::validate(&sr.payload) {
+                        let detail = format!("stored delta undecodable: {e}");
+                        return Err(self.chain_broken(id, cur, detail));
                     }
+                    deltas.push(sr.payload);
                     path.push(base);
                 }
             }
         }
-        // Unwind: contents[k] is the content of path[k].
-        let mut contents = vec![Bytes::new(); path.len()];
-        contents[path.len() - 1] = tail_content;
-        for k in (0..path.len() - 1).rev() {
-            let decoded = match deltas[k].apply(&contents[k + 1]) {
-                Ok(d) => d,
-                Err(e) => {
-                    return Err(self.chain_broken(
-                        id,
-                        path[k],
-                        format!("delta application failed: {e}"),
-                    ))
-                }
-            };
-            contents[k] = Bytes::from(decoded);
+        // Read-side GC splices out the first deleted node below `id`, and
+        // needs the contents of its two neighbours: only those are kept.
+        let dead = (1..path.len()).find(|&k| self.chains.is_deleted(path[k]));
+        let slot = |k: usize| match dead {
+            Some(d) if k + 1 == d => Some(0),
+            Some(d) if k == d + 1 => Some(1),
+            _ => None,
+        };
+        let mut kept: [Option<Bytes>; 2] = [None, None];
+        let last = path.len() - 1;
+        if let Some(i) = slot(last) {
+            kept[i] = Some(tail.clone());
         }
-        Ok((contents[0].clone(), path, contents))
+        // Unwind: after step k, `cur` holds the content of path[k].
+        let (mut cur, mut next) = (Vec::new(), Vec::new());
+        for k in (0..last).rev() {
+            let below: &[u8] = if k + 1 == last { &tail } else { &cur };
+            if let Err(e) = Delta::apply_encoded(&deltas[k], below, &mut next) {
+                let detail = format!("delta application failed: {e}");
+                return Err(self.chain_broken(id, path[k], detail));
+            }
+            std::mem::swap(&mut cur, &mut next);
+            // Path[0]'s content is the result, kept without a copy below.
+            if let Some(i) = slot(k).filter(|_| k > 0) {
+                kept[i] = Some(Bytes::copy_from_slice(&cur));
+            }
+        }
+        let content = if last == 0 { tail } else { Bytes::from(cur) };
+        let splice = dead.map(|d| {
+            let [dep_content, base] = kept;
+            Splice {
+                dep: path[d - 1],
+                dep_content: dep_content.unwrap_or_else(|| content.clone()),
+                dead: path[d],
+                base: base.map(|c| (path[d + 1], c)),
+            }
+        });
+        Ok((content, path, splice))
     }
 
-    /// Read-side GC (§4.1): splice deleted records out of the decode path
-    /// and physically remove them once unreferenced.
-    fn gc_on_path(&mut self, path: &[RecordId], contents: &[Bytes]) -> Result<(), EngineError> {
-        for k in 1..path.len() {
-            let dead = path[k];
-            if !self.chains.is_deleted(dead) {
-                continue;
-            }
-            // The deleted record's own base, when it has one, was decoded
-            // on the way here.
-            let new_base = (k + 1 < path.len()).then(|| (path[k + 1], &contents[k + 1][..]));
-            self.splice_out(path[k - 1], &contents[k - 1], new_base)?;
-            self.try_remove_deleted(dead)?;
-            // The path below `dead` no longer reflects the stored topology;
-            // one splice per read keeps GC amortized (later reads continue).
-            break;
-        }
-        Ok(())
+    /// Read-side GC (§4.1): splices the deleted record a read walked past
+    /// out of the decode path, and removes it physically once unreferenced.
+    /// The path below it no longer reflects the stored topology, so one
+    /// splice per read keeps GC amortized (later reads continue).
+    fn gc_on_path(&mut self, splice: Option<Splice>) -> Result<(), EngineError> {
+        let Some(s) = splice else { return Ok(()) };
+        let new_base = s.base.as_ref().map(|(base, content)| (*base, &content[..]));
+        self.splice_out(s.dep, &s.dep_content, new_base)?;
+        self.try_remove_deleted(s.dead)
     }
 
     /// The one tombstone splice, behind read-side GC and background
@@ -1266,7 +1315,9 @@ impl DedupEngine {
                     OplogPayload::Raw(d) => d.clone(),
                     OplogPayload::Forward { base, delta } => {
                         let src = self.fetch_for_encode(*base)?.data;
-                        Bytes::from(Delta::decode(delta)?.apply(&src)?)
+                        let mut data = Vec::new();
+                        Delta::apply_encoded(delta, &src, &mut data)?;
+                        Bytes::from(data)
                     }
                 };
                 self.apply_update(*id, &data, false)
@@ -1492,6 +1543,72 @@ mod tests {
         assert!(!e.store().contains(RecordId(1)));
         // And record 0 still reads correctly through its new base.
         assert_eq!(&e.read(RecordId(0)).unwrap()[..], &docs[0][..]);
+    }
+
+    #[test]
+    fn a_cache_served_read_leaves_cache_and_meter_where_the_store_read_did() {
+        let mut rng = SplitMix64::new(0xCAC4E);
+        let docs: Vec<Vec<u8>> =
+            (0..8).map(|_| (0..6_000).map(|_| rng.next_u64() as u8).collect()).collect();
+        let build = || {
+            let mut cfg = EngineConfig::default();
+            cfg.source_cache_bytes = 24 << 10; // the last few records only
+            let mut e = DedupEngine::open_temp(cfg).unwrap();
+            for (i, d) in docs[..7].iter().enumerate() {
+                assert_eq!(e.insert("db", RecordId(i as u64), d).unwrap(), InsertOutcome::Unique);
+            }
+            e
+        };
+        let (mut served, mut oracle) = (build(), build());
+        // The least recently used record still cached: the next eviction's.
+        let lru = (0..7).map(RecordId).find(|&id| served.source_cache.contains(id)).unwrap();
+        assert_eq!(served.store.form(lru), Some(StorageForm::Raw));
+        let (stats, queue, reads) =
+            (served.source_cache.stats(), served.io_queue_len(), served.metrics().reads_decoded);
+        // The oracle takes the store path every read of it took before.
+        let content = served.read(lru).unwrap();
+        let (stored, path, _) = oracle.decode_with_path(lru).unwrap();
+        assert_eq!((content, path.len()), (stored, 1));
+        assert_eq!(served.io_queue_len(), queue + 1.0, "exactly one read on the meter");
+        assert_eq!(served.io_queue_len(), oracle.io_queue_len());
+        let after = served.source_cache.stats();
+        assert_eq!((after.hits, after.misses), (stats.hits, stats.misses));
+        let m = served.metrics();
+        assert_eq!((m.reads_decoded, m.max_read_retrievals), (reads + 1, 0));
+        // Recency untouched: the next record cached evicts the one just read.
+        for e in [&mut served, &mut oracle] {
+            e.insert("db", RecordId(7), &docs[7]).unwrap();
+        }
+        assert!(!served.source_cache.contains(lru), "the read promoted its record");
+        for id in (0..8).map(RecordId) {
+            assert_eq!(served.source_cache.contains(id), oracle.source_cache.contains(id), "{id}");
+        }
+        assert_eq!(served.source_cache.stats().evictions, oracle.source_cache.stats().evictions);
+    }
+
+    #[test]
+    fn a_cached_record_stored_as_a_delta_still_decodes_through_the_store() {
+        let mut e = engine();
+        let docs = versioned_docs(3, 0xDE17A);
+        for (i, d) in docs.iter().enumerate() {
+            e.insert("db", RecordId(i as u64), d).unwrap();
+        }
+        e.flush_all_writebacks().unwrap();
+        // Record 0 decodes through 1; cache it anyway, as a pending hop base is.
+        assert!(matches!(e.store.form(RecordId(0)), Some(StorageForm::Delta { .. })));
+        e.source_cache.insert(RecordId(0), Bytes::from(docs[0].clone()));
+        let frames_read = |e: &DedupEngine| {
+            let s = e.store().block_cache_stats();
+            s.hits + s.misses
+        };
+        let (stats, frames) = (e.source_cache.stats(), frames_read(&e));
+        assert_eq!(&e.read(RecordId(0)).unwrap()[..], &docs[0][..]);
+        let hops = e.retrievals_for(RecordId(0)).unwrap() as u64;
+        assert!(hops >= 1);
+        assert_eq!((e.metrics().reads_decoded, e.metrics().max_read_retrievals), (1, hops));
+        let after = e.source_cache.stats();
+        assert!(after.hits + after.misses > stats.hits + stats.misses, "bases probed on the way");
+        assert!(frames_read(&e) > frames, "its frames come from the store");
     }
 
     #[test]

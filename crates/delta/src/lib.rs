@@ -4,8 +4,9 @@
 //! mechanism behind both directions of the two-way encoding.
 //!
 //! * [`ops`] — the COPY/INSERT instruction model shared by every encoder,
-//!   with a compact varint wire format and the decoder
-//!   ([`ops::Delta::apply`]).
+//!   with a compact varint wire format, one reader for it, and the decoder
+//!   ([`ops::Delta::apply`], or [`ops::Delta::apply_encoded`] straight from
+//!   wire bytes).
 //! * [`xdelta`] — the classic xDelta algorithm (MacDonald, 2000): Adler-32
 //!   block index over the source, rolling-checksum scan of the target. This
 //!   is the baseline of Fig. 15.

@@ -11,6 +11,12 @@
 //! op        := 0x01 varint(src_off) varint(len)        ; COPY
 //!            | 0x00 varint(len) byte{len}              ; INSERT
 //! ```
+//!
+//! One reader parses that format (`WireOps`), borrowing each INSERT's
+//! literal from the wire. It sits under [`Delta::decode`] (which owns the
+//! ops), [`Delta::validate`] (which keeps nothing) and
+//! [`Delta::apply_encoded`] (which applies straight from the wire bytes);
+//! one COPY/INSERT loop (`apply_ops`) sits under both applies.
 
 use dbdedup_util::codec::{varint_len, ByteReader, ByteWriter, CodecError};
 
@@ -18,6 +24,10 @@ use dbdedup_util::codec::{varint_len, ByteReader, ByteWriter, CodecError};
 /// outweighs the bytes saved, so encoders fold short copies into the
 /// neighbouring INSERT.
 pub const MIN_COPY_LEN: usize = 8;
+
+/// Output pre-allocated before applying: `target_len` may come from an
+/// untrusted wire header, so growth beyond this follows actual output.
+const MAX_PREALLOC: usize = 1 << 20;
 
 /// One delta instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +61,131 @@ impl DeltaOp {
             DeltaOp::Insert(d) => 1 + varint_len(d.len() as u64) + d.len(),
         }
     }
+
+    fn view(&self) -> OpRef<'_> {
+        match self {
+            DeltaOp::Copy { src_off, len } => OpRef::Copy { src_off: *src_off, len: *len },
+            DeltaOp::Insert(d) => OpRef::Insert(d),
+        }
+    }
+}
+
+/// An instruction as the wire holds it: an INSERT borrows its literal.
+#[derive(Clone, Copy)]
+enum OpRef<'a> {
+    Copy { src_off: usize, len: usize },
+    Insert(&'a [u8]),
+}
+
+impl OpRef<'_> {
+    fn output_len(self) -> usize {
+        match self {
+            OpRef::Copy { len, .. } => len,
+            OpRef::Insert(d) => d.len(),
+        }
+    }
+
+    fn to_op(self) -> DeltaOp {
+        match self {
+            OpRef::Copy { src_off, len } => DeltaOp::Copy { src_off, len },
+            OpRef::Insert(d) => DeltaOp::Insert(d.to_vec()),
+        }
+    }
+}
+
+/// The one wire reader: the header's target length, then each instruction
+/// in order. Malformed input ends the iteration early; `finish` then
+/// reports it, or, for a well-formed stream, whether the instructions
+/// produce exactly the declared length.
+struct WireOps<'a> {
+    r: ByteReader<'a>,
+    target_len: usize,
+    /// Bytes the instructions read so far produce (saturating: a hostile
+    /// header cannot overflow it).
+    produced: usize,
+    error: Option<DeltaError>,
+}
+
+impl<'a> WireOps<'a> {
+    fn new(bytes: &'a [u8]) -> Result<Self, DeltaError> {
+        let mut r = ByteReader::new(bytes);
+        let target_len = r.get_varint()? as usize;
+        Ok(Self { r, target_len, produced: 0, error: None })
+    }
+
+    fn read_op(&mut self) -> Result<OpRef<'a>, DeltaError> {
+        match self.r.get_u8()? {
+            0x01 => {
+                let src_off = self.r.get_varint()? as usize;
+                let len = self.r.get_varint()? as usize;
+                Ok(OpRef::Copy { src_off, len })
+            }
+            0x00 => Ok(OpRef::Insert(self.r.get_len_prefixed()?)),
+            t => Err(CodecError::InvalidTag(t).into()),
+        }
+    }
+
+    /// Reads whatever is left, then reports the first malformation, or a
+    /// length that disagrees with the header.
+    fn finish(mut self) -> Result<usize, DeltaError> {
+        self.by_ref().for_each(drop);
+        match self.error {
+            Some(e) => Err(e),
+            None if self.produced != self.target_len => {
+                Err(DeltaError::LengthMismatch { expected: self.target_len, actual: self.produced })
+            }
+            None => Ok(self.target_len),
+        }
+    }
+}
+
+impl<'a> Iterator for WireOps<'a> {
+    type Item = OpRef<'a>;
+
+    fn next(&mut self) -> Option<OpRef<'a>> {
+        if self.r.is_empty() || self.error.is_some() {
+            return None;
+        }
+        match self.read_op() {
+            Ok(op) => {
+                self.produced = self.produced.saturating_add(op.output_len());
+                Some(op)
+            }
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+}
+
+/// The one COPY/INSERT loop: writes the target `ops` build from `source`
+/// into `out`, replacing its contents, and bounds-checks every COPY and the
+/// total length.
+fn apply_ops<'a>(
+    target_len: usize,
+    ops: impl Iterator<Item = OpRef<'a>>,
+    source: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), DeltaError> {
+    out.clear();
+    out.reserve(target_len.min(MAX_PREALLOC));
+    for op in ops {
+        match op {
+            OpRef::Copy { src_off, len } => {
+                let end = src_off
+                    .checked_add(len)
+                    .filter(|&e| e <= source.len())
+                    .ok_or(DeltaError::CopyOutOfBounds { src_off, len, src_len: source.len() })?;
+                out.extend_from_slice(&source[src_off..end]);
+            }
+            OpRef::Insert(data) => out.extend_from_slice(data),
+        }
+    }
+    if out.len() != target_len {
+        return Err(DeltaError::LengthMismatch { expected: target_len, actual: out.len() });
+    }
+    Ok(())
 }
 
 /// A complete delta: the instruction stream plus the expected target length.
@@ -252,30 +387,28 @@ impl Delta {
 
     /// Parses the wire format.
     pub fn decode(bytes: &[u8]) -> Result<Self, DeltaError> {
-        let mut r = ByteReader::new(bytes);
-        let target_len = r.get_varint()? as usize;
-        let mut ops = Vec::new();
-        let mut produced = 0usize;
-        while !r.is_empty() {
-            match r.get_u8()? {
-                0x01 => {
-                    let src_off = r.get_varint()? as usize;
-                    let len = r.get_varint()? as usize;
-                    produced += len;
-                    ops.push(DeltaOp::Copy { src_off, len });
-                }
-                0x00 => {
-                    let data = r.get_len_prefixed()?;
-                    produced += data.len();
-                    ops.push(DeltaOp::Insert(data.to_vec()));
-                }
-                t => return Err(CodecError::InvalidTag(t).into()),
-            }
-        }
-        if produced != target_len {
-            return Err(DeltaError::LengthMismatch { expected: target_len, actual: produced });
-        }
+        let mut wire = WireOps::new(bytes)?;
+        let ops = wire.by_ref().map(OpRef::to_op).collect();
+        let target_len = wire.finish()?;
         Ok(Self { ops, target_len })
+    }
+
+    /// Checks that `bytes` parse, exactly as [`Delta::decode`] does, without
+    /// building anything.
+    pub fn validate(bytes: &[u8]) -> Result<(), DeltaError> {
+        WireOps::new(bytes)?.finish().map(drop)
+    }
+
+    /// Reconstructs the target of the delta whose wire form is `bytes` from
+    /// `source` into `out` (replacing its contents), without decoding the
+    /// delta first: no op list, no copy of any INSERT. Succeeds and fails
+    /// exactly as `Delta::decode(bytes)?.apply(source)` does, with the same
+    /// error — a malformed wire outranks a COPY out of bounds.
+    pub fn apply_encoded(bytes: &[u8], source: &[u8], out: &mut Vec<u8>) -> Result<(), DeltaError> {
+        let mut wire = WireOps::new(bytes)?;
+        let applied = apply_ops(wire.target_len, wire.by_ref(), source, out);
+        wire.finish()?;
+        applied
     }
 
     /// Serializes to the tagged envelope: `codec.tag()` followed by the
@@ -300,30 +433,8 @@ impl Delta {
 
     /// Reconstructs the target from `source`.
     pub fn apply(&self, source: &[u8]) -> Result<Vec<u8>, DeltaError> {
-        // `target_len` may come from an untrusted wire header; cap the
-        // pre-allocation and let growth follow actual output.
-        let mut out = Vec::with_capacity(self.target_len.min(1 << 20));
-        for op in &self.ops {
-            match op {
-                DeltaOp::Copy { src_off, len } => {
-                    let end = src_off.checked_add(*len).filter(|&e| e <= source.len()).ok_or(
-                        DeltaError::CopyOutOfBounds {
-                            src_off: *src_off,
-                            len: *len,
-                            src_len: source.len(),
-                        },
-                    )?;
-                    out.extend_from_slice(&source[*src_off..end]);
-                }
-                DeltaOp::Insert(data) => out.extend_from_slice(data),
-            }
-        }
-        if out.len() != self.target_len {
-            return Err(DeltaError::LengthMismatch {
-                expected: self.target_len,
-                actual: out.len(),
-            });
-        }
+        let mut out = Vec::new();
+        apply_ops(self.target_len, self.ops.iter().map(DeltaOp::view), source, &mut out)?;
         Ok(out)
     }
 

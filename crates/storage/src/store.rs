@@ -473,6 +473,12 @@ impl RecordStore {
         self.inner.lock().directory.contains_key(&id)
     }
 
+    /// The form of `id`'s live frame, from the directory alone: no frame is
+    /// read, so damage in it goes unnoticed until something does.
+    pub fn form(&self, id: RecordId) -> Option<StorageForm> {
+        self.inner.lock().directory.get(&id).map(|loc| loc.form)
+    }
+
     /// Reads `id`, verifying the frame checksum before parsing. An
     /// uncompressed payload is returned as a view into the verified frame
     /// (the block cache's buffer), not a copy of it.

@@ -62,6 +62,20 @@ echo "==> perf determinism guard"
 #   and `oplog::tests::a_flipped_byte_ends_the_replay_before_the_entry_it_hit`,
 #   and their engine-level twin `cargo test -q --test durability
 #   durable_oplog_keeps_entries_appended_after_a_torn_tail`.
+# * the read path — dbdedup-delta `wire_reader_props` (`cargo test -q -p
+#   dbdedup-delta --test wire_reader_props`: `Delta::apply_encoded` returns
+#   what decode-then-apply returns, error variant included, and `validate`
+#   succeeds exactly when `decode` does, on encoder and random deltas and
+#   under every single-byte flip and every truncation of their wire form);
+#   the root package's `read_model` (`cargo test -q --test read_model`: a
+#   seeded schedule of inserts, updates, deletes of chain-interior records,
+#   reads, flushes, `gc_record` and `compact_step`, every read equal to a
+#   `HashMap` model at the default source-cache budget and at 0, and every
+#   cache-less read past a tombstone splicing it); dbdedup-core
+#   `engine::tests::a_cache_served_read_leaves_cache_and_meter_where_the_store_read_did`
+#   and `a_cached_record_stored_as_a_delta_still_decodes_through_the_store`
+#   (the byte-identity contract of a cache-served read); `fault_injection`
+#   `rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub`.
 # * one scan, one pipeline — `one_scan` (serial ≡ 4-worker parallel, primary
 #   ≡ secondary, cache miss ≡ hit, a Rabin store reopened under the default
 #   kind) and `differential` (ParallelIngest at every worker count commits

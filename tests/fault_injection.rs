@@ -682,6 +682,54 @@ fn bitflip_on_degraded_record_salvages_and_keeps_backlog_consistent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// At-run-time rot in the frame of a raw record the source cache holds. A
+/// read serves the cached copy, the way a block-cache hit masks rot on the
+/// disk below it; the scrub reads the store itself, so it still finds the
+/// damaged frame, and heals it from that same cached copy.
+#[test]
+fn rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub() {
+    use dbdedup::{MaintConfig, Maintainer};
+    let dir = temp_dir("cached-rot");
+    let store = RecordStore::open(&dir, cache_free()).expect("open");
+    let mut e = DedupEngine::new(store, EngineConfig::default()).expect("engine");
+    let mut rng = SplitMix64::new(0xCAC4_0001);
+    let docs: Vec<Vec<u8>> =
+        (0..3).map(|_| (0..5_000).map(|_| rng.next_u64() as u8).collect()).collect();
+    for (i, d) in docs.iter().enumerate() {
+        e.insert("db", RecordId(i as u64), d).expect("insert");
+    }
+    let victim = RecordId(1);
+    assert_eq!(e.store().form(victim), Some(StorageForm::Raw));
+    let (seg, off, len) = e.store().frame_extent(victim).expect("live frame");
+    {
+        use std::io::{Read, Seek, SeekFrom};
+        let at = off + u64::from(len) / 2;
+        let path = dir.join(format!("seg{seg:06}.dat"));
+        let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+        f.seek(SeekFrom::Start(at)).unwrap();
+        let mut b = [0u8; 1];
+        f.read_exact(&mut b).unwrap();
+        f.seek(SeekFrom::Start(at)).unwrap();
+        f.write_all(&[b[0] ^ 0x40]).unwrap();
+    }
+    assert!(e.store().get(victim).is_err(), "the frame itself no longer verifies");
+    assert_eq!(&e.read(victim).expect("served from the cache")[..], &docs[1][..]);
+    assert!(e.broken_records().is_empty());
+    // Everything else decodes from the store: anti-entropy's checksum sees
+    // the damage the read did not.
+    assert!(e.content_checksum(victim).is_err());
+    let mut maint = Maintainer::new(MaintConfig::default());
+    let found = maint.scrub_pass_local(&mut e).expect("scrub");
+    assert_eq!((found.totals.corrupt, found.totals.healed_local), (1, 1), "{found:?}");
+    assert_eq!(&e.store().get(victim).expect("healed frame").payload[..], &docs[1][..]);
+    assert!(maint.scrub_pass_local(&mut e).expect("scrub").is_clean());
+    for (i, d) in docs.iter().enumerate() {
+        assert_eq!(&e.read(RecordId(i as u64)).unwrap()[..], &d[..], "record {i}");
+    }
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Drives one workload through a fault-injected replication pipeline, then
 /// proves anti-entropy resync restores byte-identical reads.
 fn converges_after_faults(name: &str, ops: Vec<Op>, transport_seed: u64) {
