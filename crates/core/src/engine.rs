@@ -6,8 +6,10 @@
 //! into its source's chain is `link_into_chain`; storing a record raw at
 //! the head of a fresh chain is `insert_raw`; re-storing a record in
 //! another form with the same content, oplog-silently, is `rewrite_local`;
-//! cutting a tombstone out of a chain is `splice_out`; forgetting what was
-//! derived from a record's old bytes is `drop_derived`. Callers own only
+//! cutting a tombstone out of a chain is `splice_out`; moving every
+//! dependent off a record, for background GC and for an update, is
+//! `rehome_dependents` (in `gc`); forgetting what was derived from a
+//! record's old bytes is `drop_derived`. Callers own only
 //! their write *ordering*: raw-first for an insert (`apply_dedup_insert`),
 //! copy-before-supersede for maintenance.
 //!
@@ -222,9 +224,6 @@ pub struct DedupEngine {
     governor: Governor,
     filter: SizeFilter,
     slots: SlotTable,
-    /// Client updates held aside while the old content serves as a decode
-    /// base (§4.1 Update); compacted when the refcount reaches zero.
-    shadow: FxHashMap<RecordId, Bytes>,
     /// Records known unreadable due to corruption: decode bases quarantined
     /// by salvage recovery, plus chains found broken by reads. Advisory —
     /// the store remains authoritative — but gives the anti-entropy resync
@@ -365,7 +364,6 @@ impl DedupEngine {
             governor: Governor::new(config.governor_min_ratio, config.governor_min_inserts),
             filter: SizeFilter::new(config.filter_refresh_interval, config.filter_quantile),
             slots: SlotTable::default(),
-            shadow: FxHashMap::default(),
             broken,
             degraded,
             metrics,
@@ -842,20 +840,18 @@ impl DedupEngine {
     }
 
     /// Drops everything derived from `id`'s bytes when they change or stop
-    /// being served: its own queued write-back, its cached content, an
-    /// update held aside for it, its re-dedup backlog entry. With
-    /// `dependents_too`, also every queued delta that decodes *against*
-    /// those bytes — for a caller about to replace them in place; one whose
-    /// old bytes stay on as a decode base (a delete, an update held aside)
-    /// leaves those deltas valid, and a physical removal leaves them for
-    /// the flush to discard when it finds the base gone.
+    /// being served: its own queued write-back, its cached content, its
+    /// re-dedup backlog entry. With `dependents_too`, also every queued
+    /// delta that decodes *against* those bytes — for a caller about to
+    /// replace them in place; a delete, whose old bytes stay on as a decode
+    /// base, leaves those deltas valid, and a physical removal leaves them
+    /// for the flush to discard when it finds the base gone.
     fn drop_derived(&mut self, id: RecordId, dependents_too: bool) {
         self.wb_cache.invalidate(id);
         if dependents_too {
             self.wb_cache.invalidate_by_base(id);
         }
         self.source_cache.remove(id);
-        self.shadow.remove(&id);
         self.degraded.remove(&id);
     }
 
@@ -879,9 +875,6 @@ impl DedupEngine {
     pub fn read(&mut self, id: RecordId) -> Result<Bytes, EngineError> {
         if self.chains.is_deleted(id) {
             return Err(EngineError::NotFound(id));
-        }
-        if let Some(s) = self.shadow.get(&id) {
-            return Ok(s.clone());
         }
         self.tracer.sample();
         let t = self.tracer.start();
@@ -1085,29 +1078,7 @@ impl DedupEngine {
             self.store.delete(c)?;
             self.slots.release(c);
             self.drop_derived(c, false);
-            // Compaction opportunity for a shadowed base whose refcount may
-            // have just dropped to zero; deletion cascade too.
-            if let Some(b) = base {
-                if self.chains.refcount(b) == 0 {
-                    self.compact_shadow(b)?;
-                }
-            }
             cur = base;
-        }
-        Ok(())
-    }
-
-    /// If `id` holds a client update in the shadow table and is no longer a
-    /// decode base, fold the update into storage (§4.1 Update compaction).
-    fn compact_shadow(&mut self, id: RecordId) -> Result<(), EngineError> {
-        if self.chains.refcount(id) != 0 {
-            return Ok(());
-        }
-        if let Some(data) = self.shadow.remove(&id) {
-            // Same hazard as an in-place update: the stored content is
-            // about to change, so deltas based on the old bytes must go.
-            self.drop_derived(id, true);
-            self.rewrite_local(id, Rewrite::Raw, &data)?;
         }
         Ok(())
     }
@@ -1121,6 +1092,13 @@ impl DedupEngine {
         self.apply_update(id, data, true)
     }
 
+    /// The one update rule, on the primary and on a secondary alike: the
+    /// records that decode through `id` move onto `id`'s own base the way
+    /// background GC moves them off a tombstone, then the new content is
+    /// written raw in place. No branch depends on what the write-back
+    /// flushes have committed, so every node stores the same logical
+    /// content at once, and the updated record, like any chain head, reads
+    /// without decoding.
     fn apply_update(
         &mut self,
         id: RecordId,
@@ -1130,29 +1108,22 @@ impl DedupEngine {
         if !self.store.contains(id) || self.chains.is_deleted(id) {
             return Err(EngineError::NotFound(id));
         }
-        let in_place = self.chains.refcount(id) == 0;
-        // A queued writeback would clobber this update (§4.1), and new
-        // content supersedes whatever the overload path admitted (the
-        // in-place rewrite below also clears the on-disk tag). In place,
-        // queued deltas computed against the OLD content of this record
-        // (as their decode base) turn bogus as well.
-        self.drop_derived(id, in_place);
+        // Moved first, while the old bytes they decode through are still
+        // stored: a crash at any write leaves every dependent readable and
+        // `id` holding its old content or its new.
+        self.rehome_dependents(id)?;
+        // A queued writeback would clobber this update (§4.1), queued deltas
+        // computed against the OLD content of this record (as their decode
+        // base) turn bogus, and new content supersedes whatever the overload
+        // path admitted (the raw put below also clears the on-disk tag).
+        self.drop_derived(id, true);
         if emit_oplog {
-            self.log_op(OplogKind::Update {
-                id,
-                payload: OplogPayload::Raw(Bytes::copy_from_slice(data)),
-            })?;
+            self.log_op(OplogKind::Update { id, data: Bytes::copy_from_slice(data) })?;
         }
         self.metrics.original_bytes += data.len() as u64;
-        if in_place {
-            self.store.put(id, StorageForm::Raw, data)?;
-            self.chains.clear_base(id);
-            self.io.submit(1);
-        } else {
-            // Old content must survive as a decode base; hold the update
-            // aside until the refcount drains.
-            self.shadow.insert(id, Bytes::copy_from_slice(data));
-        }
+        self.store.put(id, StorageForm::Raw, data)?;
+        self.chains.clear_base(id);
+        self.io.submit(1);
         Ok(())
     }
 
@@ -1281,7 +1252,8 @@ impl DedupEngine {
 
     /// Applies one replicated oplog entry (secondary side, §4.1): decodes
     /// forward-encoded inserts against local data and regenerates the same
-    /// backward deltas the primary stores.
+    /// backward deltas the primary stores; updates and deletes run the
+    /// primary's own rule.
     pub fn apply_oplog_entry(&mut self, entry: &OplogEntry) -> Result<(), EngineError> {
         self.tracer.sample();
         let t = self.tracer.start();
@@ -1310,18 +1282,7 @@ impl DedupEngine {
                 let new = CachedSource { data: Bytes::from(data), anchors: None };
                 self.apply_dedup_insert(*id, *base, new, &src_content, &forward, false)
             }
-            OplogKind::Update { id, payload } => {
-                let data = match payload {
-                    OplogPayload::Raw(d) => d.clone(),
-                    OplogPayload::Forward { base, delta } => {
-                        let src = self.fetch_for_encode(*base)?.data;
-                        let mut data = Vec::new();
-                        Delta::apply_encoded(delta, &src, &mut data)?;
-                        Bytes::from(data)
-                    }
-                };
-                self.apply_update(*id, &data, false)
-            }
+            OplogKind::Update { id, data } => self.apply_update(*id, data, false),
             OplogKind::Delete { id } => self.apply_delete(*id, false),
         }
     }
@@ -1503,17 +1464,27 @@ mod tests {
     }
 
     #[test]
-    fn update_with_references_shadows_until_compaction() {
+    fn update_with_references_moves_dependents_onto_its_base() {
         let mut e = engine();
-        let docs = versioned_docs(2, 8);
-        e.insert("db", RecordId(1), &docs[0]).unwrap();
-        e.insert("db", RecordId(2), &docs[1]).unwrap();
+        let docs = versioned_docs(3, 8);
+        for (i, d) in docs.iter().enumerate() {
+            e.insert("db", RecordId(i as u64), d).unwrap();
+        }
         e.flush_all_writebacks().unwrap();
-        // Record 2 is the decode base of record 1 (refcount 1).
+        // Chain: 0 ← 1 ← 2(raw). Record 1 is record 0's decode base.
+        e.update(RecordId(1), b"updated mid-chain").unwrap();
+        assert_eq!(e.chains().base_of(RecordId(0)), Some(RecordId(2)), "re-encoded onto 2");
+        assert_eq!(e.chains().refcount(RecordId(1)), 0);
+        assert_eq!(e.retrievals_for(RecordId(1)), Some(0), "the update is stored raw");
+        assert_eq!(e.store().form(RecordId(1)), Some(StorageForm::Raw));
+        assert_eq!(&e.read(RecordId(1)).unwrap()[..], b"updated mid-chain");
+        assert_eq!(&e.read(RecordId(0)).unwrap()[..], &docs[0][..]);
+        assert_eq!(&e.read(RecordId(2)).unwrap()[..], &docs[2][..]);
+        // Updating the raw end of the chain stores its dependent raw.
         e.update(RecordId(2), b"updated head").unwrap();
+        assert_eq!(e.retrievals_for(RecordId(0)), Some(0));
+        assert_eq!(&e.read(RecordId(0)).unwrap()[..], &docs[0][..]);
         assert_eq!(&e.read(RecordId(2)).unwrap()[..], b"updated head");
-        // Record 1 still decodes to its original content.
-        assert_eq!(&e.read(RecordId(1)).unwrap()[..], &docs[0][..]);
     }
 
     #[test]
@@ -1770,7 +1741,7 @@ mod tests {
         for (i, d) in docs.iter().enumerate() {
             primary.insert("db", RecordId(i as u64), d).unwrap();
         }
-        primary.update(RecordId(3), b"shadowed or in-place update content").unwrap();
+        primary.update(RecordId(3), b"updated content").unwrap();
         for entry in &primary.take_oplog_batch(usize::MAX) {
             secondary.apply_oplog_entry(entry).unwrap();
         }

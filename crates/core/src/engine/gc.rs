@@ -56,12 +56,31 @@ impl DedupEngine {
     }
 
     fn gc_record_inner(&mut self, id: RecordId) -> Result<u64, EngineError> {
+        let reencoded = self.rehome_dependents(id)?;
+        // Queued writebacks that would re-delta something against the
+        // record being removed are worthless now.
+        self.wb_cache.invalidate_by_base(id);
+        self.try_remove_deleted(id)?;
+        if !self.store.contains(id) {
+            self.metrics.maint_removed += 1;
+        }
+        self.metrics.maint_reencoded += reencoded;
+        self.events.record(Severity::Info, EventKind::MaintGc { id: id.0, reencoded });
+        Ok(reencoded)
+    }
+
+    /// Moves every record that decodes through `id` onto `id`'s own base:
+    /// each is re-encoded against that base, or stored raw when `id` is raw,
+    /// so nothing needs `id`'s stored bytes any more. The one loop under
+    /// background GC, which then removes a tombstone, and an update, which
+    /// then overwrites a decode base in place. Oplog-silent — every
+    /// dependent keeps its content. Returns how many dependents moved.
+    pub(super) fn rehome_dependents(&mut self, id: RecordId) -> Result<u64, EngineError> {
         let new_base = self.chains.base_of(id);
-        // The deleted record's own base, decoded for the first dependent
-        // and reused by the rest, with the path that decode walked (which
-        // starts at that base).
+        // `id`'s own base, decoded for the first dependent and reused by the
+        // rest, with the path that decode walked (which starts at that base).
         let mut base: Option<(Bytes, Vec<RecordId>)> = None;
-        let mut reencoded = 0u64;
+        let mut moved = 0u64;
         for dep in self.chains.dependents_of(id) {
             let dep_content = self.decode_record(dep)?;
             if let Some(nb) = new_base {
@@ -75,18 +94,9 @@ impl DedupEngine {
             }
             let onto = base.as_ref().map(|(content, path)| (path[0], &content[..]));
             self.splice_out(dep, &dep_content, onto)?;
-            reencoded += 1;
+            moved += 1;
         }
-        // Queued writebacks that would re-delta something against the
-        // record being removed are worthless now.
-        self.wb_cache.invalidate_by_base(id);
-        self.try_remove_deleted(id)?;
-        if !self.store.contains(id) {
-            self.metrics.maint_removed += 1;
-        }
-        self.metrics.maint_reencoded += reencoded;
-        self.events.record(Severity::Info, EventKind::MaintGc { id: id.0, reencoded });
-        Ok(reencoded)
+        Ok(moved)
     }
 
     /// Charges one more decode along `path` without doing it: the reads it

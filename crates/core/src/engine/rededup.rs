@@ -98,10 +98,9 @@ impl DedupEngine {
             self.degraded.remove(&id);
             return Ok(RededupOutcome::Skipped);
         }
-        if self.broken.contains(&id) || self.shadow.contains_key(&id) {
+        if self.broken.contains(&id) {
             // Damaged records belong to anti-entropy (repair re-puts raw,
-            // clearing the tag); shadowed ones hold a pending client
-            // update that supersedes the degraded bytes.
+            // clearing the tag).
             self.degraded.remove(&id);
             return Ok(RededupOutcome::Skipped);
         }

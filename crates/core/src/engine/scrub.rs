@@ -22,8 +22,8 @@ pub struct ScrubSlice {
     pub verified: u64,
     /// Damaged frames detected (and quarantined) by the checksum tier.
     pub corrupt: u64,
-    /// Damaged records healed from local state (shadowed update or cached
-    /// source content).
+    /// Damaged records healed from the source cache's copy of their
+    /// content.
     pub healed_local: u64,
     /// Damaged records healed from the attached repair source.
     pub healed_replica: u64,
@@ -94,9 +94,6 @@ impl DedupEngine {
         if self.chains.is_deleted(id) {
             return Err(EngineError::NotFound(id));
         }
-        if let Some(s) = self.shadow.get(&id) {
-            return Ok(crc32(s));
-        }
         let content = self.decode_record(id)?;
         Ok(crc32(&content))
     }
@@ -161,9 +158,9 @@ impl DedupEngine {
     ///     scanned clean;
     /// (c) index ↔ store ↔ degraded-backlog agreement.
     ///
-    /// Damage is quarantined and healed in place — locally when the
-    /// content survives in memory (a shadowed update, a cached source),
-    /// otherwise from `repair` — with every write going through
+    /// Damage is quarantined and healed in place — from the source cache
+    /// when it holds the content, otherwise from `repair` — with every
+    /// write going through
     /// [`repair_record`](Self::repair_record): copy-before-supersede and
     /// oplog-silent, like all maintenance. A record no source can supply
     /// is escalated in the returned slice rather than panicking.
@@ -225,11 +222,11 @@ impl DedupEngine {
         Ok(out)
     }
 
-    /// Quarantines one damaged record and heals it: local reconstruction
-    /// first (a shadowed update or a source-cache entry holds the exact
-    /// logical content), then the repair source. Returns whether the
-    /// record itself was restored; a record no source can supply stays
-    /// quarantined and broken-marked — a typed escalation, not a panic.
+    /// Quarantines one damaged record and heals it: from the source cache
+    /// first (an entry there holds the exact logical content), then from
+    /// the repair source. Returns whether the record itself was restored; a
+    /// record no source can supply stays quarantined and broken-marked — a
+    /// typed escalation, not a panic.
     fn scrub_heal(
         &mut self,
         id: RecordId,
@@ -237,34 +234,6 @@ impl DedupEngine {
         out: &mut ScrubSlice,
     ) -> Result<bool, EngineError> {
         self.store.quarantine(id)?;
-        // A shadowed update holds the record's current logical content
-        // aside in memory; fold it in. The damaged frame held the *old*
-        // content the dependents' deltas decode against, and that content
-        // is gone for good — heal the dependents individually too.
-        if let Some(content) = self.shadow.get(&id).cloned() {
-            let deps = self.chains.dependents_of(id);
-            self.repair_record(id, &content)?;
-            out.healed_local += 1;
-            self.metrics.scrub_healed_local += 1;
-            for dep in deps {
-                if self.chains.is_deleted(dep) {
-                    continue;
-                }
-                let fetched = match repair.as_deref_mut() {
-                    Some(src) => src.fetch_authoritative(dep)?,
-                    None => None,
-                };
-                match fetched {
-                    Some(bytes) => {
-                        self.repair_record(dep, &bytes)?;
-                        out.healed_replica += 1;
-                        self.metrics.scrub_healed_replica += 1;
-                    }
-                    None => self.scrub_escalate(dep, out),
-                }
-            }
-            return Ok(true);
-        }
         // The source cache stores full logical content and is kept
         // coherent with every update and repair — authoritative when
         // present.
@@ -349,10 +318,8 @@ impl DedupEngine {
         repair: &mut Option<&mut dyn RepairSource>,
         out: &mut ScrubSlice,
     ) -> Result<(), EngineError> {
-        // A shadowed record's logical content lives in the shadow map; its
-        // stored frame is only a decode base, checksum-verified by tier
-        // (a) already. Deleted records are unreadable by definition.
-        if self.shadow.contains_key(&id) || self.chains.is_deleted(id) {
+        // Deleted records are unreadable by definition.
+        if self.chains.is_deleted(id) {
             return Ok(());
         }
         let mut faulted = false;
@@ -568,8 +535,8 @@ mod tests {
     }
 
     #[test]
-    fn scrub_folds_shadow_and_heals_dependents_when_shadowed_base_rots() {
-        let dir = scrub_dir("shadow");
+    fn scrub_heals_a_rotted_updated_base_alone_its_former_dependent_moved_off() {
+        let dir = scrub_dir("updated-base");
         let docs = versioned_docs(2, 64);
         let mut control = engine();
         let mut e = engine_at(&dir);
@@ -579,16 +546,18 @@ mod tests {
         }
         e.flush_all_writebacks().unwrap();
         control.flush_all_writebacks().unwrap();
-        // Record 2 is record 1's decode base (refcount 1); updating it
-        // shadows the new content in memory while the stored frame keeps
-        // serving the old bytes to record 1's delta.
-        e.update(RecordId(2), b"shadowed fresh content").unwrap();
-        control.update(RecordId(2), b"shadowed fresh content").unwrap();
+        // Record 2 is record 1's decode base (refcount 1). The update moves
+        // record 1 off it (raw, as 2 ended the chain) before writing the new
+        // content in place, so rot in 2's frame damages record 2 alone.
+        e.update(RecordId(2), b"fresh content").unwrap();
+        control.update(RecordId(2), b"fresh content").unwrap();
+        assert_eq!(e.chains().refcount(RecordId(2)), 0);
         rot_live_frame(&dir, &e, RecordId(2), FRAME_PROBE);
         let pass = scrub_full_pass(&mut e, Some(&mut control));
-        assert!(pass.healed_local >= 1, "shadow fold: {pass:?}");
+        assert_eq!((pass.corrupt, pass.chain_faults), (1, 0), "{pass:?}");
+        assert_eq!((pass.healed_local, pass.healed_replica), (0, 1), "{pass:?}");
         assert!(pass.unhealable.is_empty(), "{pass:?}");
-        assert_eq!(&e.read(RecordId(2)).unwrap()[..], b"shadowed fresh content");
+        assert_eq!(&e.read(RecordId(2)).unwrap()[..], b"fresh content");
         assert_eq!(&e.read(RecordId(1)).unwrap()[..], &docs[0][..]);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -72,8 +72,8 @@ pub struct EngineMetrics {
     pub scrub_verified: u64,
     /// Damaged frames the scrub detected and quarantined.
     pub scrub_corrupt: u64,
-    /// Damaged records healed from local state (shadowed update or cached
-    /// source content).
+    /// Damaged records healed from the source cache's copy of their
+    /// content.
     pub scrub_healed_local: u64,
     /// Damaged records healed from an authoritative repair source.
     pub scrub_healed_replica: u64,
@@ -264,7 +264,7 @@ pub struct MetricsSnapshot {
     pub scrub_verified: u64,
     /// Damaged frames the scrub detected and quarantined.
     pub scrub_corrupt: u64,
-    /// Damaged records healed locally (shadowed update or cached source).
+    /// Damaged records healed locally (from the source cache).
     pub scrub_healed_local: u64,
     /// Damaged records healed from an authoritative repair source.
     pub scrub_healed_replica: u64,

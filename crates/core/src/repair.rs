@@ -1,7 +1,7 @@
 //! Authoritative-content sources for scrub-and-heal repair.
 //!
 //! When the integrity scrub finds a damaged record it cannot reconstruct
-//! locally (no shadowed update, no cached source content), the last resort
+//! locally (the source cache does not hold its content), the last resort
 //! is fetching the record's logical bytes from somewhere authoritative —
 //! in practice a replica, reached through the replication layer's retry
 //! and backoff machinery. The scrub itself must not depend on that layer

@@ -167,7 +167,7 @@ mod tests {
             }
             replica.flush_all_writebacks().unwrap();
         }
-        // Reopen cold (no source cache, no shadows) and rot one frame.
+        // Reopen cold (an empty source cache) and rot one frame.
         let mut replica = engine_at(&dir);
         rot_live_frame(&dir, &replica, ids[3]);
         let lsn_before = replica.oplog_next_lsn();

@@ -56,15 +56,14 @@ pub struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// Creates a primary and `n` secondaries with the same configuration.
-    pub fn open_temp(config: EngineConfig, n: usize) -> Result<Self, EngineError> {
+    /// Joins engines the caller opened, over stores and oplogs of its
+    /// choosing. Every link's cursor starts at LSN 0, where a new oplog
+    /// starts: a secondary is taken to have applied nothing yet.
+    pub fn new(primary: DedupEngine, secondaries: Vec<DedupEngine>) -> Self {
+        let n = secondaries.len();
         assert!(n >= 1, "a replica set needs at least one secondary");
-        let mut secondaries = Vec::with_capacity(n);
-        for _ in 0..n {
-            secondaries.push(DedupEngine::open_temp(config.clone())?);
-        }
-        Ok(Self {
-            primary: DedupEngine::open_temp(config)?,
+        Self {
+            primary,
             secondaries,
             batch_budget: 1 << 20,
             per_link: vec![NetworkStats::default(); n],
@@ -72,7 +71,16 @@ impl ReplicaSet {
             partitioned: vec![false; n],
             health: (0..n).map(|_| HealthTracker::new(DEFAULT_LAG_THRESHOLD)).collect(),
             full_resyncs: 0,
-        })
+        }
+    }
+
+    /// Creates a primary and `n` secondaries with the same configuration,
+    /// each over a temporary store.
+    pub fn open_temp(config: EngineConfig, n: usize) -> Result<Self, EngineError> {
+        let secondaries = (0..n)
+            .map(|_| DedupEngine::open_temp(config.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::new(DedupEngine::open_temp(config)?, secondaries))
     }
 
     /// Cuts or restores link `i`. While cut, `sync` skips the link; on

@@ -252,8 +252,9 @@ pub struct Simulation {
     rng: SplitMix64,
     primary: DedupEngine,
     replicas: Vec<SimReplica>,
-    /// Current content of every live record (the oracle for verification
-    /// is the primary itself; this drives workload generation).
+    /// Current content of every live record as its client was acknowledged
+    /// it: drives workload generation, and is the model the primary is
+    /// checked against at the end.
     contents: Vec<(RecordId, Vec<u8>)>,
     next_id: u64,
     trace: u64,
@@ -740,8 +741,9 @@ impl Simulation {
         Err(self.fail(base + max_passes, "drain did not converge (stuck cursor?)".into()))
     }
 
-    /// The two invariants: byte-identical convergence, and a final
-    /// anti-entropy pass with nothing to do.
+    /// The primary against what its clients were acknowledged, then the two
+    /// invariants: byte-identical convergence, and a final anti-entropy
+    /// pass with nothing to do.
     fn verify(&mut self) -> Result<(), SimError> {
         let tick = self.report.ticks;
         self.primary
@@ -751,6 +753,23 @@ impl Simulation {
             return Err(self.fail(tick, "primary has broken decode chains".into()));
         }
         let ids = self.primary.live_record_ids();
+        let mut acked: Vec<RecordId> = self.contents.iter().map(|&(id, _)| id).collect();
+        acked.sort_unstable();
+        if ids != acked {
+            return Err(self.fail(
+                tick,
+                format!("primary live set {} vs {} acknowledged", ids.len(), acked.len()),
+            ));
+        }
+        for (id, data) in &self.contents {
+            let got = self
+                .primary
+                .read(*id)
+                .map_err(|e| self.fail(tick, format!("primary read {id}: {e}")))?;
+            if got[..] != data[..] {
+                return Err(self.fail(tick, format!("primary record {id} is not what was acked")));
+            }
+        }
         for i in 0..self.replicas.len() {
             self.replicas[i]
                 .engine

@@ -15,7 +15,7 @@ use dbdedup_util::ids::RecordId;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 
-/// An insert/update payload as shipped over the wire.
+/// An insert payload as shipped over the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OplogPayload {
     /// The record's raw bytes (no similar record was found, or dedup is
@@ -41,12 +41,13 @@ pub enum OplogKind {
         /// Payload (raw or forward-encoded).
         payload: OplogPayload,
     },
-    /// A full-record update.
+    /// A full-record update, shipped raw: on the wire its id is followed by
+    /// a raw payload (tag 0), exactly as a raw insert's is.
     Update {
         /// Record id.
         id: RecordId,
-        /// Payload (raw or forward-encoded).
-        payload: OplogPayload,
+        /// The record's new content.
+        data: Bytes,
     },
     /// A deletion.
     Delete {
@@ -74,18 +75,15 @@ impl OplogEntry {
 
     /// Length of [`Self::encode`]'s output, without producing it.
     pub fn encoded_len(&self) -> usize {
-        let payload_len = |p: &OplogPayload| match p {
-            OplogPayload::Raw(b) => 1 + varint_len(b.len() as u64) + b.len(),
-            OplogPayload::Forward { delta, .. } => {
-                1 + 8 + varint_len(delta.len() as u64) + delta.len()
-            }
-        };
+        let raw_len = |b: &[u8]| 1 + varint_len(b.len() as u64) + b.len();
         varint_len(self.lsn)
             + 1
             + 8
             + match &self.kind {
-                OplogKind::Insert { payload, .. } | OplogKind::Update { payload, .. } => {
-                    payload_len(payload)
+                OplogKind::Insert { payload: OplogPayload::Raw(b), .. }
+                | OplogKind::Update { data: b, .. } => raw_len(b),
+                OplogKind::Insert { payload: OplogPayload::Forward { delta, .. }, .. } => {
+                    8 + raw_len(delta)
                 }
                 OplogKind::Delete { .. } => 0,
             }
@@ -100,10 +98,11 @@ impl OplogEntry {
                 w.put_u64(id.get());
                 encode_payload(w, payload);
             }
-            OplogKind::Update { id, payload } => {
+            OplogKind::Update { id, data } => {
                 w.put_u8(1);
                 w.put_u64(id.get());
-                encode_payload(w, payload);
+                w.put_u8(0);
+                w.put_len_prefixed(data);
             }
             OplogKind::Delete { id } => {
                 w.put_u8(2);
@@ -119,7 +118,11 @@ impl OplogEntry {
         let id = RecordId(r.get_u64()?);
         let kind = match tag {
             0 => OplogKind::Insert { id, payload: decode_payload(r)? },
-            1 => OplogKind::Update { id, payload: decode_payload(r)? },
+            // An update's payload can only be raw.
+            1 => match r.get_u8()? {
+                0 => OplogKind::Update { id, data: Bytes::copy_from_slice(r.get_len_prefixed()?) },
+                t => return Err(CodecError::InvalidTag(t)),
+            },
             2 => OplogKind::Delete { id },
             t => return Err(CodecError::InvalidTag(t)),
         };
@@ -489,13 +492,17 @@ mod tests {
             },
             OplogEntry {
                 lsn: 1,
-                kind: OplogKind::Update {
+                kind: OplogKind::Insert {
                     id: RecordId(2),
                     payload: OplogPayload::Forward {
                         base: RecordId(1),
                         delta: Bytes::from_static(b"\x01\x02"),
                     },
                 },
+            },
+            OplogEntry {
+                lsn: 1,
+                kind: OplogKind::Update { id: RecordId(2), data: Bytes::from_static(b"xyz") },
             },
             OplogEntry { lsn: 2, kind: OplogKind::Delete { id: RecordId(3) } },
             // Multi-byte varints: LSN and payload length past 127.
@@ -588,6 +595,39 @@ mod tests {
             (fwd.encoded_len(), raw.encoded_len()),
             (fwd.encode().len(), raw.encode().len())
         );
+    }
+
+    #[test]
+    fn an_update_ships_as_a_raw_payload_only() {
+        // An update's wire bytes are a raw insert's of the same content but
+        // for the kind tag — the form every update has always shipped in, so
+        // network bytes and the oplog file format stay where they were.
+        let data = Bytes::from_static(b"the record's new content");
+        let kind_tag = varint_len(5);
+        let update =
+            OplogEntry { lsn: 5, kind: OplogKind::Update { id: RecordId(9), data: data.clone() } };
+        let insert = OplogEntry {
+            lsn: 5,
+            kind: OplogKind::Insert { id: RecordId(9), payload: OplogPayload::Raw(data) },
+        };
+        let (mut wire, raw_insert) = (update.encode(), insert.encode());
+        assert_eq!((wire[kind_tag], update.encoded_len()), (1, wire.len()));
+        wire[kind_tag] = 0;
+        assert_eq!(wire, raw_insert);
+        // A forward payload (tag 1) under an update kind is malformed.
+        let mut wire = OplogEntry {
+            lsn: 5,
+            kind: OplogKind::Insert {
+                id: RecordId(9),
+                payload: OplogPayload::Forward {
+                    base: RecordId(1),
+                    delta: Bytes::from_static(b"d"),
+                },
+            },
+        }
+        .encode();
+        wire[kind_tag] = 1;
+        assert_eq!(OplogEntry::decode(&mut ByteReader::new(&wire)), Err(CodecError::InvalidTag(1)));
     }
 
     #[test]
@@ -810,10 +850,7 @@ mod tests {
                 }
                 1 => OplogKind::Update {
                     id: RecordId(round * 10 + i),
-                    payload: OplogPayload::Forward {
-                        base: RecordId(i),
-                        delta: Bytes::from(vec![round as u8; 9]),
-                    },
+                    data: Bytes::from(vec![round as u8; 9]),
                 },
                 _ => OplogKind::Delete { id: RecordId(round * 10 + i) },
             })

@@ -28,10 +28,11 @@ fn clean_file(path: &Path) -> (Vec<u8>, Vec<OplogEntry>, Vec<usize>) {
     let raw = |fill: u8, n: usize| OplogPayload::Raw(Bytes::from(vec![fill; n]));
     let kinds = [
         OplogKind::Insert { id: RecordId(1), payload: raw(0x11, 24) },
-        OplogKind::Update {
-            id: RecordId(1),
-            payload: OplogPayload::Forward { base: RecordId(7), delta: Bytes::from(vec![0x22; 9]) },
+        OplogKind::Insert {
+            id: RecordId(3),
+            payload: OplogPayload::Forward { base: RecordId(1), delta: Bytes::from(vec![0x22; 9]) },
         },
+        OplogKind::Update { id: RecordId(1), data: Bytes::from(vec![0x44; 12]) },
         OplogKind::Delete { id: RecordId(1) },
         OplogKind::Insert { id: RecordId(2), payload: raw(0x33, 150) },
     ];

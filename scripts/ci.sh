@@ -83,8 +83,23 @@ echo "==> perf determinism guard"
 #   `smoke_fixed_seed_four_workers` is the fixed seed 0xD1FF; `rabin_kind*`
 #   crosses the Rabin kind with serial/parallel ingest). Timing-independent.
 # * replication — `sim_harness` (the deterministic simulator over the fixed
-#   seed sweep; a failure prints the seed, and re-running it replays the
-#   exact schedule) and dbdedup-repl `catchup_props`.
+#   seed sweep, each run checking the primary against what its clients were
+#   acknowledged and then every replica against the primary; a failure
+#   prints the seed, and re-running it replays the exact schedule) and
+#   dbdedup-repl `catchup_props`.
+# * one update rule — the root package's `update_rule` (`cargo test -q
+#   --test update_rule`: two nodes whose write-back flushes disagree on
+#   whether a record is a decode base read the same bytes after it is
+#   updated and a record is encoded against its new content; the update of
+#   a decode base survives a clean close; a pair joined by `ReplicaSet::new`
+#   over its own stores converges across a reopen); `fault_injection`
+#   `update_of_a_decode_base_crash_sweep_reads_old_or_new` (a crash at every
+#   write of such an update reads every record back, the updated one old or
+#   new); `sim_harness` `updates_of_decode_bases_converge_to_what_was_acked`
+#   (seeds 13, 81, 95, 111, 149, 216, 290 and 292 at `update_prob` 0.3);
+#   dbdedup-storage `oplog::tests::an_update_ships_as_a_raw_payload_only`
+#   (an update's wire bytes are a raw payload's, and a forward one is
+#   refused).
 # * maintenance — dbdedup-maint `gc_props` (churn → quiesce byte-equality,
 #   tombstone scrub, crash sweep, torn-write and I/O-error sweep). The two
 #   regression guards for "a tick costs what it moves" count writes, not

@@ -605,6 +605,62 @@ fn local_rewrite_crash_sweep_keeps_records_and_oplog() {
     }
 }
 
+/// Crash-at-every-write sweep over an update of a decode base: the writes
+/// that move its dependents onto its base, then its own raw put, for a
+/// record in mid-chain and for the chain's raw end. Whichever write the
+/// crash lands on, a reopen reads every other record's own bytes and the
+/// updated record's old content or its new, never an error.
+#[test]
+fn update_of_a_decode_base_crash_sweep_reads_old_or_new() {
+    let docs = revisions(5, 6_000, 0x0DA7_E001);
+    let fresh = revisions(1, 5_000, 0x0DA7_E002).remove(0);
+    let mut cfg = EngineConfig::default();
+    cfg.min_benefit_bytes = 16;
+    let dir = temp_dir("update-sweep");
+    for target in [2u64, 4] {
+        // The chain behind an injector that crashes at write `crash_at`
+        // (never, for `None`).
+        let staged = |crash_at: Option<u64>| {
+            let _ = std::fs::remove_dir_all(&dir);
+            chain_on_disk(&dir, &cfg, &docs, docs.len());
+            let plan = crash_at.map_or(FaultPlan::new(), |k| FaultPlan::new().crash_at_write(k));
+            let inj = Arc::new(FaultInjector::new(plan));
+            let faulted = StoreConfig { fault: Some(Arc::clone(&inj)), ..cache_free() };
+            let e = DedupEngine::new(RecordStore::open(&dir, faulted).expect("open"), cfg.clone())
+                .expect("engine faulted");
+            assert!(e.chains().refcount(RecordId(target)) > 0, "record {target} is a decode base");
+            (e, inj)
+        };
+        let first_write = staged(None).1.writes_seen();
+        for k in first_write.. {
+            let at = format!("update of {target}, crash at write {k}");
+            let (mut e, inj) = staged(Some(k));
+            let _ = e.update(RecordId(target), &fresh);
+            let fired = inj.crashed();
+            drop(e);
+
+            let store = RecordStore::open(&dir, cache_free()).expect("reopen");
+            let mut e = DedupEngine::new(store, cfg.clone()).expect("engine recovered");
+            assert_eq!(e.live_record_ids().len(), docs.len(), "{at}");
+            for (i, d) in docs.iter().enumerate() {
+                let got =
+                    e.read(RecordId(i as u64)).unwrap_or_else(|err| panic!("{at}: {i}: {err}"));
+                if i as u64 == target {
+                    assert!(got[..] == d[..] || got[..] == fresh[..], "{at}: neither old nor new");
+                } else {
+                    assert_eq!(&got[..], &d[..], "{at}: record {i}");
+                }
+            }
+            if !fired {
+                assert!(k > first_write + 1, "{at}: a dependent moved, then the put");
+                assert_eq!(&e.read(RecordId(target)).unwrap()[..], &fresh[..], "{at}");
+                break;
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A bit flip on a raw degraded-tagged pass-through record: the next open
 /// must salvage cleanly (quarantining exactly the damaged frame, with the
 /// skip counted and a typed event emitted), the rescanned re-dedup backlog

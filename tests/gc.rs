@@ -1,6 +1,6 @@
 //! Garbage collection and reference-count semantics (§4.1), exercised
-//! hard: deletes at every chain position, cascades, shadow-update
-//! compaction, and reads that must keep working through it all.
+//! hard: deletes at every chain position, cascades, updates of decode
+//! bases, and reads that must keep working through it all.
 
 use dbdedup::workloads::wikipedia::revision_chain;
 use dbdedup::{DedupEngine, EncodingPolicy, EngineConfig, RecordId};
@@ -83,14 +83,16 @@ fn delete_middle_then_read_ends() {
 }
 
 #[test]
-fn shadowed_update_compacts_when_references_drain() {
+fn update_of_a_decode_base_moves_its_dependent_off_it() {
     let (mut e, chain) = build(4, 4);
-    // Record 3 (head) is record 2's decode base. Update it: shadowed.
+    // Record 3 (head) is record 2's decode base. The update stores record 2
+    // raw (3 ended the chain) and then record 3's new content in place.
     e.update(RecordId(3), b"brand new head content").expect("update");
+    assert_eq!(e.chains().refcount(RecordId(3)), 0);
+    assert_eq!(e.retrievals_for(RecordId(2)), Some(0));
     assert_eq!(&e.read(RecordId(3)).unwrap()[..], b"brand new head content");
     assert_eq!(&e.read(RecordId(2)).unwrap()[..], &chain[2][..], "old content still decodes");
-    // Delete record 2; once nothing references record 3's old bytes, the
-    // shadow compacts into storage.
+    // Deleting the moved record and collecting it leaves the update alone.
     e.delete(RecordId(2)).expect("delete");
     for _ in 0..6 {
         let _ = e.read(RecordId(0));

@@ -44,6 +44,19 @@ fn sim_smoke_fixed_seeds_converge() {
     assert!(catchups > 0, "no cursor catch-up across the whole sweep");
 }
 
+/// Seeds whose schedules, at a higher update rate, update records that
+/// others decode through while the nodes' write-back flushes disagree about
+/// it. A rule that branched on that left a replica's bytes silently
+/// diverged on each of them.
+const UPDATE_RULE_SEEDS: [u64; 8] = [13, 81, 95, 111, 149, 216, 290, 292];
+
+#[test]
+fn updates_of_decode_bases_converge_to_what_was_acked() {
+    for seed in UPDATE_RULE_SEEDS {
+        run(SimConfig { seed, ticks: 60, update_prob: 0.3, ..Default::default() });
+    }
+}
+
 #[test]
 fn sim_smoke_is_deterministic() {
     let cfg = SimConfig { seed: 42, ticks: 50, ..Default::default() };
