@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dbdedup_util::hash::adler32::RollingAdler32;
-use dbdedup_util::hash::crc32::crc32;
+use dbdedup_util::hash::crc32::{crc32, crc32_portable};
 use dbdedup_util::hash::murmur3::murmur3_x64_128;
 use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
 use dbdedup_util::hash::sha1::sha1;
@@ -26,6 +26,8 @@ fn bench_block_hashes(c: &mut Criterion) {
 /// compaction window, scrub slice and recovery scan — at the sizes those
 /// see: a small-record frame, a page, a wiki revision, a compaction window.
 /// Non-constant input: a kernel is not measured on one repeated byte.
+/// `portable` is the slicing-by-16 chain alone, what `crc32` runs on a CPU
+/// without PCLMULQDQ.
 fn bench_crc32(c: &mut Criterion) {
     let data: Vec<u8> =
         (0u64..64 << 10).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8).collect();
@@ -35,6 +37,9 @@ fn bench_crc32(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(len as u64));
         g.bench_function("crc32", |b| {
             b.iter(|| black_box(crc32(black_box(&data[..len]))));
+        });
+        g.bench_function("portable", |b| {
+            b.iter(|| black_box(crc32_portable(black_box(&data[..len]))));
         });
         g.finish();
     }

@@ -11,9 +11,10 @@
 //!   right trade (§3.1.1 of the paper).
 //! * **Adler-32** ([`adler32`]) is the cheap block checksum the classic
 //!   xDelta baseline builds its source index from.
-//! * **CRC-32** ([`crc32`]) frames record-store segments: unlike Adler-32
-//!   its detection strength does not degrade on short inputs, which is
-//!   what on-disk integrity checking needs.
+//! * **CRC-32** ([`crc32`]) frames record-store segments, the oplog file
+//!   and index runs: unlike Adler-32 its detection strength does not
+//!   degrade on short inputs. A carry-less-multiply fold computes it where
+//!   the CPU has PCLMULQDQ, one slicing-by-16 chain everywhere else.
 //! * **SHA-1** ([`sha1`]) is only used by the traditional chunk-dedup
 //!   *baseline*, where a collision would corrupt data and a
 //!   collision-resistant identity is mandatory.

@@ -22,7 +22,7 @@
 //!   policy used by replication apply, anti-entropy repair, and blocking
 //!   shipment.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backoff;

@@ -15,6 +15,11 @@ cargo clippy -q -p dbdedup-chunker -p dbdedup-delta -p dbdedup-cache -- -D warni
 echo "==> cargo build --release"
 cargo build --release
 
+# dbdedup-util holds the workspace's one `unsafe` block, the call into the
+# carry-less-multiply CRC-32 kernel: its tests run optimised as well.
+echo "==> cargo test -q --release -p dbdedup-util"
+cargo test -q --release -p dbdedup-util
+
 # perf/ is a workspace of its own, so the one `cargo test` below does not
 # reach it: its smoke determinism guard (same op_hash and segment_hash twice
 # per seed) runs here, before anything slower — a boundary, anchor or frame
@@ -28,16 +33,21 @@ echo "==> perf determinism guard"
 # be re-run alone (`cargo test -q -p <crate> --test <suite> [filter]`, or
 # `--lib <path>` for unit tests); a failing property prints its seed:
 #
-# * kernel identity — dbdedup-util `hash::crc32`: the four-lane kernel
-#   against a bit-at-a-time reference at every length from 0 to three 2 KiB
-#   superblocks + 16 at 8 alignments
-#   (`sliced_matches_bitwise_reference_at_every_length_and_alignment`), at
-#   every split of two superblocks
-#   (`incremental_matches_oneshot_at_every_split`) and under seeded random
-#   multi-splits (`incremental_matches_oneshot_under_random_multi_splits`);
-#   the root package's `frame_golden` (`cargo test -q --test frame_golden`:
-#   FNV-1a of the segment files a fixed store sequence writes, and `crc32` at
-#   the superblock seams, pinned to the slicing-by-16 kernel's values);
+# * kernel identity — dbdedup-util `hash::crc32`: each kernel called
+#   directly (the slicing-by-16 chain, and the carry-less-multiply fold
+#   where the CPU has PCLMULQDQ + SSE4.1) against a bit-at-a-time reference
+#   at every length from 0 to 3 × 2 KiB + 16 at 8 alignments
+#   (`sliced_matches_bitwise_reference_at_every_length_and_alignment`),
+#   from five incoming states around the 64-byte threshold and every
+#   16-byte block edge (`every_kernel_continues_any_incoming_state`), at
+#   every split of 4 KiB (`incremental_matches_oneshot_at_every_split`) and
+#   under seeded random multi-splits
+#   (`incremental_matches_oneshot_under_random_multi_splits`);
+#   `update_takes_the_multiply_wherever_the_cpu_has_it` fails where the CPU
+#   has both features and `update` would still run the chain; the root
+#   package's `frame_golden` (`cargo test -q --test frame_golden`: FNV-1a
+#   of the segment files a fixed store sequence writes, and `crc32` at
+#   fixed prefixes, pinned to the slicing-by-16 chain's values);
 #   dbdedup-storage `get_hands_out_a_view_of_the_verified_frame_not_a_copy`
 #   and the `bytes` shim's own tests (`cargo test -q -p bytes`: `From<Vec>`
 #   keeps the allocation, a view compares/hashes/prints by content);

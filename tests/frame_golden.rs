@@ -1,7 +1,7 @@
 //! Golden segment bytes: a fixed sequence of store operations must write
 //! the same segment files, byte for byte, whatever computes the frame
-//! checksums. The pins were captured from the slicing-by-16 CRC-32 that
-//! preceded the lane kernel; a kernel that drifts on any length, or a
+//! checksums. The pins were captured from the slicing-by-16 CRC-32 chain,
+//! before any faster kernel ran; a kernel that drifts on any length, or a
 //! frame codec that changes a byte, fails here rather than as a mystery
 //! `segment_hash` change in `perf/`.
 
@@ -54,12 +54,12 @@ fn fixed_sequence_writes_golden_segment_bytes() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("dbdedup-frame-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let v1 = noise(1, 17 << 10); // lanes + a slicing-by-16 tail
+    let v1 = noise(1, 17 << 10); // a wiki-revision-size frame
     let v1b = noise(11, 17 << 10);
-    let big = noise(2, 70 << 10); // lanes + tail, its own segment
+    let big = noise(2, 70 << 10); // its own segment
     let compressible = text(9000); // stored blockz-compressed
-    let delta = noise(4, 300); // short: slicing-by-16 only
-    let degraded = noise(5, 6144); // framed: three superblocks + 18 B
+    let delta = noise(4, 300); // a delta-size frame
+    let degraded = noise(5, 6144); // framed: 6 KiB + 18 B
     let expected: Vec<(u64, StorageForm, &[u8])> = vec![
         (1, StorageForm::Raw, &v1b),
         (2, StorageForm::Raw, &big),
@@ -99,7 +99,7 @@ fn fixed_sequence_writes_golden_segment_bytes() {
 }
 
 /// `crc32` of one fixed buffer's prefixes: empty, one byte, either side of
-/// one 2 KiB superblock, the edge of three, a 17 KiB record and 64 KiB + 3.
+/// 2 KiB, the edge of 6 KiB, a 17 KiB record and 64 KiB + 3.
 const GOLDEN_CRCS: &[(usize, u32)] = &[
     (0, 0),
     (1, 0x0762_ae69),
