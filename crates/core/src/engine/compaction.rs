@@ -29,12 +29,19 @@ impl IndexMergeStats {
 
 impl DedupEngine {
     /// Runs one bounded incremental-compaction step (at most `max_bytes`
-    /// of segment bytes processed), accumulating the stats into the
-    /// engine's cumulative compaction counters.
-    pub fn compact_step(&mut self, max_bytes: u64) -> Result<CompactStats, EngineError> {
+    /// of segment bytes processed; a new victim needs `min_dead_share` of
+    /// its bytes dead, and 0 drains everything — see
+    /// [`RecordStore::compact_step`](dbdedup_storage::RecordStore::compact_step)),
+    /// accumulating the stats into the engine's cumulative compaction
+    /// counters.
+    pub fn compact_step(
+        &mut self,
+        max_bytes: u64,
+        min_dead_share: f64,
+    ) -> Result<CompactStats, EngineError> {
         self.tracer.sample();
         let t = self.tracer.start();
-        let stats = self.store.compact_step(max_bytes)?;
+        let stats = self.store.compact_step(max_bytes, min_dead_share)?;
         self.tracer.stop(t, Stage::MaintCompact);
         if !stats.is_noop() {
             self.io.submit(1);
@@ -57,6 +64,12 @@ impl DedupEngine {
     /// shadow are rewritten away).
     pub fn reclaimable_dead_bytes(&self) -> u64 {
         self.store.reclaimable_dead_bytes()
+    }
+
+    /// Whether a compaction step floored at `min_dead_share` would do
+    /// anything (a victim in progress, or one to pick).
+    pub fn compaction_due(&self, min_dead_share: f64) -> bool {
+        self.store.compaction_due(min_dead_share)
     }
 
     /// Cold-tier feature runs above the per-partition merge target — the
@@ -202,7 +215,7 @@ mod tests {
         assert!(e.reclaimable_dead_bytes() > 0, "writebacks leave superseded frames");
         let mut steps = 0;
         while e.reclaimable_dead_bytes() > 0 {
-            let s = e.compact_step(4096).unwrap();
+            let s = e.compact_step(4096, 0.0).unwrap();
             assert!(!s.is_noop(), "steps must make progress while dead space remains");
             steps += 1;
             assert!(steps < 10_000, "compaction failed to converge");

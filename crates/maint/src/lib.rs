@@ -27,10 +27,12 @@
 //!    property).
 //! 4. **Incremental compaction** — superseded segment frames are
 //!    reclaimed one budgeted [`DedupEngine::compact_step`] at a time
-//!    (copy-forward of live frames, then truncate), instead of a
-//!    stop-the-world segment rewrite. It follows re-dedup because each
-//!    rewrite supersedes a raw frame: dead space the same tick can start
-//!    on.
+//!    (copy-forward of live frames, then remove the segment), instead of a
+//!    stop-the-world segment rewrite. A tick starts a segment only once
+//!    [`MaintConfig::compact_trigger_ratio`] of it is dead, choosing by
+//!    cost and benefit, so it copies little to free a lot. It follows
+//!    re-dedup because each rewrite supersedes a raw frame: dead space the
+//!    same tick can start on.
 //! 5. **Tiered-index run merging** — the memory-bounded feature index
 //!    spills cold entries into immutable on-disk runs; the maintainer
 //!    merges them pairwise ([`DedupEngine::index_merge_step`]) toward the
@@ -73,9 +75,13 @@ use dbdedup_util::ids::RecordId;
 /// small per-tick budgets that keep foreground pauses bounded.
 #[derive(Debug, Clone)]
 pub struct MaintConfig {
-    /// Dead-space fraction of stored bytes above which compaction kicks
-    /// in. Once started, compaction runs to empty (hysteresis), so a
-    /// segment mid-rewrite is always finished.
+    /// Share of a sealed segment's bytes that must be dead before a tick
+    /// starts compacting it (the floor of [`DedupEngine::compact_step`]).
+    /// Among the segments over it a tick picks by cost and benefit, and it
+    /// finishes a segment before starting another. Dead bytes under the
+    /// floor, and in the active segment, wait for more to die or for
+    /// [`Maintainer::run_until_quiesced`], which drains everything. At 0
+    /// every tick is a slice of that drain.
     pub compact_trigger_ratio: f64,
     /// Segment bytes processed per compaction step — the knob bounding
     /// how long one tick can stall the foreground.
@@ -212,9 +218,6 @@ pub struct QuiesceReport {
 #[derive(Debug)]
 pub struct Maintainer {
     cfg: MaintConfig,
-    /// Compaction hysteresis: once the trigger ratio fires, keep stepping
-    /// until the reclaimable dead space is gone.
-    compacting: bool,
     ticks: u64,
     paused_ticks: u64,
 }
@@ -222,7 +225,7 @@ pub struct Maintainer {
 impl Maintainer {
     /// Creates a scheduler with the given tuning.
     pub fn new(cfg: MaintConfig) -> Self {
-        Self { cfg, compacting: false, ticks: 0, paused_ticks: 0 }
+        Self { cfg, ticks: 0, paused_ticks: 0 }
     }
 
     /// The active configuration.
@@ -240,16 +243,17 @@ impl Maintainer {
         self.paused_ticks
     }
 
-    /// Whether the engine has no maintenance work left: the GC backlog is
-    /// empty, no overload-degraded record still awaits out-of-line
-    /// re-dedup, every reclaimable dead byte has been compacted away, and
-    /// the tiered index's cold runs are merged down to the per-partition
-    /// target. (Tombstone frames still shadowing stale puts are *not*
-    /// reclaimable and do not count against quiescence.)
+    /// Whether the engine has no maintenance work left for a tick: the GC
+    /// backlog is empty, no overload-degraded record still awaits
+    /// out-of-line re-dedup, no compaction victim is in progress or over
+    /// [`MaintConfig::compact_trigger_ratio`], and the tiered index's cold
+    /// runs are merged down to the per-partition target. Dead bytes under
+    /// the floor (or in the active segment) are left to accumulate;
+    /// [`run_until_quiesced`](Self::run_until_quiesced) reclaims them too.
     pub fn quiesced(&self, engine: &DedupEngine) -> bool {
         engine.gc_backlog_len() == 0
             && engine.degraded_backlog_len() == 0
-            && engine.reclaimable_dead_bytes() == 0
+            && !engine.compaction_due(self.cfg.compact_trigger_ratio)
             && engine.index_merge_backlog() == 0
     }
 
@@ -291,11 +295,9 @@ impl Maintainer {
             engine.rededup_record(id)?;
             report.rededuped += 1;
         }
-        if self.should_compact(engine) {
-            report.compact = engine.compact_step(self.cfg.compact_budget_bytes)?;
-            if engine.reclaimable_dead_bytes() == 0 {
-                self.compacting = false;
-            }
+        let floor = self.cfg.compact_trigger_ratio;
+        if engine.compaction_due(floor) {
+            report.compact = engine.compact_step(self.cfg.compact_budget_bytes, floor)?;
         }
         if engine.index_merge_backlog() > 0 {
             let merged = engine.index_merge_step(self.cfg.index_merge_budget_bytes)?;
@@ -375,23 +377,6 @@ impl Maintainer {
         Ok(last)
     }
 
-    fn should_compact(&mut self, engine: &DedupEngine) -> bool {
-        let reclaimable = engine.reclaimable_dead_bytes();
-        if reclaimable == 0 {
-            self.compacting = false;
-            return false;
-        }
-        if self.compacting {
-            return true;
-        }
-        let stored = engine.store().stored_payload_bytes();
-        let ratio = reclaimable as f64 / (stored + reclaimable).max(1) as f64;
-        if ratio >= self.cfg.compact_trigger_ratio {
-            self.compacting = true;
-        }
-        self.compacting
-    }
-
     /// The embedder's single periodic call: advances the engine's I/O
     /// clock and flushes writebacks while the device is idle (exactly
     /// [`DedupEngine::pump`]), then runs one maintenance tick. Returns
@@ -446,7 +431,7 @@ impl Maintainer {
                 }
             }
             while engine.reclaimable_dead_bytes() > 0 {
-                let stats = engine.compact_step(self.cfg.compact_budget_bytes)?;
+                let stats = engine.compact_step(self.cfg.compact_budget_bytes, 0.0)?;
                 if stats.is_noop() {
                     break;
                 }
@@ -605,29 +590,56 @@ mod tests {
     }
 
     #[test]
-    fn compaction_triggers_on_ratio_and_drains_with_hysteresis() {
-        let mut e = engine();
-        let docs = versioned_docs(10, 4);
-        for (i, d) in docs.iter().enumerate() {
-            e.insert("db", RecordId(i as u64), d).unwrap();
+    fn ticks_compact_a_segment_only_once_it_crosses_the_floor() {
+        use dbdedup_storage::{RecordStore, StoreConfig};
+        let store_cfg = StoreConfig { segment_bytes: 16 << 10, ..StoreConfig::default() };
+        let store = RecordStore::open_temp(store_cfg).unwrap();
+        let mut e = DedupEngine::new(store, EngineConfig::default()).unwrap();
+        let mut rng = SplitMix64::new(30);
+        let records: Vec<Vec<u8>> =
+            (0..64).map(|_| (0..1000).map(|_| rng.next_u64() as u8).collect()).collect();
+        for (i, r) in records.iter().enumerate() {
+            e.insert("db", RecordId(i as u64), r).unwrap();
         }
-        // Writebacks supersede raw frames, creating dead space.
-        e.flush_all_writebacks().unwrap();
-        assert!(e.reclaimable_dead_bytes() > 0);
+        let first: Vec<RecordId> = (0..64)
+            .map(RecordId)
+            .filter(|&id| e.store().frame_extent(id).unwrap().0 == 0)
+            .collect();
+        let seg0 = e.store().dir().join("seg000000.dat");
+        let len = std::fs::metadata(&seg0).unwrap().len();
         let mut cfg = MaintConfig::default();
-        cfg.compact_trigger_ratio = 0.01;
+        cfg.compact_trigger_ratio = 0.5;
         cfg.compact_budget_bytes = 4096;
+        let max_ticks = len.div_ceil(cfg.compact_budget_bytes);
         let mut m = Maintainer::new(cfg);
-        let mut ticks = 0;
-        while e.reclaimable_dead_bytes() > 0 {
-            let r = m.tick(&mut e).unwrap();
-            assert!(!r.compact.is_noop(), "tick must compact while dead space remains");
-            ticks += 1;
-            assert!(ticks < 10_000, "compaction failed to converge");
+        // Deleting segment 0's records one at a time: ticks copy nothing
+        // while less than half of it is dead (every other sealed segment
+        // is all live), then empty it within its length in budgets.
+        let mut dead = 0;
+        for &id in &first {
+            dead += u64::from(e.store().frame_extent(id).unwrap().2);
+            e.delete(id).unwrap();
+            if dead * 2 < len {
+                let r = m.tick(&mut e).unwrap();
+                assert!(r.compact.is_noop(), "{dead} of {len} bytes dead: {r:?}");
+                assert!(m.quiesced(&e), "dead bytes under the floor are no tick's work");
+                continue;
+            }
+            let mut ticks = 0;
+            while seg0.exists() {
+                let r = m.tick(&mut e).unwrap();
+                assert!(!r.compact.is_noop(), "{r:?}");
+                ticks += 1;
+                assert!(ticks <= max_ticks, "{ticks} ticks for a {len}-byte segment");
+            }
+            break;
         }
-        assert!(ticks > 1, "budget should force multiple steps, got {ticks}");
-        for (i, d) in docs.iter().enumerate() {
-            assert_eq!(&e.read(RecordId(i as u64)).unwrap()[..], &d[..], "record {i}");
+        assert!(!seg0.exists(), "segment 0 crossed the floor and was emptied");
+        for (i, r) in records.iter().enumerate() {
+            let id = RecordId(i as u64);
+            if !first.contains(&id) {
+                assert_eq!(&e.read(id).unwrap()[..], &r[..], "record {i}");
+            }
         }
     }
 

@@ -100,7 +100,7 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         Self {
-            segment_bytes: 64 << 20,
+            segment_bytes: 4 << 20,
             block_cache_bytes: 8 << 20,
             block_compression: false,
             fsync: false,
@@ -201,6 +201,11 @@ struct SegLive {
     frames: Vec<(u64, RecordId)>,
     /// Sum of `Loc::len` over the directory entries in this segment.
     live_frame_bytes: u64,
+    /// The file's length once sealed (set by rotation and the recovery
+    /// scan, zeroed when compaction removes the file); 0 for the active
+    /// segment. With `live_frame_bytes` it prices the segment as a victim
+    /// without asking the file system.
+    sealed_len: u64,
 }
 
 struct Inner {
@@ -273,10 +278,7 @@ impl Inner {
     fn add_sizes(&mut self, id: RecordId, new: Loc) {
         self.live_payload_bytes += u64::from(new.payload_len);
         self.live_uncompressed_bytes += u64::from(new.uncompressed_len);
-        if self.segs.len() <= new.seg as usize {
-            self.segs.resize_with(new.seg as usize + 1, SegLive::default);
-        }
-        let seg = &mut self.segs[new.seg as usize];
+        let seg = self.seg_mut(new.seg);
         debug_assert!(seg.frames.last().is_none_or(|&(off, _)| off < new.off));
         seg.frames.push((new.off, id));
         seg.live_frame_bytes += u64::from(new.len);
@@ -300,6 +302,14 @@ impl Inner {
     fn seg_live_frame_bytes(&self, seg: u32) -> u64 {
         self.segs.get(seg as usize).map_or(0, |s| s.live_frame_bytes)
     }
+
+    /// Segment `seg`'s view, created empty on first use.
+    fn seg_mut(&mut self, seg: u32) -> &mut SegLive {
+        if self.segs.len() <= seg as usize {
+            self.segs.resize_with(seg as usize + 1, SegLive::default);
+        }
+        &mut self.segs[seg as usize]
+    }
 }
 
 /// See module docs.
@@ -319,6 +329,12 @@ impl std::fmt::Debug for RecordStore {
 
 fn segment_path(dir: &Path, idx: u32) -> PathBuf {
     dir.join(format!("seg{idx:06}.dat"))
+}
+
+/// The index a [`segment_path`] file name carries, or `None` for any other
+/// file.
+fn segment_index(name: &std::ffi::OsStr) -> Option<u32> {
+    name.to_str()?.strip_prefix("seg")?.strip_suffix(".dat")?.parse().ok()
 }
 
 /// Opens segment `idx` to append to (and read), creating it if needed.
@@ -566,8 +582,8 @@ impl RecordStore {
     /// The raw on-disk bytes of every segment file in segment order
     /// (the differential equivalence harness compares these across
     /// engines byte for byte). Taken under the store lock, so the view
-    /// is consistent between appends; a segment emptied by compaction
-    /// reads as an empty vector.
+    /// is consistent between appends; a segment compaction emptied (and
+    /// removed) reads as an empty vector.
     pub fn segment_bytes(&self) -> Result<Vec<Vec<u8>>, StoreError> {
         let inner = self.inner.lock();
         (0..=inner.active_idx)
@@ -630,11 +646,11 @@ impl RecordStore {
     }
 }
 
-/// Opens the next segment as the active one. Nothing in `inner` moves
-/// until the new segment's header is written: a failed rotation leaves the
-/// old segment active (and at most an empty file behind, which the next
-/// attempt reuses), so no later append can be booked at an offset of a file
-/// it did not go to.
+/// Seals the active segment at its current length and opens the next one
+/// as the active one. Nothing in `inner` moves until the new segment's
+/// header is written: a failed rotation leaves the old segment active (and
+/// at most an empty file behind, which the next attempt reuses), so no
+/// later append can be booked at an offset of a file it did not go to.
 fn rotate_active(
     inner: &mut Inner,
     dir: &Path,
@@ -644,10 +660,11 @@ fn rotate_active(
     let mut file = open_segment(dir, next)?;
     let header = frame::SEGMENT.header();
     fault_write(&mut file, fault, &header)?;
+    let sealed_len = inner.active_off;
+    let sealed = inner.seg_mut(inner.active_idx);
+    sealed.sealed_len = sealed_len;
     // The sealed segment's ordered view has stopped growing.
-    if let Some(sealed) = inner.segs.get_mut(inner.active_idx as usize) {
-        sealed.frames.shrink_to_fit();
-    }
+    sealed.frames.shrink_to_fit();
     inner.active_idx = next;
     inner.active = file;
     inner.io.writes += 1;

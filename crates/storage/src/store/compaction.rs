@@ -1,9 +1,9 @@
 //! Incremental compaction: [`RecordStore::compact_step`] copies the live
-//! frames of a victim segment forward and empties it.
+//! frames of a victim segment forward and removes it.
 
 use super::{
-    fault_write, parse_entry, reader, rotate_active, segment_path, truncate_file, Inner, Loc,
-    RecordStore, StoreError,
+    fault_write, parse_entry, reader, rotate_active, segment_path, Inner, Loc, RecordStore,
+    StoreError,
 };
 use crate::fault::FaultInjector;
 use crate::frame;
@@ -99,15 +99,15 @@ impl CompactCursor {
     }
 }
 
-/// Truncation for the compaction paths: a "crashed" injector means the
-/// process is dead, so the destructive half of copy-then-truncate must
-/// never land either. (The copies preceding it were silently dropped;
-/// truncating the victim anyway would destroy live records.)
-fn fault_truncate(path: &Path, len: u64, fault: Option<&FaultInjector>) -> std::io::Result<()> {
+/// Removal for the compaction paths: a "crashed" injector means the
+/// process is dead, so the destructive half of copy-then-remove must never
+/// land either. (The copies preceding it were silently dropped; removing
+/// the victim anyway would destroy live records.)
+fn fault_remove(path: &Path, fault: Option<&FaultInjector>) -> std::io::Result<()> {
     if fault.is_some_and(|inj| inj.crashed()) {
         return Ok(());
     }
-    truncate_file(path, len)
+    fs::remove_file(path)
 }
 
 /// Bytes of a segment file that are neither its header nor `live` frames.
@@ -115,17 +115,62 @@ fn dead_in(file_len: u64, live: u64) -> u64 {
     file_len.saturating_sub(frame::FILE_HDR as u64).saturating_sub(live)
 }
 
+impl Inner {
+    /// The victim a step floored at `min_dead_share` would pick: among the
+    /// sealed segments with at least that share of their bytes dead (and
+    /// some), the one with the highest LFS cost-benefit score
+    /// `(1 − u) · age / (1 + u)`, where `u` is the live share of its bytes
+    /// and `age` how many segments were opened after it; ties go to the
+    /// older. A floor of 0 is the drain: with no sealed victim, the active
+    /// segment's dead space is reclaimed by sealing it, and the victim is
+    /// `active_idx`.
+    pub(super) fn victim(&self, min_dead_share: f64) -> Option<u32> {
+        if self.dead_bytes <= self.tomb_bytes {
+            // Nothing truly reclaimable: every dead byte is a tombstone
+            // that still shadows a stale put somewhere. Rewriting
+            // segments now would only shuffle those tombstones around.
+            return None;
+        }
+        let mut best: Option<(f64, u32)> = None;
+        for (seg, s) in (0..self.active_idx).zip(&self.segs) {
+            let dead = dead_in(s.sealed_len, s.live_frame_bytes);
+            if dead == 0 || (dead as f64) < min_dead_share * s.sealed_len as f64 {
+                continue;
+            }
+            let u = s.live_frame_bytes as f64 / s.sealed_len as f64;
+            let score = (1.0 - u) * f64::from(self.active_idx - seg) / (1.0 + u);
+            if best.is_none_or(|(top, _)| score > top) {
+                best = Some((score, seg));
+            }
+        }
+        match best {
+            Some((_, seg)) => Some(seg),
+            None if min_dead_share <= 0.0
+                && dead_in(self.active_off, self.seg_live_frame_bytes(self.active_idx)) > 0 =>
+            {
+                Some(self.active_idx)
+            }
+            None => None,
+        }
+    }
+}
+
 impl RecordStore {
     /// One bounded increment of background compaction: copies at most
-    /// ~`max_bytes` of frame bytes forward from the best victim segment
-    /// (the sealed segment with the most dead space) into the active
-    /// segment, then returns. Progress persists in a cursor, so repeated
-    /// calls walk whole segments; a finished segment is truncated to zero
-    /// (not removed: the recovery scan walks segment indices contiguously
-    /// from zero, so a missing `seg000000.dat` would blind a reopened store
-    /// to every later segment) and its dead space reclaimed. When every sealed segment is clean
-    /// but the active segment holds dead bytes, the active segment is
-    /// sealed (rotated) so the next calls can reclaim it too.
+    /// ~`max_bytes` of frame bytes forward from a victim segment into the
+    /// active segment, then returns. Progress persists in a cursor, so
+    /// repeated calls walk whole segments; a finished segment's file is
+    /// removed and its dead space reclaimed.
+    ///
+    /// A victim in progress is always continued. A new one is the sealed
+    /// segment with the best cost-benefit score among those with at least
+    /// `min_dead_share` of their bytes dead: a mostly-dead old segment
+    /// frees the most for what its live frames cost to copy, while a young
+    /// one's frames are still dying by themselves. With `min_dead_share`
+    /// 0 the step drains: any sealed segment holding dead bytes qualifies,
+    /// and when none does but the active segment holds dead bytes, the
+    /// active segment is sealed (rotated) so the next calls can reclaim it
+    /// too. A floored step never seals it.
     ///
     /// Per frame of the victim:
     /// * the **live** entry (directory points here) is copied forward and
@@ -137,15 +182,19 @@ impl RecordStore {
     /// * a **damaged** frame is quarantined like the salvage scan does.
     ///
     /// Crash-safe by write ordering: copies land in the active segment
-    /// before the victim is truncated, so a crash anywhere replays to a
+    /// before the victim is removed, so a crash anywhere replays to a
     /// state where every live record decodes (the copy, being later in
     /// replay order, wins).
-    pub fn compact_step(&self, max_bytes: u64) -> Result<CompactStats, StoreError> {
+    pub fn compact_step(
+        &self,
+        max_bytes: u64,
+        min_dead_share: f64,
+    ) -> Result<CompactStats, StoreError> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         // The scratch buffers live in `inner` only between steps.
         let mut scratch = std::mem::take(&mut inner.compact);
-        let result = self.compact_step_with(inner, &mut scratch, max_bytes);
+        let result = self.compact_step_with(inner, &mut scratch, max_bytes, min_dead_share);
         // An error leaves the unwritten run behind: forget it, the cursor
         // still sits at its first frame.
         scratch.run.clear();
@@ -163,6 +212,7 @@ impl RecordStore {
         inner: &mut Inner,
         scratch: &mut CompactScratch,
         max_bytes: u64,
+        min_dead_share: f64,
     ) -> Result<CompactStats, StoreError> {
         let fault = self.config.fault.as_deref();
         let budget = max_bytes.max(1);
@@ -170,7 +220,7 @@ impl RecordStore {
         let mut spent = 0u64;
         while spent < budget {
             let Some(mut cur) = inner.cursor else {
-                match self.pick_victim(inner)? {
+                match self.pick_victim(inner, min_dead_share)? {
                     Some(cur) => {
                         inner.cursor = Some(cur);
                         continue;
@@ -179,35 +229,28 @@ impl RecordStore {
                 }
             };
             if cur.off == 0 {
-                // Validate the victim header before trusting its frames.
+                // Validate the victim header before trusting its frames: a
+                // header that rotted since open gives up the whole segment,
+                // live frames included, like damage mid-segment does.
                 let mut hdr = [0u8; frame::FILE_HDR];
                 let f = reader(inner, &self.dir, cur.seg)?;
                 f.seek(SeekFrom::Start(0))?;
-                let ok = f.read_exact(&mut hdr).is_ok() && frame::SEGMENT.header_valid(&hdr);
-                if !ok {
-                    // Whole segment is junk (recovery already counted it
-                    // as dead); empty it.
-                    fault_truncate(&segment_path(&self.dir, cur.seg), 0, fault)?;
-                    inner.readers[cur.seg as usize] = None;
-                    inner.dead_bytes = inner.dead_bytes.saturating_sub(cur.file_len);
-                    inner.io.quarantined_entries += 1;
-                    stats.entries_skipped += 1;
-                    stats.bytes_reclaimed += cur.file_len;
-                    stats.segments_rewritten += 1;
-                    inner.cursor = None;
-                    continue;
+                if f.read_exact(&mut hdr).is_ok() && frame::SEGMENT.header_valid(&hdr) {
+                    cur.off = hdr.len() as u64;
+                } else {
+                    self.quarantine_from(inner, &mut cur, &mut stats);
                 }
-                cur.off = hdr.len() as u64;
+                inner.cursor = Some(cur);
             }
             if cur.off >= cur.file_len {
                 // Segment fully processed: free it.
-                fault_truncate(&segment_path(&self.dir, cur.seg), 0, fault)?;
+                fault_remove(&segment_path(&self.dir, cur.seg), fault)?;
                 inner.readers[cur.seg as usize] = None;
                 // Whatever the ordered view still lists here is stale.
-                if let Some(seg) = inner.segs.get_mut(cur.seg as usize) {
-                    debug_assert_eq!(seg.live_frame_bytes, 0);
-                    seg.frames = Vec::new();
-                }
+                let seg = inner.seg_mut(cur.seg);
+                debug_assert_eq!(seg.live_frame_bytes, 0);
+                seg.frames = Vec::new();
+                seg.sealed_len = 0;
                 // Everything in the victim except the frames that were
                 // live (and moved) was dead space — including the old
                 // copies of carried tombstones, whose fresh copies were
@@ -226,36 +269,26 @@ impl RecordStore {
         Ok(stats)
     }
 
-    /// Chooses the next compaction victim: the sealed segment with the
-    /// most dead bytes, or — if only the active segment holds dead
-    /// space — seals the active segment first and picks it.
-    fn pick_victim(&self, inner: &mut Inner) -> Result<Option<CompactCursor>, StoreError> {
-        if inner.dead_bytes <= inner.tomb_bytes {
-            // Nothing truly reclaimable: every dead byte is a tombstone
-            // that still shadows a stale put somewhere. Rewriting
-            // segments now would only shuffle those tombstones around.
-            return Ok(None);
-        }
-        let mut best: Option<(u64, u32, u64)> = None; // (dead, seg, file_len)
-        for seg in 0..inner.active_idx {
-            // A segment compacted away (or missing) has no dead bytes.
-            let file_len = fs::metadata(segment_path(&self.dir, seg)).map_or(0, |m| m.len());
-            let dead = dead_in(file_len, inner.seg_live_frame_bytes(seg));
-            if dead > 0 && best.map(|(d, _, _)| dead > d).unwrap_or(true) {
-                best = Some((dead, seg, file_len));
-            }
-        }
-        if let Some((_, seg, file_len)) = best {
-            return Ok(Some(CompactCursor::at_start(seg, file_len)));
-        }
-        // No sealed victim. If the active segment carries the dead
-        // space, seal it (rotate) and compact the now-sealed segment.
-        if dead_in(inner.active_off, inner.seg_live_frame_bytes(inner.active_idx)) > 0 {
-            let victim = CompactCursor::at_start(inner.active_idx, inner.active_off);
+    /// Whether a step floored at `min_dead_share` would do anything: a
+    /// victim is in progress, or [`RecordStore::compact_step`] would pick
+    /// one. Reads only the per-segment counters.
+    pub fn compaction_due(&self, min_dead_share: f64) -> bool {
+        let inner = self.inner.lock();
+        inner.cursor.is_some() || inner.victim(min_dead_share).is_some()
+    }
+
+    /// Starts the next victim (see [`Inner::victim`]), sealing the active
+    /// segment first when that is the one.
+    fn pick_victim(
+        &self,
+        inner: &mut Inner,
+        min_dead_share: f64,
+    ) -> Result<Option<CompactCursor>, StoreError> {
+        let Some(seg) = inner.victim(min_dead_share) else { return Ok(None) };
+        if seg == inner.active_idx {
             rotate_active(inner, &self.dir, self.config.fault.as_deref())?;
-            return Ok(Some(victim));
         }
-        Ok(None)
+        Ok(Some(CompactCursor::at_start(seg, inner.segs[seg as usize].sealed_len)))
     }
 
     /// Processes the victim's frames from the cursor until `budget` frame
@@ -450,10 +483,10 @@ impl RecordStore {
         Ok(())
     }
 
-    /// Salvage path for in-segment damage found mid-compaction: drop any
-    /// directory entries pointing into the rest of the segment (they
-    /// could never be read anyway) and advance the cursor to the end so
-    /// the segment gets truncated.
+    /// Salvage path for damage found mid-compaction (a bad frame, or a bad
+    /// header at the start): drop any directory entries pointing into the
+    /// rest of the segment (they could never be read anyway) and advance
+    /// the cursor to the end so the segment gets removed.
     fn quarantine_from(
         &self,
         inner: &mut Inner,

@@ -31,10 +31,10 @@ fn compaction_reclaims_dead_space() {
 
 #[test]
 fn reopen_after_compact_keeps_records() {
-    // Regression: compaction used to *remove* superseded segment
-    // files, but the recovery scan walks indices contiguously from
-    // zero — a reopened store found no seg000000.dat and silently
-    // came up empty.
+    // Regression: compaction once removed emptied segment files while the
+    // recovery scan walked indices contiguously from zero — a reopened
+    // store found no seg000000.dat and silently came up empty. Recovery
+    // now lists the files that are there.
     let dir = temp_dir("reopen-compact");
     {
         let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();
@@ -45,6 +45,7 @@ fn reopen_after_compact_keeps_records() {
             s.delete(RecordId(i)).unwrap();
         }
         let _ = compact_fully(&s);
+        assert!(!segment_path(&dir, 0).exists(), "the emptied segment is removed");
     }
     {
         let s = RecordStore::open(&dir, StoreConfig::default()).unwrap();
@@ -74,7 +75,7 @@ fn compact_step_drains_dead_space_incrementally() {
     let mut total = CompactStats::default();
     let mut steps = 0;
     while s.reclaimable_dead_bytes() > 0 {
-        let stats = s.compact_step(2048).unwrap();
+        let stats = s.compact_step(2048, 0.0).unwrap();
         if stats.is_noop() {
             break;
         }
@@ -108,7 +109,7 @@ fn compact_step_survives_reopen_midway() {
             s.delete(RecordId(i)).unwrap();
         }
         // Partial pass only: stop with the cursor mid-segment.
-        let _ = s.compact_step(512).unwrap();
+        let _ = s.compact_step(512, 0.0).unwrap();
     }
     {
         let s = RecordStore::open(&dir, cfg).unwrap();
@@ -120,7 +121,7 @@ fn compact_step_survives_reopen_midway() {
         }
         // And compaction can finish after the reopen.
         while s.reclaimable_dead_bytes() > 0 {
-            if s.compact_step(4096).unwrap().is_noop() {
+            if s.compact_step(4096, 0.0).unwrap().is_noop() {
                 break;
             }
         }
@@ -253,11 +254,11 @@ fn carried_tombstone_rides_in_the_run_between_its_live_neighbours() {
         StoreConfig { segment_bytes: 2048, fault: Some(Arc::clone(&inj)), ..Default::default() };
     {
         let s = RecordStore::open(&dir, cfg.clone()).unwrap();
-        // seg 0: X and a filler. seg 1: A, X's tombstone, B, then C —
-        // superseded from seg 2, which makes seg 1 the first victim
-        // while X's stale put still sits in seg 0.
-        s.put(RecordId(100), StorageForm::Raw, &[0x58; 1500]).unwrap();
-        s.put(RecordId(1), StorageForm::Raw, &[0xF0; 600]).unwrap();
+        // seg 0: X and a large filler. seg 1: A, X's tombstone, B, then
+        // C — superseded from seg 2, which makes mostly-dead seg 1 the
+        // first victim while X's stale put still sits in mostly-live seg 0.
+        s.put(RecordId(100), StorageForm::Raw, &[0x58; 300]).unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &[0xF0; 1800]).unwrap();
         s.put(RecordId(2), StorageForm::Raw, &[0xAA; 300]).unwrap();
         s.delete(RecordId(100)).unwrap();
         s.put(RecordId(3), StorageForm::Raw, &[0xBB; 300]).unwrap();
@@ -266,7 +267,7 @@ fn carried_tombstone_rides_in_the_run_between_its_live_neighbours() {
         assert_eq!(s.frame_extent(RecordId(2)).unwrap().0, 1);
         assert_eq!(s.frame_extent(RecordId(4)).unwrap().0, 2);
         let (writes, tombs) = (inj.writes_seen(), s.tombstone_bytes());
-        let step = s.compact_step(u64::MAX).unwrap();
+        let step = s.compact_step(u64::MAX, 0.0).unwrap();
         assert_eq!(step.segments_rewritten, 2, "seg 1, then seg 0: {step:?}");
         // Seg 1's kept frames — A, the tombstone, B — went out as one
         // write; seg 0's filler as another. No rotation in between.
@@ -304,7 +305,7 @@ fn sealed_victim_with_one_long_run(
     let s = RecordStore::open(dir, cfg).unwrap();
     // A one-byte budget seals the active segment as the victim and
     // stops after its first frame, the stale put of record 0.
-    let first = s.compact_step(1).unwrap();
+    let first = s.compact_step(1, 0.0).unwrap();
     assert!(first.bytes_scanned > 0 && first.segments_rewritten == 0, "{first:?}");
     let ids = (1..=n).chain([0]).map(RecordId).collect();
     (s, ids)
@@ -318,7 +319,7 @@ fn one_compaction_step_writes_once_per_run_not_once_per_frame() {
     let cfg = StoreConfig { fault: Some(Arc::clone(&inj)), ..Default::default() };
     let (s, ids) = sealed_victim_with_one_long_run(&dir, cfg, 240);
     let (ops, io) = (inj.writes_seen(), s.io_stats());
-    let step = s.compact_step(256 << 10).unwrap();
+    let step = s.compact_step(256 << 10, 0.0).unwrap();
     assert_eq!(step.segments_rewritten, 1, "{step:?}");
     assert_eq!(inj.writes_seen() - ops, 1, "241 adjacent live frames, one write");
     assert_eq!(s.io_stats().writes - io.writes, 241, "`writes` still counts entries");
@@ -337,7 +338,7 @@ fn one_compaction_step_writes_once_per_run_not_once_per_frame() {
         StoreConfig { segment_bytes: 8192, fault: Some(Arc::clone(&inj)), ..Default::default() };
     let (s, _) = sealed_victim_with_one_long_run(&dir, cfg, 240);
     let (ops, segs) = (inj.writes_seen(), s.inner.lock().active_idx);
-    let step = s.compact_step(256 << 10).unwrap();
+    let step = s.compact_step(256 << 10, 0.0).unwrap();
     let rotations = u64::from(s.inner.lock().active_idx - segs);
     assert!(rotations >= 2 && step.segments_rewritten == 1, "{rotations} {step:?}");
     assert!(
@@ -374,14 +375,14 @@ fn failed_run_write_leaves_memory_describing_the_victim() {
         (locs, inner.active_off, inner.io.writes, inner.dead_bytes, cur.off, cur.live_moved)
     };
     let before = snapshot(&s);
-    assert!(matches!(s.compact_step(256 << 10), Err(StoreError::Io(_))));
+    assert!(matches!(s.compact_step(256 << 10, 0.0), Err(StoreError::Io(_))));
     assert_eq!(snapshot(&s), before, "no entry names bytes that were never written");
     assert_segment_views_match_directory(&s.inner.lock(), "after the failed run");
     for &id in &ids {
         assert_eq!(s.get(id).unwrap().payload.len(), 100, "still served from the victim");
     }
     // The error was transient: the next step redoes the run.
-    let step = s.compact_step(256 << 10).unwrap();
+    let step = s.compact_step(256 << 10, 0.0).unwrap();
     assert_eq!(step.segments_rewritten, 1, "{step:?}");
     assert_eq!(s.reclaimable_dead_bytes(), 0);
     for &id in &ids {
@@ -429,7 +430,7 @@ fn tombstones_dropped_once_stale_puts_are_gone() {
     // the time the tombstone is scanned it shadows nothing.
     let mut steps = 0;
     while s.reclaimable_dead_bytes() > 0 || s.tombstone_bytes() > 0 {
-        if s.compact_step(u64::MAX).unwrap().is_noop() {
+        if s.compact_step(u64::MAX, 0.0).unwrap().is_noop() {
             break;
         }
         steps += 1;
@@ -439,4 +440,201 @@ fn tombstones_dropped_once_stale_puts_are_gone() {
     assert_eq!(s.dead_bytes(), 0);
     assert!(!s.contains(RecordId(1)));
     assert_eq!(&s.get(RecordId(2)).unwrap().payload[..], &[2u8; 500][..]);
+}
+
+// ------------------------------------------------------------------
+// Victim choice, floors, removal
+// ------------------------------------------------------------------
+
+/// 2 KiB segments and no block cache: 200-byte raw records frame to 221
+/// bytes, so a segment seals holding ten of them.
+fn ten_per_segment_cfg() -> StoreConfig {
+    StoreConfig { segment_bytes: 2048, block_cache_bytes: 0, ..Default::default() }
+}
+
+/// A store in `dir` holding records `0..n` of 200 bytes each, record `i`
+/// in segment `i / 10`.
+fn ten_per_segment(dir: &Path, n: u64) -> RecordStore {
+    let s = RecordStore::open(dir, ten_per_segment_cfg()).unwrap();
+    for i in 0..n {
+        s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+    }
+    s
+}
+
+/// Overwrites `ids` with 20-byte payloads (in the active segment),
+/// leaving their old frames dead where they were.
+fn supersede(s: &RecordStore, ids: impl IntoIterator<Item = u64>) {
+    for i in ids {
+        s.put(RecordId(i), StorageForm::Raw, &[0xEE; 20]).unwrap();
+    }
+}
+
+/// Every sealed segment's recorded length is its file's (0 once removed);
+/// the active segment has none yet.
+fn assert_sealed_lens_match_files(inner: &Inner, dir: &Path, at: &str) {
+    for seg in 0..=inner.active_idx {
+        let file = fs::metadata(segment_path(dir, seg)).map_or(0, |m| m.len());
+        let want = if seg == inner.active_idx { 0 } else { file };
+        let got = inner.segs.get(seg as usize).map_or(0, |s| s.sealed_len);
+        assert_eq!(got, want, "{at}: sealed length of seg {seg}");
+    }
+}
+
+#[test]
+fn victim_is_the_older_of_equal_dead_shares_unless_a_younger_is_much_deader() {
+    let dir = temp_dir("victim-choice");
+    let s = ten_per_segment(&dir, 32); // segments 0-2 sealed, 3 active
+    supersede(&s, [0, 1, 2, 20, 21, 22]);
+    let victim = |floor| s.inner.lock().victim(floor);
+    assert_eq!(victim(0.0), Some(0), "three of ten dead in both: the older");
+    supersede(&s, 23..26);
+    // Greedy would take segment 2 now; its frames are younger.
+    assert_eq!(victim(0.0), Some(0), "six of ten dead, two segments younger");
+    supersede(&s, 26..29);
+    assert_eq!(victim(0.0), Some(2), "nine of ten dead beats three of ten");
+    assert_eq!(victim(0.8), Some(2));
+    assert_eq!(victim(0.95), None, "no segment is that dead");
+    // The step starts on that victim and removes it first.
+    while s.compact_step(256, 0.0).unwrap().segments_rewritten == 0 {}
+    assert!(!segment_path(&dir, 2).exists());
+    assert!(segment_path(&dir, 0).exists());
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn floored_step_leaves_segments_under_the_floor_and_the_active_one_alone() {
+    let dir = temp_dir("floored");
+    let s = ten_per_segment(&dir, 32);
+    // Dead space under a 0.3 floor everywhere: two of ten frames in
+    // segment 0, and superseded frames in the active segment.
+    supersede(&s, [0, 1, 31, 31, 31]);
+    let files = s.segment_bytes().unwrap();
+    let active = s.inner.lock().active_idx;
+    assert!(!s.compaction_due(0.3));
+    assert!(s.compact_step(u64::MAX, 0.3).unwrap().is_noop());
+    assert!(s.segment_bytes().unwrap() == files, "nothing was copied");
+    assert_eq!(s.inner.lock().active_idx, active, "the active segment was not sealed");
+    assert!(s.compaction_due(0.0), "a drain would take both");
+    // Two more dead frames put segment 0 over the floor: floored steps
+    // empty it, and nothing else.
+    supersede(&s, [2, 3]);
+    let mut total = CompactStats::default();
+    while s.compaction_due(0.3) {
+        total.merge(s.compact_step(512, 0.3).unwrap());
+    }
+    assert_eq!(total.segments_rewritten, 1, "{total:?}");
+    assert!(!segment_path(&dir, 0).exists());
+    assert_eq!(s.inner.lock().active_idx, active, "the copies fit: no rotation");
+    assert!(s.reclaimable_dead_bytes() > 0, "the active segment's dead frames stay");
+    // The unfloored drain still takes everything.
+    let _ = compact_to_quiescence(&s, 4096);
+    assert_eq!(s.reclaimable_dead_bytes(), 0);
+    for i in 0..32u64 {
+        let want: &[u8] = if i < 4 || i == 31 { &[0xEE; 20] } else { &[i as u8; 200] };
+        assert_eq!(&s.get(RecordId(i)).unwrap().payload[..], want, "record {i}");
+    }
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn header_rotted_after_open_drops_the_victims_live_records_as_a_reopen_would() {
+    let dir = temp_dir("header-rot");
+    let s = ten_per_segment(&dir, 32);
+    supersede(&s, [0, 1, 2]);
+    let doomed = s.inner.lock().live_frames_from(0, 0).count() as u64;
+    assert_eq!(doomed, 7);
+    // The sealed segment's header rots while the store is open.
+    let mut f = OpenOptions::new().read(true).write(true).open(segment_path(&dir, 0)).unwrap();
+    let mut b = [0u8; 1];
+    f.seek(SeekFrom::Start(3)).unwrap();
+    f.read_exact(&mut b).unwrap();
+    f.seek(SeekFrom::Start(3)).unwrap();
+    f.write_all(&[b[0] ^ 0x20]).unwrap();
+    drop(f);
+    let quarantined = s.io_stats().quarantined_entries;
+    let stats = compact_to_quiescence(&s, 4096);
+    assert_eq!(stats.entries_skipped, doomed + 1, "each live record, and the damaged run");
+    assert_eq!(s.io_stats().quarantined_entries - quarantined, doomed + 1);
+    assert!(!segment_path(&dir, 0).exists());
+    assert_segment_views_match_directory(&s.inner.lock(), "after the quarantine");
+    let after = (s.len(), s.stored_payload_bytes(), s.reclaimable_dead_bytes());
+    assert_eq!(after.0, 32 - doomed as usize);
+    drop(s);
+    let s = RecordStore::open(&dir, ten_per_segment_cfg()).unwrap();
+    assert!(s.recovery_report().is_clean(), "{:?}", s.recovery_report());
+    assert_eq!((s.len(), s.stored_payload_bytes(), s.reclaimable_dead_bytes()), after);
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reopen_after_removed_victims_replays_the_segments_left() {
+    let dir = temp_dir("gaps");
+    let before = {
+        let s = ten_per_segment(&dir, 52); // segments 0-4 sealed, 5 active
+        // Segments 1 and 3 are mostly dead: a floored pass removes them.
+        supersede(&s, (10..18).chain(30..38));
+        while s.compaction_due(0.5) {
+            let _ = s.compact_step(4096, 0.5).unwrap();
+        }
+        let present: Vec<bool> = (0..=5).map(|seg| segment_path(&dir, seg).exists()).collect();
+        assert_eq!(present, [true, false, true, false, true, true]);
+        assert_eq!(s.inner.lock().active_idx, 5);
+        live_payloads(&s)
+    };
+    let s = RecordStore::open(&dir, ten_per_segment_cfg()).unwrap();
+    assert!(s.recovery_report().is_clean(), "{:?}", s.recovery_report());
+    assert_eq!(s.recovery_report().segments_scanned, 4);
+    assert_eq!(live_payloads(&s), before);
+    assert_eq!(s.inner.lock().active_idx, 5, "the highest index is the active segment");
+    assert_sealed_lens_match_files(&s.inner.lock(), &dir, "after the reopen");
+    s.put(RecordId(99), StorageForm::Raw, b"after the gaps").unwrap();
+    assert_eq!(s.frame_extent(RecordId(99)).unwrap().0, 5);
+    drop(s);
+    let s = RecordStore::open(&dir, ten_per_segment_cfg()).unwrap();
+    assert_eq!(&s.get(RecordId(99)).unwrap().payload[..], b"after the gaps");
+    assert_eq!(s.len(), before.len() + 1);
+    drop(s);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_at_every_write_across_a_victims_removal_loses_no_record() {
+    let dir = temp_dir("crash-removal");
+    // Segments 0 and 2 half dead, and dead frames in the active segment:
+    // the drain removes three victims, rotating on the way.
+    let build = |fault: Option<Arc<FaultInjector>>| {
+        let _ = fs::remove_dir_all(&dir);
+        let s = ten_per_segment(&dir, 32);
+        supersede(&s, [0, 2, 4, 6, 8, 20, 22, 24, 26, 28, 31]);
+        let expected = live_payloads(&s);
+        drop(s);
+        let s = RecordStore::open(&dir, StoreConfig { fault, ..ten_per_segment_cfg() }).unwrap();
+        (s, expected)
+    };
+    let probe = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let (s, expected) = build(Some(Arc::clone(&probe)));
+    let stats = compact_to_quiescence(&s, 1024);
+    assert!(stats.segments_rewritten >= 3, "{stats:?}");
+    let writes = probe.writes_seen();
+    drop(s);
+    for k in 0..=writes {
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new().crash_at_write(k)));
+        let (s, _) = build(Some(Arc::clone(&inj)));
+        while !inj.crashed() && !s.compact_step(1024, 0.0).unwrap().is_noop() {}
+        drop(s);
+        let s = RecordStore::open(&dir, ten_per_segment_cfg()).unwrap();
+        assert_eq!(live_payloads(&s), expected, "crash at write {k}");
+        assert_sealed_lens_match_files(&s.inner.lock(), &dir, &format!("crash at write {k}"));
+        // What the crash left behind still compacts and reopens whole.
+        let _ = compact_to_quiescence(&s, 1024);
+        assert_eq!(s.reclaimable_dead_bytes(), 0, "crash at write {k}");
+        drop(s);
+        let s = RecordStore::open(&dir, ten_per_segment_cfg()).unwrap();
+        assert_eq!(live_payloads(&s), expected, "crash at write {k}, compacted and reopened");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

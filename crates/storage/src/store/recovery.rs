@@ -2,8 +2,8 @@
 //! directory (the policy is in the parent module's docs).
 
 use super::{
-    fault_write, open_segment, parse_entry, segment_path, truncate_file, Loc, RecordStore,
-    StoreError,
+    fault_write, open_segment, parse_entry, segment_index, segment_path, truncate_file, Loc,
+    RecordStore, StoreError,
 };
 use crate::frame::{self, Damage};
 use std::fs;
@@ -52,17 +52,21 @@ impl RecoveryReport {
 impl RecordStore {
     pub(super) fn recover(&mut self) -> Result<(), StoreError> {
         let mut report = RecoveryReport::default();
-        // Replay every segment in order; the directory converges to the
-        // latest *valid* entry per id, tombstones delete.
-        let mut count = 0u32;
-        while segment_path(&self.dir, count).exists() {
-            count += 1;
+        // Replay every segment file in index order; the directory converges
+        // to the latest *valid* entry per id, tombstones delete. Compaction
+        // removes the segments it empties, so indices may have gaps; the
+        // highest one is the active segment.
+        let mut segments = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            segments.extend(segment_index(&entry?.file_name()));
         }
-        for idx in 0..count {
-            self.scan_segment(idx, idx + 1 == count, &mut report)?;
+        segments.sort_unstable();
+        let active_idx = segments.last().copied().unwrap_or(0);
+        for &idx in &segments {
+            self.scan_segment(idx, idx == active_idx, &mut report)?;
         }
         let inner = self.inner.get_mut();
-        inner.active_idx = count.saturating_sub(1);
+        inner.active_idx = active_idx;
         inner.active = open_segment(&self.dir, inner.active_idx)?;
         inner.active_off = inner.active.metadata()?.len();
         inner.readers = (0..=inner.active_idx).map(|_| None).collect();
@@ -131,12 +135,18 @@ impl RecordStore {
             };
             let run = (end - at) as u64;
             inner.io.quarantined_entries += 1;
-            inner.dead_bytes += run;
+            // Junk in the header slot is not dead space: compaction never
+            // counts a segment's first `FILE_HDR` bytes as dead.
+            let hdr_slot = if at == 0 { run.min(frame::FILE_HDR as u64) } else { 0 };
+            inner.dead_bytes += run - hdr_slot;
             report.quarantined_entries += 1;
             report.quarantined_bytes += run;
             report.notes.push(format!("seg {idx}: quarantined {run} damaged bytes at offset {at}"));
             report.skipped.push(SalvagedFrame { segment: idx, offset: at as u64, bytes: run });
             at = end;
+        }
+        if !is_active {
+            inner.seg_mut(idx).sealed_len = buf.len() as u64;
         }
         Ok(())
     }

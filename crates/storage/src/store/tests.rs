@@ -14,7 +14,7 @@ fn store() -> RecordStore {
 fn compact_to_quiescence(s: &RecordStore, budget: u64) -> CompactStats {
     let mut total = CompactStats::default();
     for _ in 0..1_000_000 {
-        let step = s.compact_step(budget).unwrap();
+        let step = s.compact_step(budget, 0.0).unwrap();
         if step.is_noop() {
             return total;
         }
@@ -237,9 +237,9 @@ fn rot_frame(dir: &Path, loc: Loc) {
 /// The live-byte counters, maintained from `Loc` sizes alone, equal the
 /// sum over the directory at every step of a churn and equal what a
 /// fresh recovery scan of the same directory computes from the frames —
-/// and so do the per-segment counters and the ordered view that scrub,
-/// victim choice and mid-compaction quarantine read, with `scrub_step`
-/// over that view reporting what the directory scan reports.
+/// and so do the per-segment counters, sealed lengths and ordered view
+/// that scrub, victim choice and mid-compaction quarantine read, with
+/// `scrub_step` over that view reporting what the directory scan reports.
 #[test]
 fn live_byte_counters_match_directory_and_reopen_after_churn() {
     for block_compression in [false, true] {
@@ -272,7 +272,7 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
                     }
                     5 => s.put_degraded(id, "db", &[step as u8; 64]).unwrap(),
                     6 | 7 => s.delete(id).unwrap(),
-                    8 => drop(s.compact_step(3000).unwrap()),
+                    8 => drop(s.compact_step(3000, 0.4).unwrap()),
                     _ if step % 7 == 0 => drop(compact_fully(&s)),
                     _ if step % 7 == 3 => {
                         // Rot a live frame: both scrubs must name it.
@@ -295,6 +295,7 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
                 }
                 let inner = s.inner.lock();
                 assert_segment_views_match_directory(&inner, &format!("step {step}"));
+                assert_sealed_lens_match_files(&inner, &dir, &format!("step {step}"));
                 let sum = |f: fn(&Loc) -> u32| {
                     inner.directory.values().map(|loc| u64::from(f(loc))).sum::<u64>()
                 };
@@ -316,6 +317,7 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
             assert_eq!(reopened.len(), len, "{at}");
             assert_eq!(reopened.stored_payload_bytes(), payload, "{at}");
             assert_eq!(reopened.stored_uncompressed_bytes(), uncompressed, "{at}");
+            assert_sealed_lens_match_files(&reopened.inner.lock(), &dir, &at);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -549,6 +551,10 @@ fn sealed_segment_with_destroyed_header_is_quarantined() {
         assert!(report.quarantined_bytes >= buf.len() as u64);
         assert!(!s.is_empty(), "later segments salvaged");
         assert_eq!(&s.get(RecordId(19)).unwrap().payload[..], &vec![19u8; 200][..]);
+        // Compaction removes the junk segment and its dead bytes exactly.
+        let _ = compact_fully(&s);
+        assert!(!segment_path(&dir, 0).exists());
+        assert_eq!(s.dead_bytes(), 0);
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -603,7 +609,7 @@ fn crash_during_compact_step_never_truncates_the_victim() {
             };
             let s = RecordStore::open(&dir, cfg).unwrap();
             while s.reclaimable_dead_bytes() > 0 {
-                match s.compact_step(1024) {
+                match s.compact_step(1024, 0.0) {
                     Ok(stats) if stats.is_noop() => break,
                     Ok(_) => {}
                     Err(_) => break,

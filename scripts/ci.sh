@@ -124,7 +124,20 @@ echo "==> perf determinism guard"
 #   `windowed_compaction_writes_the_segments_frame_at_a_time_compaction_writes`,
 #   `damage_anywhere_in_a_window_takes_the_frame_at_a_time_path` and
 #   `live_byte_counters_match_directory_and_reopen_after_churn` (ordered
-#   view ≡ sorted directory, `scrub_step` ≡ its directory-scan oracle);
+#   view ≡ sorted directory, `scrub_step` ≡ its directory-scan oracle,
+#   sealed lengths ≡ file lengths after every step and a reopen). The
+#   victim rule (4 MiB segments, cost-benefit victims over a floor, emptied
+#   segments removed): dbdedup-storage
+#   `victim_is_the_older_of_equal_dead_shares_unless_a_younger_is_much_deader`,
+#   `floored_step_leaves_segments_under_the_floor_and_the_active_one_alone`
+#   (and an unfloored drain still reaches zero),
+#   `header_rotted_after_open_drops_the_victims_live_records_as_a_reopen_would`,
+#   and for recovery over removed segments
+#   `reopen_after_removed_victims_replays_the_segments_left` and
+#   `crash_at_every_write_across_a_victims_removal_loses_no_record`;
+#   dbdedup-maint `ticks_compact_a_segment_only_once_it_crosses_the_floor`
+#   (no copy while every sealed segment is under `compact_trigger_ratio`,
+#   then empty within ⌈len ÷ `compact_budget_bytes`⌉ ticks).
 #   dbdedup-encoding `indexes_equal_full_scans_under_random_topology_edits`;
 #   dbdedup-core
 #   `reusing_the_decoded_base_charges_what_decoding_it_per_dependent_charged`.

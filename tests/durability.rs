@@ -215,7 +215,7 @@ fn compaction_preserves_chains() {
     assert!(e.store().dead_bytes() > 0);
     let mut stats = CompactStats::default();
     loop {
-        let step = e.compact_step(u64::MAX).expect("compact");
+        let step = e.compact_step(u64::MAX, 0.0).expect("compact");
         if step.is_noop() {
             break;
         }

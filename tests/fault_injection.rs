@@ -232,7 +232,7 @@ fn faults_inside_a_coalesced_compaction_run_lose_no_live_record() {
         let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
         let store = RecordStore::open(&dir, cfg(Some(Arc::clone(&inj)))).expect("open");
         let entries = store.io_stats().writes;
-        while !store.compact_step(2048).expect("clean compaction").is_noop() {}
+        while !store.compact_step(2048, 0.0).expect("clean compaction").is_noop() {}
         check(&store, "clean pass");
         let (ops, entries) = (inj.writes_seen(), store.io_stats().writes - entries);
         assert!(entries > ops + 10, "{entries} frames and headers in {ops} writes");
@@ -254,7 +254,7 @@ fn faults_inside_a_coalesced_compaction_run_lose_no_live_record() {
             {
                 let store = RecordStore::open(&dir, cfg(Some(Arc::clone(&inj)))).expect("open");
                 loop {
-                    match store.compact_step(2048) {
+                    match store.compact_step(2048, 0.0) {
                         Ok(step) if step.is_noop() => break,
                         Ok(_) => {}
                         // A zombie may fail any way it likes; a live store
@@ -278,7 +278,7 @@ fn faults_inside_a_coalesced_compaction_run_lose_no_live_record() {
             let store = RecordStore::open(&dir, cfg(None))
                 .unwrap_or_else(|e| panic!("{at}: reopen failed: {e}"));
             check(&store, &format!("{at}, reopened"));
-            while !store.compact_step(2048).expect("post-fault compaction").is_noop() {}
+            while !store.compact_step(2048, 0.0).expect("post-fault compaction").is_noop() {}
             assert_eq!(store.reclaimable_dead_bytes(), 0, "{at}");
             check(&store, &format!("{at}, reopened and compacted"));
             let _ = std::fs::remove_dir_all(&dir);

@@ -77,7 +77,7 @@ fn fixed_sequence_writes_golden_segment_bytes() {
         s.put(RecordId(1), StorageForm::Raw, &v1b).unwrap(); // overwrite
         s.delete(RecordId(3)).unwrap(); // tombstone
         assert_eq!(segment_hashes(&s), GOLDEN_WRITTEN);
-        let step = s.compact_step(256 << 10).unwrap();
+        let step = s.compact_step(256 << 10, 0.0).unwrap();
         assert!(step.bytes_reclaimed > 0, "{step:?}");
         for (id, form, bytes) in &expected {
             let r = s.get(RecordId(*id)).unwrap();

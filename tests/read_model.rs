@@ -103,7 +103,7 @@ fn run(seed: u64, source_cache_bytes: usize) -> (u64, u64) {
                 }
             }
             64..=66 => {
-                compacted += e.compact_step(32 << 10).expect(&what).segments_rewritten;
+                compacted += e.compact_step(32 << 10, 0.0).expect(&what).segments_rewritten;
             }
             _ if !deleted.is_empty() && rng.next_index(6) == 0 => {
                 let id = deleted[rng.next_index(deleted.len())];
