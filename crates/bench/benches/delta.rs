@@ -1,5 +1,5 @@
 //! Criterion: delta compression — the anchor-interval ablation behind
-//! Fig. 15, plus re-encode (Algorithm 2) and decode costs.
+//! Fig. 15, plus re-encode (Algorithm 2) and apply costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbdedup_delta::{reencode, xdelta_compress, DbDeltaConfig, DbDeltaEncoder, Delta};
@@ -29,7 +29,7 @@ fn bench_encode(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_reencode_and_decode(c: &mut Criterion) {
+fn bench_reencode_and_apply(c: &mut Criterion) {
     let (src, tgt) = pair();
     let enc = DbDeltaEncoder::default();
     let fwd = enc.encode(&src, &tgt);
@@ -37,7 +37,7 @@ fn bench_reencode_and_decode(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(tgt.len() as u64));
     // The claim behind two-way encoding: re-encode ≪ a second compression.
     g.bench_function("reencode_fwd_to_bwd", |b| {
-        b.iter(|| black_box(reencode(black_box(&src), black_box(&fwd))));
+        b.iter(|| black_box(reencode(black_box(&src), black_box(fwd.as_bytes()))));
     });
     g.bench_function("second_full_encode", |b| {
         b.iter(|| black_box(enc.encode(black_box(&tgt), black_box(&src))));
@@ -45,28 +45,20 @@ fn bench_reencode_and_decode(c: &mut Criterion) {
     g.bench_function("decode_apply", |b| {
         b.iter(|| black_box(fwd.apply(black_box(&src)).expect("apply")));
     });
-    let wire = fwd.encode();
-    g.bench_function("wire_decode", |b| {
-        b.iter(|| black_box(Delta::decode(black_box(&wire)).expect("decode")));
-    });
     g.finish();
 }
 
-/// A read's unit of work: one stored delta applied to its base, at the
-/// ≈ 17 KB record size of the Wikipedia workloads — through a decoded
-/// `Delta` as the read path did, and straight from the wire as it does now.
+/// A read's unit of work: one stored delta applied to its base, straight
+/// from the wire, at the ≈ 17 KB record size of the Wikipedia workloads.
 fn bench_apply_from_wire(c: &mut Criterion) {
     let src = revision_chain(1, 11).remove(0)[..17 << 10].to_vec();
     let mut tgt = src.clone();
     for at in [1_000, 6_000, 11_000, 16_000] {
         tgt.splice(at..at + 20, b"a sentence edited in this revision".iter().copied());
     }
-    let wire = DbDeltaEncoder::default().encode(&src, &tgt).encode();
+    let wire = DbDeltaEncoder::default().encode(&src, &tgt).into_bytes();
     let mut g = c.benchmark_group("delta_apply_17KiB");
     g.throughput(Throughput::Bytes(tgt.len() as u64));
-    g.bench_function("decode_then_apply", |b| {
-        b.iter(|| black_box(Delta::decode(black_box(&wire)).expect("decode").apply(&src)));
-    });
     let mut out = Vec::new();
     g.bench_function("apply_encoded", |b| {
         b.iter(|| {
@@ -76,5 +68,5 @@ fn bench_apply_from_wire(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_reencode_and_decode, bench_apply_from_wire);
+criterion_group!(benches, bench_encode, bench_reencode_and_apply, bench_apply_from_wire);
 criterion_main!(benches);

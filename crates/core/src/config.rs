@@ -177,8 +177,9 @@ mod tests {
     fn defaults_match_paper() {
         let c = EngineConfig::default();
         assert_eq!(c.chunk_avg_size, 1024);
-        // The default boundary detector is the paper's Rabin scan; changing
-        // it would silently re-cut every existing store.
+        // The default boundary detector is the gear scan (the paper's Rabin
+        // scan is the reference kind); changing it would silently re-cut
+        // every existing store.
         assert_eq!(c.chunker_kind, ChunkerKind::Gear);
         assert_eq!(c.sketch_k, 8);
         assert_eq!(c.cache_reward, 2);

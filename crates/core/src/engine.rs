@@ -469,7 +469,8 @@ impl DedupEngine {
             self.source_cache.insert_source(id, new);
             return Ok(InsertOutcome::Unique);
         };
-        let forward_bytes = forward.encoded_len();
+        let forward = Bytes::from(forward.into_bytes());
+        let forward_bytes = forward.len();
         self.record_governor(db, len, forward_bytes as u64);
         self.apply_dedup_insert(id, source, new, &src.data, &forward, true)?;
         self.metrics.deduped_inserts += 1;
@@ -646,25 +647,22 @@ impl DedupEngine {
 
     /// Commits a dedup insert with the raw-first ordering — on the primary
     /// and, from the oplog re-encoder (§4.1), on a secondary (`emit_oplog`
-    /// false): the forward delta is logged, the new record's raw frame
-    /// lands, and only then is it linked into `source`'s chain.
+    /// false): the forward delta's wire bytes are logged, the new record's
+    /// raw frame lands, and only then is it linked into `source`'s chain.
+    /// Both nodes hand the chain commit the same bytes: the ones the oplog
+    /// entry holds.
     fn apply_dedup_insert(
         &mut self,
         id: RecordId,
         source: RecordId,
         new: CachedSource,
         src_content: &[u8],
-        forward: &Delta,
+        forward: &Bytes,
         emit_oplog: bool,
     ) -> Result<(), EngineError> {
         if emit_oplog {
-            let t = self.tracer.start();
-            let delta = Bytes::from(forward.encode());
-            self.tracer.stop(t, Stage::DeltaEncode);
-            self.log_op(OplogKind::Insert {
-                id,
-                payload: OplogPayload::Forward { base: source, delta },
-            })?;
+            let payload = OplogPayload::Forward { base: source, delta: forward.clone() };
+            self.log_op(OplogKind::Insert { id, payload })?;
         }
         let t = self.tracer.start();
         self.store.put(id, StorageForm::Raw, &new.data)?;
@@ -693,7 +691,7 @@ impl DedupEngine {
         source: RecordId,
         new: CachedSource,
         src_content: &[u8],
-        forward: &Delta,
+        forward: &[u8],
         sync: bool,
     ) -> Result<(), EngineError> {
         let plan = self.chains.append(id, source);
@@ -742,21 +740,21 @@ impl DedupEngine {
     /// The encoded backward delta that turns `target` into a delta against
     /// the new record, with `target`'s content length — timed as delta
     /// encoding. The selected source's comes free by re-encoding the
-    /// forward delta; other targets (hop upgrades) need their own pass
-    /// against their cached or stored content. `None` for a corrupt hop
-    /// target: it just keeps its current form — the writeback is an
-    /// optimization, never worth failing the insert for.
+    /// forward delta's wire bytes; other targets (hop upgrades) need their
+    /// own pass against their cached or stored content. `None` for a
+    /// corrupt hop target: it just keeps its current form — the writeback
+    /// is an optimization, never worth failing the insert for.
     fn writeback_delta(
         &mut self,
         target: RecordId,
         source: RecordId,
         new: &CachedSource,
         src_content: &[u8],
-        forward: &Delta,
+        forward: &[u8],
     ) -> Result<Option<(usize, Vec<u8>)>, EngineError> {
         if target == source {
             let t = self.tracer.start();
-            let enc = reencode(src_content, forward).encode();
+            let enc = reencode(src_content, forward).into_bytes();
             self.tracer.stop(t, Stage::DeltaEncode);
             return Ok(Some((src_content.len(), enc)));
         }
@@ -766,7 +764,7 @@ impl DedupEngine {
             Err(e) => return Err(e),
         };
         let t = self.tracer.start();
-        let enc = self.delta_between(new, &c).encode();
+        let enc = self.delta_between(new, &c).into_bytes();
         self.tracer.stop(t, Stage::DeltaEncode);
         Ok(Some((c.data.len(), enc)))
     }
@@ -1057,7 +1055,7 @@ impl DedupEngine {
         match new_base {
             Some((base, base_content)) => {
                 let delta = self.encoder.encode_anchored(base_content, None, dep_content, None);
-                self.rewrite_local(dep, Rewrite::Splice { base }, &delta.encode())?;
+                self.rewrite_local(dep, Rewrite::Splice { base }, delta.as_bytes())?;
             }
             None => self.rewrite_local(dep, Rewrite::Raw, dep_content)?,
         }
@@ -1272,15 +1270,17 @@ impl DedupEngine {
             }
             OplogKind::Insert { id, payload: OplogPayload::Forward { base, delta } } => {
                 let src_content = self.fetch_for_encode(*base)?.data;
-                let forward = Delta::decode(delta)?;
-                let data = forward.apply(&src_content)?;
+                // Only bytes that apply against this base reach `reencode`
+                // in the chain commit.
+                let mut data = Vec::new();
+                Delta::apply_encoded(delta, &src_content, &mut data)?;
                 self.metrics.original_bytes += data.len() as u64;
                 self.metrics.deduped_inserts += 1;
                 // A secondary never selects sources, so nothing here scans
                 // the record: it is cached without anchors and scanned if
                 // ever encoded against.
                 let new = CachedSource { data: Bytes::from(data), anchors: None };
-                self.apply_dedup_insert(*id, *base, new, &src_content, &forward, false)
+                self.apply_dedup_insert(*id, *base, new, &src_content, delta, false)
             }
             OplogKind::Update { id, data } => self.apply_update(*id, data, false),
             OplogKind::Delete { id } => self.apply_delete(*id, false),
@@ -1717,6 +1717,54 @@ mod tests {
             primary.store().stored_payload_bytes(),
             secondary.store().stored_payload_bytes()
         );
+    }
+
+    #[test]
+    fn a_secondary_refuses_a_bad_forward_entry_cleanly() {
+        let mut primary = engine();
+        let mut secondary = engine();
+        let docs = versioned_docs(4, 15);
+        for (i, d) in docs[..3].iter().enumerate() {
+            primary.insert("db", RecordId(i as u64), d).unwrap();
+        }
+        for entry in &primary.take_oplog_batch(usize::MAX) {
+            secondary.apply_oplog_entry(entry).unwrap();
+        }
+        let base = RecordId(2);
+        let mut w = dbdedup_delta::DeltaWriter::new(64);
+        w.copy(docs[2].len() - 8, 64);
+        let past_base = w.finish().into_bytes();
+        // A 4-byte target, then a bad tag.
+        let malformed = vec![4, 0x7f];
+        // What a refused entry must leave as it was.
+        let state = |e: &DedupEngine| {
+            let (m, c) = (e.metrics(), e.chains());
+            (
+                (e.store().len(), c.len(), c.refcount(base), c.chain_index(base), c.is_head(base)),
+                (m.original_bytes, m.deduped_inserts, e.pending_writebacks()),
+                m.source_cache.evictions,
+            )
+        };
+        let lookups = |e: &DedupEngine| {
+            let s = e.metrics().source_cache;
+            s.hits + s.misses
+        };
+        for (what, delta) in [("malformed", malformed), ("COPY past its base", past_base)] {
+            let (before, lookups_before) = (state(&secondary), lookups(&secondary));
+            let payload = OplogPayload::Forward { base, delta: Bytes::from(delta) };
+            let entry = OplogEntry { lsn: 3, kind: OplogKind::Insert { id: RecordId(3), payload } };
+            let got = secondary.apply_oplog_entry(&entry);
+            assert!(matches!(got, Err(EngineError::Delta(_))), "{what}: {got:?}");
+            assert_eq!(state(&secondary), before, "{what}");
+            assert_eq!(lookups(&secondary), lookups_before + 1, "{what}: one fetch of the base");
+            assert!(matches!(secondary.read(RecordId(3)), Err(EngineError::NotFound(_))));
+        }
+        // The replica still applies the primary's real entry for that id.
+        primary.insert("db", RecordId(3), &docs[3]).unwrap();
+        for entry in &primary.take_oplog_batch(usize::MAX) {
+            secondary.apply_oplog_entry(entry).unwrap();
+        }
+        assert_eq!(&secondary.read(RecordId(3)).unwrap()[..], &docs[3][..]);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use super::{DedupEngine, EngineError, Rewrite};
 use dbdedup_cache::CachedSource;
-use dbdedup_delta::Delta;
 use dbdedup_obs::{EventKind, Severity, Stage};
 use dbdedup_storage::store::StorageForm;
 use dbdedup_util::ids::RecordId;
@@ -130,7 +129,7 @@ impl DedupEngine {
             (new, None) => self.rededup_keep_raw(id, new),
             (new, Some((source, src, forward))) => {
                 let forward_bytes = forward.encoded_len();
-                self.apply_rededup(id, source, new, &src.data, &forward)?;
+                self.apply_rededup(id, source, new, &src.data, forward.as_bytes())?;
                 Ok(RededupOutcome::Rededuped { source, forward_bytes })
             }
         }
@@ -165,7 +164,7 @@ impl DedupEngine {
         source: RecordId,
         new: CachedSource,
         src_content: &[u8],
-        forward: &Delta,
+        forward: &[u8],
     ) -> Result<(), EngineError> {
         // Re-enter the record through the normal append machinery: its
         // singleton chain (refcount 0, no base) is retired and `id` joins

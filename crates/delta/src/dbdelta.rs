@@ -21,7 +21,7 @@
 //! it with the target's, verify bytes, extend. [`DbDeltaEncoder::encode`]
 //! is the stand-alone form: scan both sides, then match.
 
-use crate::ops::{Delta, DeltaOp, MIN_COPY_LEN};
+use crate::ops::{Delta, DeltaWriter, MIN_COPY_LEN};
 use dbdedup_util::hash::gear::{Anchor, AnchorSampler};
 
 /// Configuration for the anchor-sampled encoder.
@@ -219,9 +219,6 @@ fn match_anchored(
     target: &[u8],
     target_anchors: &[Anchor],
 ) -> Delta {
-    if target.is_empty() {
-        return Delta::default();
-    }
     if source.len() < ws || target.len() < ws {
         return Delta::literal(target);
     }
@@ -231,7 +228,7 @@ fn match_anchored(
 
     // Pass 2 (lines 15-31): probe with the target anchors in order,
     // extending each rendezvous bidirectionally (BYTECOMP).
-    let mut ops: Vec<DeltaOp> = Vec::new();
+    let mut w = DeltaWriter::new(target.len());
     let mut emitted = 0usize;
     for anchor in target_anchors {
         let i = anchor.pos as usize;
@@ -271,17 +268,13 @@ fn match_anchored(
         }
         let len = t1 - t0;
         if len >= min_match {
-            if emitted < t0 {
-                ops.push(DeltaOp::Insert(target[emitted..t0].to_vec()));
-            }
-            ops.push(DeltaOp::Copy { src_off: s0, len });
+            w.insert(&target[emitted..t0]);
+            w.copy(s0, len);
             emitted = t1;
         }
     }
-    if emitted < target.len() {
-        ops.push(DeltaOp::Insert(target[emitted..].to_vec()));
-    }
-    Delta::from_ops(ops)
+    w.insert(&target[emitted..]);
+    w.finish()
 }
 
 #[cfg(test)]

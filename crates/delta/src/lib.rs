@@ -4,19 +4,20 @@
 //! mechanism behind both directions of the two-way encoding.
 //!
 //! * [`ops`] — the COPY/INSERT instruction model shared by every encoder,
-//!   with a compact varint wire format, one reader for it, and the decoder
-//!   ([`ops::Delta::apply`], or [`ops::Delta::apply_encoded`] straight from
-//!   wire bytes).
+//!   with a compact varint wire format that a [`Delta`] *is*: one writer
+//!   builds every delta ([`DeltaWriter`]), one reader parses it, and the
+//!   decoder applies straight from the wire bytes
+//!   ([`ops::Delta::apply_encoded`]).
 //! * [`xdelta`] — the classic xDelta algorithm (MacDonald, 2000): Adler-32
 //!   block index over the source, rolling-checksum scan of the target. This
 //!   is the baseline of Fig. 15.
 //! * [`dbdelta`] — dbDedup's optimized variant (Algorithm 1): only *anchor*
-//!   offsets (Rabin-sampled positions) are indexed and probed, trading a
+//!   offsets (gear-sampled positions) are indexed and probed, trading a
 //!   tunable sliver of compression for large encoding-speed wins.
 //! * [`reencode`] — the forward→backward transform (Algorithm 2): reuses
-//!   the forward delta's COPY segments to build the backward delta at
-//!   memory speed, with no checksums and no index, so the two-way encoding
-//!   costs one compression pass instead of two.
+//!   the forward delta's COPY segments, read from its wire bytes, to build
+//!   the backward delta at memory speed, with no checksums and no index, so
+//!   the two-way encoding costs one compression pass instead of two.
 //!
 //! ```
 //! use dbdedup_delta::{DbDeltaEncoder, reencode};
@@ -29,7 +30,7 @@
 //! assert_eq!(forward.apply(&v1).unwrap(), v2);
 //! assert!(forward.encoded_len() < v2.len() / 20);
 //!
-//! let backward = reencode(&v1, &forward);        // replaces v1 on disk
+//! let backward = reencode(&v1, forward.as_bytes()); // replaces v1 on disk
 //! assert_eq!(backward.apply(&v2).unwrap(), v1);
 //! ```
 
@@ -42,6 +43,6 @@ pub mod reencode;
 pub mod xdelta;
 
 pub use dbdelta::{DbDeltaConfig, DbDeltaEncoder};
-pub use ops::{Delta, DeltaCodec, DeltaOp};
+pub use ops::{Delta, DeltaWriter};
 pub use reencode::reencode;
 pub use xdelta::xdelta_compress;

@@ -12,28 +12,33 @@
 //! The transform can be slightly sub-optimal when forward COPYs overlap in
 //! the source (the overlapped part is re-inserted literally), but that is
 //! rare and the paper accepts the same trade.
+//!
+//! It reads the forward delta straight from its wire bytes — the primary
+//! from what its encoder wrote, a secondary from the oplog entry it just
+//! applied — so both nodes run the same transform over the same bytes.
 
-use crate::ops::{Delta, DeltaOp, MIN_COPY_LEN};
+use crate::ops::{Delta, DeltaWriter, OpRef, WireOps, MIN_COPY_LEN};
 
-/// Re-encodes a forward delta (`target` from `source`) into a backward
-/// delta (`source` from `target`).
+/// Re-encodes a forward delta (`target` from `source`), given as its wire
+/// bytes, into a backward delta (`source` from `target`).
 ///
-/// `forward` must be a delta that correctly reconstructs `target` from
-/// `source` — i.e. `forward.apply(source) == target`. The returned delta
-/// satisfies `backward.apply(target) == source`.
-pub fn reencode(source: &[u8], forward: &Delta) -> Delta {
+/// `forward` must be a delta that [`Delta::apply_encoded`] accepts against
+/// `source`, reconstructing `target`; the returned delta then reconstructs
+/// `source` from `target`. Other bytes give a meaningless delta, or a
+/// panic when the header is malformed or a COPY runs past `source`.
+pub fn reencode(source: &[u8], forward: &[u8]) -> Delta {
     // Collect the shared segments: (src_off, tgt_off, len).
     let mut segs: Vec<(usize, usize, usize)> = Vec::new();
     let mut t_pos = 0usize;
-    for op in forward.ops() {
-        if let DeltaOp::Copy { src_off, len } = op {
-            segs.push((*src_off, t_pos, *len));
+    for op in WireOps::new(forward).expect("a forward delta starts with its header") {
+        if let OpRef::Copy { src_off, len } = op {
+            segs.push((src_off, t_pos, len));
         }
         t_pos += op.output_len();
     }
     segs.sort_unstable_by_key(|&(s, _, _)| s);
 
-    let mut ops: Vec<DeltaOp> = Vec::new();
+    let mut w = DeltaWriter::new(source.len());
     let mut s_pos = 0usize;
     for (mut s_off, mut t_off, mut len) in segs {
         // Trim any part of the segment that earlier segments already cover.
@@ -46,22 +51,18 @@ pub fn reencode(source: &[u8], forward: &Delta) -> Delta {
             t_off += shift;
             len -= shift;
         }
-        if s_pos < s_off {
-            ops.push(DeltaOp::Insert(source[s_pos..s_off].to_vec()));
-        }
+        w.insert(&source[s_pos..s_off]);
         if len >= MIN_COPY_LEN {
-            ops.push(DeltaOp::Copy { src_off: t_off, len });
+            w.copy(t_off, len);
         } else {
             // Framing would outweigh the copy; inline the bytes (they are
             // identical in source and target by construction).
-            ops.push(DeltaOp::Insert(source[s_off..s_off + len].to_vec()));
+            w.insert(&source[s_off..s_off + len]);
         }
         s_pos = s_off + len;
     }
-    if s_pos < source.len() {
-        ops.push(DeltaOp::Insert(source[s_pos..].to_vec()));
-    }
-    Delta::from_ops(ops)
+    w.insert(&source[s_pos..]);
+    w.finish()
 }
 
 #[cfg(test)]
@@ -90,7 +91,7 @@ mod tests {
 
     fn check_roundtrip(src: &[u8], tgt: &[u8], fwd: &Delta) {
         assert_eq!(fwd.apply(src).unwrap(), tgt, "precondition: forward applies");
-        let bwd = reencode(src, fwd);
+        let bwd = reencode(src, fwd.as_bytes());
         assert_eq!(bwd.apply(tgt).unwrap(), src, "backward must reconstruct the source");
     }
 
@@ -117,7 +118,7 @@ mod tests {
         let src = random_bytes(50_000, 5);
         let tgt = edit(&src, 6, 10, 20);
         let fwd = enc.encode(&src, &tgt);
-        let bwd = reencode(&src, &fwd);
+        let bwd = reencode(&src, fwd.as_bytes());
         assert!(
             bwd.encoded_len() < src.len() / 10,
             "backward delta {} bytes for {} byte source",
@@ -131,7 +132,7 @@ mod tests {
         let src = random_bytes(1_000, 7);
         let tgt = random_bytes(1_000, 8);
         let fwd = Delta::literal(&tgt);
-        let bwd = reencode(&src, &fwd);
+        let bwd = reencode(&src, fwd.as_bytes());
         assert_eq!(bwd.apply(&tgt).unwrap(), src);
         assert!(bwd.copied_len() == 0);
     }
@@ -141,12 +142,12 @@ mod tests {
         // Construct a forward delta whose COPYs overlap in the source:
         // target repeats the same source region twice.
         let src = random_bytes(1_000, 9);
-        let fwd = Delta::from_ops(vec![
-            DeltaOp::Copy { src_off: 100, len: 400 },
-            DeltaOp::Copy { src_off: 300, len: 400 },
-        ]);
+        let mut w = DeltaWriter::new(800);
+        w.copy(100, 400);
+        w.copy(300, 400);
+        let fwd = w.finish();
         let tgt = fwd.apply(&src).unwrap();
-        let bwd = reencode(&src, &fwd);
+        let bwd = reencode(&src, fwd.as_bytes());
         assert_eq!(bwd.apply(&tgt).unwrap(), src);
     }
 
@@ -154,7 +155,7 @@ mod tests {
     fn identical_records() {
         let data = random_bytes(10_000, 10);
         let fwd = DbDeltaEncoder::default().encode(&data, &data);
-        let bwd = reencode(&data, &fwd);
+        let bwd = reencode(&data, fwd.as_bytes());
         assert_eq!(bwd.apply(&data).unwrap(), data);
         assert!(bwd.encoded_len() < 64);
     }
@@ -163,15 +164,15 @@ mod tests {
     fn empty_source() {
         let tgt = random_bytes(100, 11);
         let fwd = Delta::literal(&tgt);
-        let bwd = reencode(b"", &fwd);
+        let bwd = reencode(b"", fwd.as_bytes());
         assert_eq!(bwd.apply(&tgt).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn empty_target() {
         let src = random_bytes(100, 12);
-        let fwd = Delta::default();
-        let bwd = reencode(&src, &fwd);
+        let fwd = Delta::literal(b"");
+        let bwd = reencode(&src, fwd.as_bytes());
         assert_eq!(bwd.apply(b"").unwrap(), src);
     }
 

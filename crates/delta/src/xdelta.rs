@@ -13,7 +13,7 @@
 //! The cost dbDedup attacks is exactly here: an index insertion for *every*
 //! source block and an index probe at *every* target offset.
 
-use crate::ops::{Delta, DeltaOp, MIN_COPY_LEN};
+use crate::ops::{Delta, DeltaWriter, MIN_COPY_LEN};
 use dbdedup_util::hash::adler32::{adler32, RollingAdler32};
 use dbdedup_util::hash::fx::FxHashMap;
 
@@ -29,9 +29,6 @@ pub fn xdelta_compress(source: &[u8], target: &[u8]) -> Delta {
 /// [`xdelta_compress`] with an explicit block size (≥ 4).
 pub fn xdelta_compress_block(source: &[u8], target: &[u8], block: usize) -> Delta {
     assert!(block >= 4, "block size too small to be meaningful");
-    if target.is_empty() {
-        return Delta::default();
-    }
     if source.len() < block {
         return Delta::literal(target);
     }
@@ -47,7 +44,7 @@ pub fn xdelta_compress_block(source: &[u8], target: &[u8], block: usize) -> Delt
     }
 
     // Phase 2: scan the target.
-    let mut ops: Vec<DeltaOp> = Vec::new();
+    let mut w = DeltaWriter::new(target.len());
     let mut emitted = 0usize; // target bytes already encoded
     let mut j = 0usize; // window start
     let mut roll = RollingAdler32::new(block);
@@ -88,10 +85,8 @@ pub fn xdelta_compress_block(source: &[u8], target: &[u8], block: usize) -> Delt
                 }
                 let len = t1 - t0;
                 if len >= MIN_COPY_LEN {
-                    if emitted < t0 {
-                        ops.push(DeltaOp::Insert(target[emitted..t0].to_vec()));
-                    }
-                    ops.push(DeltaOp::Copy { src_off: s0, len });
+                    w.insert(&target[emitted..t0]);
+                    w.copy(s0, len);
                     emitted = t1;
                     j = t1;
                     roll.reset();
@@ -108,10 +103,8 @@ pub fn xdelta_compress_block(source: &[u8], target: &[u8], block: usize) -> Delt
             }
         }
     }
-    if emitted < target.len() {
-        ops.push(DeltaOp::Insert(target[emitted..].to_vec()));
-    }
-    Delta::from_ops(ops)
+    w.insert(&target[emitted..]);
+    w.finish()
 }
 
 #[cfg(test)]
@@ -129,8 +122,8 @@ mod tests {
         let data = random_bytes(4096, 1);
         let d = xdelta_compress(&data, &data);
         assert_eq!(d.apply(&data).unwrap(), data);
-        assert_eq!(d.ops().len(), 1, "identical data should be a single COPY: {:?}", d.ops().len());
-        assert!(d.encoded_len() < 20);
+        // A single COPY: varint(4096), then the tag, offset 0, varint(4096).
+        assert_eq!(d.as_bytes(), b"\x80\x20\x01\x00\x80\x20");
     }
 
     #[test]

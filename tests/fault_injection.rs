@@ -481,7 +481,7 @@ const REWRITE_CASES: &[RewriteCase] = &[
                 .encode(&docs[1], &docs[0]);
             RecordStore::open(dir, cache_free())
                 .expect("open")
-                .put(RecordId(0), StorageForm::Delta { base: RecordId(1) }, &backward.encode())
+                .put(RecordId(0), StorageForm::Delta { base: RecordId(1) }, backward.as_bytes())
                 .expect("put");
         },
         stage: |e, _| assert_eq!(e.chains().base_of(RecordId(0)), Some(RecordId(1))),
