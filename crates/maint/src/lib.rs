@@ -30,9 +30,12 @@
 //!    (copy-forward of live frames, then remove the segment), instead of a
 //!    stop-the-world segment rewrite. A tick starts a segment only once
 //!    [`MaintConfig::compact_trigger_ratio`] of it is dead, choosing by
-//!    cost and benefit, so it copies little to free a lot. It follows
-//!    re-dedup because each rewrite supersedes a raw frame: dead space the
-//!    same tick can start on.
+//!    cost and benefit, so it copies little to free a lot. A step walks
+//!    the segment's per-segment view, not its bytes: dead frames are
+//!    booked without being read, and the budget pays for reading and
+//!    writing the frames that survive. It follows re-dedup because each
+//!    rewrite supersedes a raw frame: dead space the same tick can start
+//!    on.
 //! 5. **Tiered-index run merging** — the memory-bounded feature index
 //!    spills cold entries into immutable on-disk runs; the maintainer
 //!    merges them pairwise ([`DedupEngine::index_merge_step`]) toward the
@@ -83,8 +86,11 @@ pub struct MaintConfig {
     /// [`Maintainer::run_until_quiesced`], which drains everything. At 0
     /// every tick is a slice of that drain.
     pub compact_trigger_ratio: f64,
-    /// Segment bytes processed per compaction step — the knob bounding
-    /// how long one tick can stall the foreground.
+    /// Bytes one compaction step reads plus the bytes it writes, with a
+    /// small fixed charge per dead frame (booked, never read) — the knob
+    /// bounding how long one tick can stall the foreground. Since a step
+    /// reads and writes only the frames it keeps, a mostly-dead victim
+    /// moves many budgets' worth of segment per step.
     pub compact_budget_bytes: u64,
     /// Deleted records spliced out per tick.
     pub gc_per_tick: usize,
@@ -116,7 +122,7 @@ impl Default for MaintConfig {
     fn default() -> Self {
         Self {
             compact_trigger_ratio: 0.25,
-            compact_budget_bytes: 256 * 1024,
+            compact_budget_bytes: 320 * 1024,
             gc_per_tick: 4,
             max_tail_versions: None,
             retire_per_tick: 4,

@@ -187,8 +187,8 @@ struct Loc {
 }
 
 /// One segment's share of the directory: what the maintenance paths that
-/// work a segment at a time (scrub slice, victim choice, mid-compaction
-/// quarantine) read instead of walking every record.
+/// work a segment at a time (scrub slice, victim choice, the compaction
+/// walk) read instead of walking every record or every byte.
 #[derive(Debug, Default)]
 struct SegLive {
     /// `(offset, id)` of every put frame the directory has pointed at in
@@ -197,8 +197,13 @@ struct SegLive {
     /// entry behind: an entry is live iff the directory still points `id`
     /// at exactly this position, checked on use, and the list is dropped
     /// whole when compaction empties the segment. 16 bytes per put frame on
-    /// disk.
+    /// disk. Every entry that is not live is one count of `stale_puts`.
     frames: Vec<(u64, RecordId)>,
+    /// `(offset, id, frame length)` of every tombstone frame in this
+    /// segment, ascending by offset; their lengths sum to the segment's
+    /// share of `tomb_bytes`. With `frames` it names every booked frame, so
+    /// compaction decides each frame's fate without reading it.
+    tombs: Vec<(u64, RecordId, u32)>,
     /// Sum of `Loc::len` over the directory entries in this segment.
     live_frame_bytes: u64,
     /// The file's length once sealed (set by rotation and the recovery
@@ -220,14 +225,16 @@ struct Inner {
     /// Live payload bytes before block compression.
     live_uncompressed_bytes: u64,
     dead_bytes: u64,
-    /// Bytes of tombstone frames currently on disk. Subset of
-    /// `dead_bytes`; a tombstone can only be dropped once no superseded
-    /// put frame for its id remains, so `dead_bytes - tomb_bytes` is the
-    /// space compaction can actually reclaim right now.
+    /// Bytes of tombstone frames currently on disk: the sum over the
+    /// segments' tombstone lists. Subset of `dead_bytes`; a tombstone can
+    /// only be dropped once no superseded put frame for its id remains, so
+    /// `dead_bytes - tomb_bytes` is the space compaction can actually
+    /// reclaim right now.
     tomb_bytes: u64,
-    /// Per-id count of superseded put frames still physically on disk.
-    /// A tombstone whose id has no stale puts left shadows nothing and is
-    /// dropped (not carried) when its segment is compacted.
+    /// Per-id count of superseded put frames still physically on disk: the
+    /// entries of the segments' put lists that are not live. A tombstone
+    /// whose id has no stale puts left shadows nothing and is dropped (not
+    /// carried) when its segment is compacted.
     stale_puts: FxHashMap<RecordId, u32>,
     /// Per-segment view of the directory, indexed by segment.
     segs: Vec<SegLive>,
@@ -248,6 +255,7 @@ impl Inner {
         if tombstone {
             self.dead_bytes += u64::from(loc.len);
             self.tomb_bytes += u64::from(loc.len);
+            self.add_tomb(id, loc.seg, loc.off, loc.len);
         } else {
             self.directory.insert(id, loc);
             self.add_sizes(id, loc);
@@ -282,6 +290,15 @@ impl Inner {
         debug_assert!(seg.frames.last().is_none_or(|&(off, _)| off < new.off));
         seg.frames.push((new.off, id));
         seg.live_frame_bytes += u64::from(new.len);
+    }
+
+    /// Lists the `len`-byte tombstone frame for `id` at `(seg, off)` in
+    /// that segment's view (appended or replayed, or carried by
+    /// compaction; offset order as for [`Inner::add_sizes`]).
+    fn add_tomb(&mut self, id: RecordId, seg: u32, off: u64, len: u32) {
+        let tombs = &mut self.seg_mut(seg).tombs;
+        debug_assert!(tombs.last().is_none_or(|&(last, ..)| last < off));
+        tombs.push((off, id, len));
     }
 
     /// Whether the directory points `id` at exactly `(seg, off)`.
@@ -665,6 +682,7 @@ fn rotate_active(
     sealed.sealed_len = sealed_len;
     // The sealed segment's ordered view has stopped growing.
     sealed.frames.shrink_to_fit();
+    sealed.tombs.shrink_to_fit();
     inner.active_idx = next;
     inner.active = file;
     inner.io.writes += 1;

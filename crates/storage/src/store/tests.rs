@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::fault::{FaultKind, FaultPlan};
+use compaction::SPAN_GAP;
 
 fn store() -> RecordStore {
     RecordStore::open_temp(StoreConfig::default()).expect("temp store")
@@ -223,6 +224,37 @@ fn assert_segment_views_match_directory(inner: &Inner, at: &str) {
     }
 }
 
+/// The books of dead frames balance against the per-segment views:
+/// `tomb_bytes` is the sum of the tombstone lists, and `stale_puts` counts,
+/// per id, the entries of the put lists that are not live. A victim's
+/// entries behind the compaction cursor are left out: they are booked.
+fn assert_books_balance(inner: &Inner, at: &str) {
+    let booked = |seg: u32, off: u64| inner.cursor.is_some_and(|c| c.seg == seg && off < c.off);
+    let (mut tombs, mut stale) = (0u64, FxHashMap::<RecordId, u32>::default());
+    for (seg, view) in (0u32..).zip(&inner.segs) {
+        for &(off, _, len) in &view.tombs {
+            tombs += if booked(seg, off) { 0 } else { u64::from(len) };
+        }
+        for &(off, id) in &view.frames {
+            if !booked(seg, off) && !inner.is_live_at(id, seg, off) {
+                *stale.entry(id).or_insert(0) += 1;
+            }
+        }
+    }
+    assert_eq!(inner.tomb_bytes, tombs, "{at}: tomb_bytes");
+    assert_eq!(inner.stale_puts, stale, "{at}: stale_puts");
+}
+
+/// Each segment's put and tombstone lists, up to the active segment.
+type Views = Vec<(Vec<(u64, RecordId)>, Vec<(u64, RecordId, u32)>)>;
+
+fn views(inner: &Inner) -> Views {
+    (0..=inner.active_idx as usize)
+        .map(|seg| inner.segs.get(seg).map(|v| (v.frames.clone(), v.tombs.clone())))
+        .map(Option::unwrap_or_default)
+        .collect()
+}
+
 /// Flips one byte inside the frame at `loc`, behind the store's back.
 fn rot_frame(dir: &Path, loc: Loc) {
     let mut f = OpenOptions::new().read(true).write(true).open(segment_path(dir, loc.seg)).unwrap();
@@ -238,8 +270,11 @@ fn rot_frame(dir: &Path, loc: Loc) {
 /// sum over the directory at every step of a churn and equal what a
 /// fresh recovery scan of the same directory computes from the frames —
 /// and so do the per-segment counters, sealed lengths and ordered view
-/// that scrub, victim choice and mid-compaction quarantine read, with
-/// `scrub_step` over that view reporting what the directory scan reports.
+/// that scrub and victim choice read, with `scrub_step` over that view
+/// reporting what the directory scan reports. The books compaction walks
+/// by — put and tombstone lists, `stale_puts`, `tomb_bytes` — balance
+/// after every step, compaction steps of random budgets included, and
+/// equal a reopen's.
 #[test]
 fn live_byte_counters_match_directory_and_reopen_after_churn() {
     for block_compression in [false, true] {
@@ -272,14 +307,14 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
                     }
                     5 => s.put_degraded(id, "db", &[step as u8; 64]).unwrap(),
                     6 | 7 => s.delete(id).unwrap(),
-                    8 => drop(s.compact_step(3000, 0.4).unwrap()),
+                    8 => drop(s.compact_step(1 + rng.next_index(8000) as u64, 0.4).unwrap()),
                     _ if step % 7 == 0 => drop(compact_fully(&s)),
                     _ if step % 7 == 3 => {
                         // Rot a live frame: both scrubs must name it.
                         // Then quarantine it as the scrubber would, and
-                        // compact the damage off the disk (giving up
-                        // the rest of its segment) so that a reopen
-                        // finds what memory holds.
+                        // compact the damage off the disk (a dead frame
+                        // now, dropped unread) so that a reopen finds
+                        // what memory holds.
                         let live = s.inner.lock().directory.get(&id).copied();
                         if let Some(loc) = live {
                             rot_frame(&dir, loc);
@@ -295,6 +330,7 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
                 }
                 let inner = s.inner.lock();
                 assert_segment_views_match_directory(&inner, &format!("step {step}"));
+                assert_books_balance(&inner, &format!("step {step}"));
                 assert_sealed_lens_match_files(&inner, &dir, &format!("step {step}"));
                 let sum = |f: fn(&Loc) -> u32| {
                     inner.directory.values().map(|loc| u64::from(f(loc))).sum::<u64>()
@@ -311,6 +347,15 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
             if block_compression {
                 assert!(payload < uncompressed, "some frames were compressed");
             }
+            // A victim in progress still holds the old copies of what it
+            // moved, which a reopen would count as stale: finish it.
+            while s.inner.lock().cursor.is_some() {
+                let _ = s.compact_step(1 + rng.next_index(8000) as u64, 0.4).unwrap();
+            }
+            let books = {
+                let inner = s.inner.lock();
+                (inner.tomb_bytes, inner.stale_puts.clone(), views(&inner))
+            };
             drop(s);
             let reopened = RecordStore::open(&dir, cfg.clone()).unwrap();
             let at = format!("round {round} compression {block_compression}");
@@ -318,6 +363,9 @@ fn live_byte_counters_match_directory_and_reopen_after_churn() {
             assert_eq!(reopened.stored_payload_bytes(), payload, "{at}");
             assert_eq!(reopened.stored_uncompressed_bytes(), uncompressed, "{at}");
             assert_sealed_lens_match_files(&reopened.inner.lock(), &dir, &at);
+            let inner = reopened.inner.lock();
+            assert_books_balance(&inner, &at);
+            assert!((inner.tomb_bytes, inner.stale_puts.clone(), views(&inner)) == books, "{at}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -396,8 +444,9 @@ fn recovery_restores_directory() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-// Compaction: whole and bounded passes, windowed I/O, crash and I/O-error
-// safety of the copy-forward.
+// Compaction: whole and bounded passes, the walk over the view and what
+// it reads and writes, damage, crash and I/O-error safety of the
+// copy-forward.
 include!("compaction_tests.rs");
 
 #[test]

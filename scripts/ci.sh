@@ -131,15 +131,24 @@ echo "==> perf determinism guard"
 #   `tick_on_a_quiesced_store_writes_nothing_and_reads_only_its_scrub_slice`
 #   (an idle tick on 20 000 records: 0 physical writes, reads bounded by the
 #   scrub budget) and dbdedup-storage
-#   `one_compaction_step_writes_once_per_run_not_once_per_frame` (one
+#   `one_compaction_step_writes_once_per_active_segment_it_touches` (one
 #   `compact_step(256 KiB)` over 241 adjacent live frames: 1 physical
-#   write, at most 1 + 2 per rotation crossed). Beside them, byte identity
-#   and index ≡ scan: dbdedup-storage
-#   `windowed_compaction_writes_the_segments_frame_at_a_time_compaction_writes`,
-#   `damage_anywhere_in_a_window_takes_the_frame_at_a_time_path` and
-#   `live_byte_counters_match_directory_and_reopen_after_churn` (ordered
-#   view ≡ sorted directory, `scrub_step` ≡ its directory-scan oracle,
-#   sealed lengths ≡ file lengths after every step and a reopen). The
+#   write, and 1 + 2 per rotation crossed). Compaction walks the
+#   per-segment view and reads only what it keeps: dbdedup-storage
+#   `a_step_reads_no_byte_of_a_frame_it_drops` (bytes read = kept bytes
+#   when no span bridges a dead frame, at most `SPAN_GAP` more per bridged
+#   gap otherwise), `compaction_writes_the_same_segments_at_every_budget`
+#   (budgets of 1 B to 1 MiB write identical files, at most one write per
+#   victim and active segment a step touches),
+#   `a_rotted_dead_frame_costs_no_live_record` and
+#   `a_rotted_live_frame_costs_only_its_own_record` (damage costs only the
+#   kept frame it hits). Beside them, byte identity and index ≡ scan:
+#   dbdedup-storage `live_byte_counters_match_directory_and_reopen_after_churn`
+#   (ordered view ≡ sorted directory, `scrub_step` ≡ its directory-scan
+#   oracle, sealed lengths ≡ file lengths, and the dead-frame books —
+#   `tomb_bytes` = Σ tombstone lists, `stale_puts` = the put lists'
+#   non-live entries — after every step, compaction at random budgets
+#   included, and equal to a reopen's). The
 #   victim rule (4 MiB segments, cost-benefit victims over a floor, emptied
 #   segments removed): dbdedup-storage
 #   `victim_is_the_older_of_equal_dead_shares_unless_a_younger_is_much_deader`,

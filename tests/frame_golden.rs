@@ -42,7 +42,10 @@ fn segment_hashes(store: &RecordStore) -> Vec<(usize, u64)> {
 /// Segment lengths and FNV-1a as the puts wrote them.
 const GOLDEN_WRITTEN: &[(usize, u64)] =
     &[(0x15c3c, 0xd311_95c9_4619_41e6), (0x60c2, 0xf280_0c78_0601_608b)];
-/// The same after the sequence's one compaction step.
+/// The same after the sequence's one compaction step. Compaction reads
+/// only the frames it keeps and writes them with one write per active
+/// segment, yet each copy still lands where appending the kept frames one
+/// by one would put it, so these bytes are the per-frame copier's too.
 const GOLDEN_COMPACTED: &[(usize, u64)] = &[
     (0, 0xcbf2_9ce4_8422_2325), // emptied victims read as empty files
     (0, 0xcbf2_9ce4_8422_2325),
