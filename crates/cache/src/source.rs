@@ -11,6 +11,16 @@
 //! *replaced* rather than kept alongside — an encoding chain only ever
 //! needs its head plus one hop base per level in cache, which is what keeps
 //! a 32 MiB budget effective over multi-GiB corpora.
+//!
+//! Reads add one more kind of entry. A client read that decodes through a
+//! *junction* — a record two or more others decode through, in practice a
+//! hop base — leaves the junction's content here, so the next read below it
+//! stops there instead of climbing to the chain head again. The engine
+//! picks the junctions and caches them with a plain [`insert`], under the
+//! same budget and LRU. Every entry is a record's full logical content,
+//! whatever form the store keeps it in.
+//!
+//! [`insert`]: SourceRecordCache::insert
 
 use bytes::Bytes;
 use dbdedup_util::hash::fx::FxHashMap;

@@ -881,7 +881,7 @@ impl DedupEngine {
             self.metrics.read_retrievals.record(0);
             return Ok(content);
         }
-        let decoded = self.decode_with_path(id);
+        let decoded = self.decode_with_path(id, true);
         self.tracer.stop(t, Stage::DecodeChain);
         let (content, path, splice) = decoded?;
         self.metrics.read_retrievals.record((path.len() - 1) as u64);
@@ -895,9 +895,11 @@ impl DedupEngine {
     /// untouched: the meter paces write-back flushes and recency steers
     /// source selection, so both must stand exactly where the store read
     /// would leave them. A record stored as a delta never comes from here,
-    /// even when cached (a pending hop base), so read-side GC sees every path
-    /// it saw before. `decode_record` (scrub, GC, source fetch) never comes
-    /// here either: the scrub must see a damaged frame behind a cached copy.
+    /// even when cached (a pending hop base, or a junction a read admitted):
+    /// its read still takes its own frame from the store and walks to the
+    /// first cached base above it. `decode_record` (scrub, GC, source fetch)
+    /// never comes here either: the scrub must see a damaged frame behind a
+    /// cached copy.
     fn cached_raw(&mut self, id: RecordId) -> Option<Bytes> {
         // The peek is a plain map lookup; the store's locked directory lookup
         // is paid only by reads the cache holds.
@@ -911,9 +913,10 @@ impl DedupEngine {
         Some(content)
     }
 
-    /// Decodes a record's content without GC or metrics (internal).
+    /// Decodes a record's content without GC, metrics or cache admission:
+    /// the walk behind scrub, GC, re-dedup and source fetch.
     fn decode_record(&mut self, id: RecordId) -> Result<Bytes, EngineError> {
-        let (content, _, _) = self.decode_with_path(id)?;
+        let (content, _, _) = self.decode_with_path(id, false)?;
         Ok(content)
     }
 
@@ -940,11 +943,18 @@ impl DedupEngine {
     /// then applies each delta straight from its wire bytes on the way back
     /// down, alternating two buffers. Returns the content, the path `[id,
     /// …, base]`, and — when the path passes a deleted node — the splice
-    /// read-side GC makes there, the only intermediate contents kept.
+    /// read-side GC makes there.
+    ///
+    /// With `admit` (a client read), every live *junction* decoded above
+    /// `id` — a record two or more others decode through, in practice a hop
+    /// base — goes into the source cache, so the next read below it stops
+    /// there instead of climbing to the head again (§3.3.1). Scrub, GC and
+    /// source fetch pass `false`: a scrub slice would flood the cache.
     #[allow(clippy::type_complexity)]
     fn decode_with_path(
         &mut self,
         id: RecordId,
+        admit: bool,
     ) -> Result<(Bytes, Vec<RecordId>, Option<Splice>), EngineError> {
         let mut path = vec![id];
         // Each delta on the path, a view of the frame it was read in.
@@ -991,7 +1001,8 @@ impl DedupEngine {
             }
         }
         // Read-side GC splices out the first deleted node below `id`, and
-        // needs the contents of its two neighbours: only those are kept.
+        // needs the contents of its two neighbours: only those, and the
+        // junctions a read admits, are copied out of the unwind.
         let dead = (1..path.len()).find(|&k| self.chains.is_deleted(path[k]));
         let slot = |k: usize| match dead {
             Some(d) if k + 1 == d => Some(0),
@@ -1013,8 +1024,20 @@ impl DedupEngine {
             }
             std::mem::swap(&mut cur, &mut next);
             // Path[0]'s content is the result, kept without a copy below.
-            if let Some(i) = slot(k).filter(|_| k > 0) {
-                kept[i] = Some(Bytes::copy_from_slice(&cur));
+            if k == 0 {
+                continue;
+            }
+            let node = path[k];
+            let junction =
+                admit && self.chains.refcount(node) >= 2 && !self.chains.is_deleted(node);
+            if junction || slot(k).is_some() {
+                let content = Bytes::copy_from_slice(&cur);
+                if let Some(i) = slot(k) {
+                    kept[i] = Some(content.clone());
+                }
+                if junction {
+                    self.source_cache.insert(node, content);
+                }
             }
         }
         let content = if last == 0 { tail } else { Bytes::from(cur) };
@@ -1538,7 +1561,7 @@ mod tests {
             (served.source_cache.stats(), served.io_queue_len(), served.metrics().reads_decoded);
         // The oracle takes the store path every read of it took before.
         let content = served.read(lru).unwrap();
-        let (stored, path, _) = oracle.decode_with_path(lru).unwrap();
+        let (stored, path, _) = oracle.decode_with_path(lru, false).unwrap();
         assert_eq!((content, path.len()), (stored, 1));
         assert_eq!(served.io_queue_len(), queue + 1.0, "exactly one read on the meter");
         assert_eq!(served.io_queue_len(), oracle.io_queue_len());

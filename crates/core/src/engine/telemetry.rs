@@ -141,6 +141,7 @@ impl DedupEngine {
             max_read_retrievals: self.metrics.read_retrievals.max(),
             mean_read_retrievals: self.metrics.read_retrievals.mean(),
             reads_decoded: self.metrics.read_retrievals.count(),
+            read_decode_hops: self.metrics.read_retrievals.clone(),
             gc_spliced: self.metrics.gc_spliced,
             quarantined_entries: io.quarantined_entries,
             truncated_tail_bytes: io.truncated_tail_bytes,

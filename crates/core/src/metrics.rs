@@ -199,6 +199,9 @@ pub struct MetricsSnapshot {
     /// Reads those two figures were observed over (the weight of the mean
     /// when shards merge).
     pub reads_decoded: u64,
+    /// Decode hops per client read, 0 for one served without decoding:
+    /// the distribution behind the three figures above.
+    pub read_decode_hops: LogHistogram,
     /// Read-path GC splices performed.
     pub gc_spliced: u64,
     /// Store entries quarantined by salvage recovery (bad checksums).
@@ -372,6 +375,7 @@ impl MetricsSnapshot {
         r.set_u64("maint.index.backlog", self.index_tier.merge_backlog);
         r.set_u64("maint.index.merges", self.index_tier.merges);
         r.set_u64("maint.index.merged_entries", self.index_tier.merged_entries);
+        r.set_histogram("read.decode_hops", &self.read_decode_hops);
         for stage in Stage::ALL {
             r.set_histogram(&format!("stage.{}", stage.name()), self.stages.get(stage));
         }
@@ -379,9 +383,9 @@ impl MetricsSnapshot {
     }
 
     /// One deployment-wide snapshot out of one per shard: counters and byte
-    /// gauges add up, worst-case gauges keep the worst, the mean decode
-    /// depth is weighted by the reads behind it, and device idleness is
-    /// the mean across shard devices. `None` for no shards.
+    /// gauges add up, worst-case gauges keep the worst, the decode-hop
+    /// figures come from the merged histogram, and device idleness is the
+    /// mean across shard devices. `None` for no shards.
     ///
     /// The literal below names every field (no `..`), so a new one does not
     /// compile until someone decides how it merges.
@@ -389,9 +393,10 @@ impl MetricsSnapshot {
         let mut merged = 1.0;
         shards.into_iter().reduce(|a, b| {
             merged += 1.0;
-            let reads = a.reads_decoded + b.reads_decoded;
             let mut stages = a.stages;
             stages.merge(&b.stages);
+            let mut read_decode_hops = a.read_decode_hops;
+            read_decode_hops.merge(&b.read_decode_hops);
             let (mut compact, mut index_tier) = (a.compact, a.index_tier);
             compact.merge(b.compact);
             index_tier.merge(b.index_tier);
@@ -418,11 +423,10 @@ impl MetricsSnapshot {
                     invalidated: a.writeback_cache.invalidated + b.writeback_cache.invalidated,
                     lost_savings: a.writeback_cache.lost_savings + b.writeback_cache.lost_savings,
                 },
-                max_read_retrievals: a.max_read_retrievals.max(b.max_read_retrievals),
-                mean_read_retrievals: (a.mean_read_retrievals * a.reads_decoded as f64
-                    + b.mean_read_retrievals * b.reads_decoded as f64)
-                    / reads.max(1) as f64,
-                reads_decoded: reads,
+                max_read_retrievals: read_decode_hops.max(),
+                mean_read_retrievals: read_decode_hops.mean(),
+                reads_decoded: read_decode_hops.count(),
+                read_decode_hops,
                 gc_spliced: a.gc_spliced + b.gc_spliced,
                 quarantined_entries: a.quarantined_entries + b.quarantined_entries,
                 truncated_tail_bytes: a.truncated_tail_bytes + b.truncated_tail_bytes,
@@ -521,6 +525,7 @@ mod tests {
             max_read_retrievals: 0,
             mean_read_retrievals: 0.0,
             reads_decoded: 0,
+            read_decode_hops: LogHistogram::new(),
             gc_spliced: 0,
             quarantined_entries: 0,
             truncated_tail_bytes: 0,
@@ -565,12 +570,14 @@ mod tests {
     #[test]
     fn merge_adds_counters_weights_the_mean_and_keeps_the_worst() {
         let (mut a, mut b) = (snap(), snap());
-        (a.reads_decoded, a.mean_read_retrievals, a.max_read_retrievals) = (1, 4.0, 4);
-        (b.reads_decoded, b.mean_read_retrievals, b.io_idle_fraction) = (3, 0.0, 0.25);
+        a.read_decode_hops.record(4);
+        (0..3).for_each(|_| b.read_decode_hops.record(0));
+        b.io_idle_fraction = 0.25;
         b.max_replica_lag = 7;
         let m = MetricsSnapshot::merge([a, b, snap()]).unwrap();
         assert_eq!(m.original_bytes, 3000);
         assert_eq!((m.reads_decoded, m.mean_read_retrievals, m.max_read_retrievals), (4, 1.0, 4));
+        assert_eq!(m.read_decode_hops.count(), 4);
         assert_eq!(m.max_replica_lag, 7);
         assert!((m.io_idle_fraction - 0.75).abs() < 1e-12, "{}", m.io_idle_fraction);
         assert!(MetricsSnapshot::merge([]).is_none());

@@ -113,3 +113,17 @@ fn stage_histograms_reach_the_export_from_real_traffic() {
         }
     }
 }
+
+#[test]
+fn decoded_hops_reach_the_export_as_a_histogram() {
+    let e = exercised_engine();
+    let snap = e.metrics();
+    let parsed = json::parse(&snap.to_json()).expect("valid JSON");
+    let get = |pct: &str| {
+        let key = format!("read.decode_hops.{pct}");
+        parsed.get(&key).and_then(|v| v.as_num()).unwrap_or_else(|| panic!("missing {key}"))
+    };
+    assert_eq!(get("count"), snap.reads_decoded as f64);
+    assert_eq!(get("max"), snap.max_read_retrievals as f64);
+    assert!(get("p50") <= get("p99") && get("p99") <= get("max"));
+}

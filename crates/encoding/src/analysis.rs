@@ -10,9 +10,18 @@
 //! | version jumping   | `N/H·S_b + (N−N/H)·S_d`  | `H`              | `N − N/H`         |
 //! | hop               | `S_b + (N−1)·S_d`        | `H + log_H N`    | `N + N·H/(H−1)²`  |
 //!
-//! The analytic worst-retrieval entry for hop encoding is the paper's
-//! (loose) bound; [`simulate`] measures the exact value by building the
-//! chain with [`crate::chain::ChainManager`] and walking every decode path.
+//! The hop row's `H + log_H N` is the paper's loose bound. The layout alone
+//! does not keep it. A pending hop base keeps its short delta to its
+//! successor until the next base of its level arrives, so a path that
+//! climbs the lanes to a pending base walks down the lanes after it again:
+//! about `H − 1` more hops per level on the way down, on every level the
+//! chain has reached. [`simulate`] measures that layout exactly, by
+//! building the chain with [`crate::chain::ChainManager`] and walking every
+//! decode path: under the default policy the worst read is 34 hops at
+//! `N = 200`, 69 at 1 000 and 108 at 5 000. What keeps real reads near the
+//! bound is the source cache, which holds each chain's pending hop bases
+//! and, once a read has decoded them, its junctions (§3.3.1): a walk stops
+//! at the first one it finds.
 
 use crate::chain::ChainManager;
 use crate::policy::EncodingPolicy;
@@ -203,6 +212,18 @@ mod tests {
                 hop.worst_retrievals,
                 vj.worst_retrievals
             );
+        }
+    }
+
+    #[test]
+    fn default_hop_layout_exceeds_the_loose_bound_and_grows_with_n() {
+        // (N, worst, mean) of the layout alone, with nothing cached.
+        for (n, worst, mean) in [(200, 34, 19.5), (1_000, 69, 44.7), (5_000, 108, 77.6)] {
+            let s = simulate(EncodingPolicy::default_hop(), n);
+            let m = (s.mean_retrievals * 10.0).round() / 10.0;
+            assert_eq!((s.worst_retrievals, m), (worst, mean), "N = {n}");
+            let bound = hop_cost(n, 16, SB, SD).worst_retrievals;
+            assert!(s.worst_retrievals as f64 > bound, "N = {n}: {worst} vs {bound:.1}");
         }
     }
 

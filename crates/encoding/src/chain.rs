@@ -518,6 +518,32 @@ mod tests {
     }
 
     #[test]
+    fn an_upgrade_that_saves_nothing_leaves_the_hop_base_on_its_short_delta() {
+        // Fig. 6 again, but the engine finds that R4's upgrade delta against
+        // R8 saves nothing and never writes it: R4 keeps Δ5,4.
+        let mut m = ChainManager::new(EncodingPolicy::Hop { distance: 4, max_levels: 2 });
+        let upgrade = Writeback { target: RecordId(4), base: RecordId(8) };
+        let mut plans = vec![m.start_chain(RecordId(0))];
+        for i in 1..17 {
+            plans.push(m.append(RecordId(i), RecordId(i - 1)));
+        }
+        let planned: Vec<Writeback> = plans.into_iter().flat_map(|p| p.writebacks).collect();
+        assert!(planned.contains(&upgrade));
+        for wb in planned.into_iter().filter(|wb| *wb != upgrade) {
+            m.commit_writeback(wb);
+        }
+        assert_eq!(m.base_of(RecordId(4)), Some(RecordId(5)), "short delta kept");
+        assert_eq!(m.refcount(RecordId(5)), 1);
+        // Everything below R4 now walks R5…R7 as well: H − 1 more hops.
+        assert_eq!(
+            m.decode_path(RecordId(1)).unwrap(),
+            [1, 2, 3, 4, 5, 6, 7, 8, 12, 16].map(RecordId).to_vec()
+        );
+        let full = build_chain(EncodingPolicy::Hop { distance: 4, max_levels: 2 }, 17);
+        assert_eq!(full.retrievals_for(RecordId(1)), Some(6));
+    }
+
+    #[test]
     fn hop_bounds_worst_case_retrievals() {
         let n = 200u64;
         let h = 8;

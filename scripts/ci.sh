@@ -93,13 +93,27 @@ echo "==> perf determinism guard"
 #   store, chains, caches and counters as they were);
 #   the root package's `read_model` (`cargo test -q --test read_model`: a
 #   seeded schedule of inserts, updates, deletes of chain-interior records,
-#   reads, flushes, `gc_record` and `compact_step`, every read equal to a
-#   `HashMap` model at the default source-cache budget and at 0, and every
-#   cache-less read past a tombstone splicing it); dbdedup-core
+#   reads, flushes, `gc_record`, `compact_step` and clean close/reopen,
+#   every read equal to a `HashMap` model at the default source-cache
+#   budget and at 0, every cache-less read past a tombstone splicing it,
+#   an update of a junction a read has just cached reading right with its
+#   former dependents, and the GC backlog drained to 0 before every close
+#   although reads stop at cached junctions below its tombstones);
+#   `read_hops` (`cargo test -q --test read_hops`: after a reopen, one read
+#   of an old version leaves the junctions it decoded cached, and each
+#   sibling read then decodes ≤ 16 hops — 97–106 without it);
+#   dbdedup-encoding `analysis::tests` (the default hop layout's worst and
+#   mean decode hops pinned at N = 200, 1 000 and 5 000, each above the
+#   paper's loose bound) and
+#   `an_upgrade_that_saves_nothing_leaves_the_hop_base_on_its_short_delta`;
+#   dbdedup-core
 #   `engine::tests::a_cache_served_read_leaves_cache_and_meter_where_the_store_read_did`
 #   and `a_cached_record_stored_as_a_delta_still_decodes_through_the_store`
 #   (the byte-identity contract of a cache-served read); `fault_injection`
-#   `rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub`.
+#   `rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub`
+#   and `rot_in_a_cached_junctions_own_frame_is_found_and_healed_by_the_scrub`
+#   (a scrub pass admits nothing to the cache, and still finds and heals a
+#   flipped byte in the frame of a junction a read cached).
 # * one scan, one pipeline — `one_scan` (serial ≡ 4-worker parallel, primary
 #   ≡ secondary, cache miss ≡ hit, a Rabin store reopened under the default
 #   kind) and `differential` (ParallelIngest at every worker count commits
@@ -182,7 +196,8 @@ echo "==> perf determinism guard"
 #   cuckoo index).
 # * operator surface — dbdedup-core `metrics_schema` (the JSON export parses
 #   with the in-repo parser, every registry field exactly once, the legacy
-#   key set still a subset); `obs_endpoint` (a real engine plus StatusServer
+#   key set still a subset, `read.decode_hops.*` agreeing with the legacy
+#   read counts); `obs_endpoint` (a real engine plus StatusServer
 #   scraped over TCP: /metrics covers every registry key once with
 #   JSON/Prometheus agreement, /health flips Ready→Degraded→Ready through
 #   the overload gate, /ready gates 503 when every link is partitioned);

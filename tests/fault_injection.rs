@@ -738,6 +738,21 @@ fn bitflip_on_degraded_record_salvages_and_keeps_backlog_consistent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flips one bit in the middle of `id`'s live frame, on disk, behind the
+/// store's back.
+fn flip_mid_frame(dir: &Path, store: &RecordStore, id: RecordId) {
+    use std::io::{Read, Seek, SeekFrom};
+    let (seg, off, len) = store.frame_extent(id).expect("live frame");
+    let at = off + u64::from(len) / 2;
+    let path = dir.join(format!("seg{seg:06}.dat"));
+    let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+    f.seek(SeekFrom::Start(at)).unwrap();
+    let mut b = [0u8; 1];
+    f.read_exact(&mut b).unwrap();
+    f.seek(SeekFrom::Start(at)).unwrap();
+    f.write_all(&[b[0] ^ 0x40]).unwrap();
+}
+
 /// At-run-time rot in the frame of a raw record the source cache holds. A
 /// read serves the cached copy, the way a block-cache hit masks rot on the
 /// disk below it; the scrub reads the store itself, so it still finds the
@@ -756,18 +771,7 @@ fn rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub() 
     }
     let victim = RecordId(1);
     assert_eq!(e.store().form(victim), Some(StorageForm::Raw));
-    let (seg, off, len) = e.store().frame_extent(victim).expect("live frame");
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        let at = off + u64::from(len) / 2;
-        let path = dir.join(format!("seg{seg:06}.dat"));
-        let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
-        f.seek(SeekFrom::Start(at)).unwrap();
-        let mut b = [0u8; 1];
-        f.read_exact(&mut b).unwrap();
-        f.seek(SeekFrom::Start(at)).unwrap();
-        f.write_all(&[b[0] ^ 0x40]).unwrap();
-    }
+    flip_mid_frame(&dir, e.store(), victim);
     assert!(e.store().get(victim).is_err(), "the frame itself no longer verifies");
     assert_eq!(&e.read(victim).expect("served from the cache")[..], &docs[1][..]);
     assert!(e.broken_records().is_empty());
@@ -778,6 +782,66 @@ fn rot_behind_a_cached_raw_record_is_masked_for_reads_and_healed_by_the_scrub() 
     let found = maint.scrub_pass_local(&mut e).expect("scrub");
     assert_eq!((found.totals.corrupt, found.totals.healed_local), (1, 1), "{found:?}");
     assert_eq!(&e.store().get(victim).expect("healed frame").payload[..], &docs[1][..]);
+    assert!(maint.scrub_pass_local(&mut e).expect("scrub").is_clean());
+    for (i, d) in docs.iter().enumerate() {
+        assert_eq!(&e.read(RecordId(i as u64)).unwrap()[..], &d[..], "record {i}");
+    }
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// At-run-time rot in the frame of a junction a read left in the source
+/// cache. Reads below the junction stop at the cached copy; the scrub's walk
+/// admits nothing and reads the junction's own frame, so it still finds the
+/// damage, and heals it from that cached copy.
+#[test]
+fn rot_in_a_cached_junctions_own_frame_is_found_and_healed_by_the_scrub() {
+    use dbdedup::{MaintConfig, Maintainer};
+    let dir = temp_dir("junction-rot");
+    let open = || {
+        let mut cfg = EngineConfig::default();
+        cfg.min_benefit_bytes = 16;
+        DedupEngine::new(RecordStore::open(&dir, cache_free()).expect("open"), cfg).expect("engine")
+    };
+    let mut rng = SplitMix64::new(0x7C7_0001);
+    let mut doc: Vec<u8> = (0..6_000).map(|_| b'a' + (rng.next_u64() % 26) as u8).collect();
+    let mut docs = Vec::new();
+    for _ in 0..40 {
+        let at = rng.next_index(doc.len() - 40);
+        doc[at..at + 40].fill(b'A' + (rng.next_u64() % 26) as u8);
+        docs.push(doc.clone());
+    }
+    {
+        let mut e = open();
+        for (i, d) in docs.iter().enumerate() {
+            e.insert("db", RecordId(i as u64), d).expect("insert");
+        }
+        e.flush_all_writebacks().expect("flush");
+    }
+    // Reopened, nothing is cached, and a scrub pass caches nothing: the
+    // first read below a junction still climbs its whole path.
+    let mut e = open();
+    let mut maint = Maintainer::new(MaintConfig::default());
+    assert!(maint.scrub_pass_local(&mut e).expect("scrub").is_clean());
+    let below = RecordId(1);
+    let path = e.chains().decode_path(below).expect("tracked");
+    assert_eq!(&e.read(below).expect("read")[..], &docs[1][..]);
+    assert_eq!(e.metrics().max_read_retrievals, path.len() as u64 - 1);
+    let junction = path[1..path.len() - 1]
+        .iter()
+        .copied()
+        .find(|&r| e.chains().refcount(r) >= 2)
+        .expect("a junction decoded on the way down");
+    assert!(matches!(e.store().form(junction), Some(StorageForm::Delta { .. })));
+    flip_mid_frame(&dir, e.store(), junction);
+    assert!(e.store().get(junction).is_err(), "the frame itself no longer verifies");
+    assert_eq!(&e.read(below).expect("stops at the cached junction")[..], &docs[1][..]);
+    assert!(e.broken_records().is_empty());
+    assert!(e.content_checksum(junction).is_err(), "decode_record reads the junction's frame");
+    let found = maint.scrub_pass_local(&mut e).expect("scrub");
+    assert_eq!((found.totals.corrupt, found.totals.healed_local), (1, 1), "{found:?}");
+    let healed = &e.store().get(junction).expect("healed frame").payload[..];
+    assert_eq!(healed, &docs[junction.0 as usize][..]);
     assert!(maint.scrub_pass_local(&mut e).expect("scrub").is_clean());
     for (i, d) in docs.iter().enumerate() {
         assert_eq!(&e.read(RecordId(i as u64)).unwrap()[..], &d[..], "record {i}");
