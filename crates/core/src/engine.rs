@@ -77,9 +77,6 @@ pub enum EngineError {
         /// Human-readable cause.
         detail: String,
     },
-    /// A replica's background apply thread panicked (replication halted;
-    /// the affected secondary needs a resync).
-    ReplicaPanicked(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -93,7 +90,6 @@ impl std::fmt::Display for EngineError {
             EngineError::ChainBroken { id, broken_at, detail } => {
                 write!(f, "record {id} unreadable: decode chain broken at {broken_at} ({detail})")
             }
-            EngineError::ReplicaPanicked(msg) => write!(f, "replica apply thread panicked: {msg}"),
         }
     }
 }
@@ -419,6 +415,21 @@ impl DedupEngine {
         data: &[u8],
         prepared: Option<PreparedInsert>,
     ) -> Result<InsertOutcome, EngineError> {
+        let outcome = self.insert_gated(db, id, data, prepared)?;
+        // Counted once the record is in: a failed insert adds nothing.
+        self.metrics.original_bytes += data.len() as u64;
+        Ok(outcome)
+    }
+
+    /// [`insert_prepared`](Self::insert_prepared)'s gates, dedup pipeline
+    /// and writes.
+    fn insert_gated(
+        &mut self,
+        db: &str,
+        id: RecordId,
+        data: &[u8],
+        prepared: Option<PreparedInsert>,
+    ) -> Result<InsertOutcome, EngineError> {
         if self.store.contains(id) {
             return Err(EngineError::DuplicateId(id));
         }
@@ -426,7 +437,6 @@ impl DedupEngine {
         // every clock read below.
         let sampled = self.tracer.sample();
         let len = data.len() as u64;
-        self.metrics.original_bytes += len;
 
         if !self.config.dedup_enabled {
             self.insert_raw(id, Bytes::copy_from_slice(data), None, true)?;
@@ -1141,8 +1151,8 @@ impl DedupEngine {
         if emit_oplog {
             self.log_op(OplogKind::Update { id, data: Bytes::copy_from_slice(data) })?;
         }
-        self.metrics.original_bytes += data.len() as u64;
         self.store.put(id, StorageForm::Raw, data)?;
+        self.metrics.original_bytes += data.len() as u64;
         self.chains.clear_base(id);
         self.io.submit(1);
         Ok(())
@@ -1286,9 +1296,9 @@ impl DedupEngine {
     fn apply_oplog_inner(&mut self, entry: &OplogEntry) -> Result<(), EngineError> {
         match &entry.kind {
             OplogKind::Insert { id, payload: OplogPayload::Raw(data) } => {
-                self.metrics.original_bytes += data.len() as u64;
                 self.insert_raw(*id, data.clone(), None, false)?;
                 self.source_cache.insert(*id, data.clone());
+                self.metrics.original_bytes += data.len() as u64;
                 Ok(())
             }
             OplogKind::Insert { id, payload: OplogPayload::Forward { base, delta } } => {
@@ -1297,13 +1307,16 @@ impl DedupEngine {
                 // in the chain commit.
                 let mut data = Vec::new();
                 Delta::apply_encoded(delta, &src_content, &mut data)?;
-                self.metrics.original_bytes += data.len() as u64;
-                self.metrics.deduped_inserts += 1;
+                let len = data.len() as u64;
                 // A secondary never selects sources, so nothing here scans
                 // the record: it is cached without anchors and scanned if
                 // ever encoded against.
                 let new = CachedSource { data: Bytes::from(data), anchors: None };
-                self.apply_dedup_insert(*id, *base, new, &src_content, delta, false)
+                self.apply_dedup_insert(*id, *base, new, &src_content, delta, false)?;
+                // Counted once applied, so a retried entry counts once.
+                self.metrics.original_bytes += len;
+                self.metrics.deduped_inserts += 1;
+                Ok(())
             }
             OplogKind::Update { id, data } => self.apply_update(*id, data, false),
             OplogKind::Delete { id } => self.apply_delete(*id, false),
@@ -1557,8 +1570,11 @@ mod tests {
         // The least recently used record still cached: the next eviction's.
         let lru = (0..7).map(RecordId).find(|&id| served.source_cache.contains(id)).unwrap();
         assert_eq!(served.store.form(lru), Some(StorageForm::Raw));
-        let (stats, queue, reads) =
-            (served.source_cache.stats(), served.io_queue_len(), served.metrics().reads_decoded);
+        let (stats, queue, reads) = (
+            served.source_cache.stats(),
+            served.io_queue_len(),
+            served.metrics().read_decode_hops.count(),
+        );
         // The oracle takes the store path every read of it took before.
         let content = served.read(lru).unwrap();
         let (stored, path, _) = oracle.decode_with_path(lru, false).unwrap();
@@ -1568,7 +1584,7 @@ mod tests {
         let after = served.source_cache.stats();
         assert_eq!((after.hits, after.misses), (stats.hits, stats.misses));
         let m = served.metrics();
-        assert_eq!((m.reads_decoded, m.max_read_retrievals), (reads + 1, 0));
+        assert_eq!((m.read_decode_hops.count(), m.read_decode_hops.max()), (reads + 1, 0));
         // Recency untouched: the next record cached evicts the one just read.
         for e in [&mut served, &mut oracle] {
             e.insert("db", RecordId(7), &docs[7]).unwrap();
@@ -1599,7 +1615,8 @@ mod tests {
         assert_eq!(&e.read(RecordId(0)).unwrap()[..], &docs[0][..]);
         let hops = e.retrievals_for(RecordId(0)).unwrap() as u64;
         assert!(hops >= 1);
-        assert_eq!((e.metrics().reads_decoded, e.metrics().max_read_retrievals), (1, hops));
+        let decoded = e.metrics().read_decode_hops;
+        assert_eq!((decoded.count(), decoded.max()), (1, hops));
         let after = e.source_cache.stats();
         assert!(after.hits + after.misses > stats.hits + stats.misses, "bases probed on the way");
         assert!(frames_read(&e) > frames, "its frames come from the store");

@@ -10,8 +10,8 @@ use dbdedup_util::time::Clock;
 use std::sync::Arc;
 
 impl DedupEngine {
-    /// Counts one replication-apply retry (called by the async replicator
-    /// when it re-attempts a transiently failed oplog apply).
+    /// Counts one repair retry (called by anti-entropy resync when it
+    /// re-attempts a transiently failed repair on this replica).
     pub fn record_apply_retry(&mut self) {
         self.metrics.apply_retries += 1;
     }
@@ -67,6 +67,11 @@ impl DedupEngine {
             flight.set_clock(clock.clone());
         }
         self.events.set_clock(clock);
+    }
+
+    /// The telemetry clock: spans are timed and events stamped on it.
+    pub fn telemetry_clock(&self) -> Arc<dyn Clock> {
+        Arc::clone(self.tracer.clock())
     }
 
     /// Attaches an anomaly [`FlightRecorder`]: the event log mirrors every
@@ -138,9 +143,6 @@ impl DedupEngine {
             bypassed_governor: self.metrics.bypassed_governor,
             source_cache: self.source_cache.stats(),
             writeback_cache: self.wb_cache.stats(),
-            max_read_retrievals: self.metrics.read_retrievals.max(),
-            mean_read_retrievals: self.metrics.read_retrievals.mean(),
-            reads_decoded: self.metrics.read_retrievals.count(),
             read_decode_hops: self.metrics.read_retrievals.clone(),
             gc_spliced: self.metrics.gc_spliced,
             quarantined_entries: io.quarantined_entries,

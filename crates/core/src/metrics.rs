@@ -192,15 +192,9 @@ pub struct MetricsSnapshot {
     pub source_cache: SourceCacheStats,
     /// Write-back cache statistics.
     pub writeback_cache: WritebackCacheStats,
-    /// Worst decode retrievals observed on reads.
-    pub max_read_retrievals: u64,
-    /// Mean decode retrievals observed on reads.
-    pub mean_read_retrievals: f64,
-    /// Reads those two figures were observed over (the weight of the mean
-    /// when shards merge).
-    pub reads_decoded: u64,
-    /// Decode hops per client read, 0 for one served without decoding:
-    /// the distribution behind the three figures above.
+    /// Decode hops per client read, 0 for one served without decoding.
+    /// The registry renders its count, mean and max as `reads_decoded`,
+    /// `mean_read_retrievals` and `max_read_retrievals`.
     pub read_decode_hops: LogHistogram,
     /// Read-path GC splices performed.
     pub gc_spliced: u64,
@@ -306,8 +300,8 @@ impl MetricsSnapshot {
         r.set_f64("source_cache_miss_ratio", self.source_cache.miss_ratio());
         r.set_u64("writebacks_flushed", self.writeback_cache.flushed);
         r.set_u64("writebacks_dropped", self.writeback_cache.dropped);
-        r.set_u64("max_read_retrievals", self.max_read_retrievals);
-        r.set_f64("mean_read_retrievals", self.mean_read_retrievals);
+        r.set_u64("max_read_retrievals", self.read_decode_hops.max());
+        r.set_f64("mean_read_retrievals", self.read_decode_hops.mean());
         r.set_u64("gc_spliced", self.gc_spliced);
         r.set_u64("quarantined_entries", self.quarantined_entries);
         r.set_u64("truncated_tail_bytes", self.truncated_tail_bytes);
@@ -319,7 +313,7 @@ impl MetricsSnapshot {
         r.set_u64("catchup_batches", self.catchup_batches);
         r.set_u64("health_transitions", self.health_transitions);
         r.set_u64("max_replica_lag", self.max_replica_lag);
-        r.set_u64("reads_decoded", self.reads_decoded);
+        r.set_u64("reads_decoded", self.read_decode_hops.count());
         r.set_u64("source_cache_hits", self.source_cache.hits);
         r.set_u64("source_cache_misses", self.source_cache.misses);
         r.set_u64("source_cache_evictions", self.source_cache.evictions);
@@ -423,9 +417,6 @@ impl MetricsSnapshot {
                     invalidated: a.writeback_cache.invalidated + b.writeback_cache.invalidated,
                     lost_savings: a.writeback_cache.lost_savings + b.writeback_cache.lost_savings,
                 },
-                max_read_retrievals: read_decode_hops.max(),
-                mean_read_retrievals: read_decode_hops.mean(),
-                reads_decoded: read_decode_hops.count(),
                 read_decode_hops,
                 gc_spliced: a.gc_spliced + b.gc_spliced,
                 quarantined_entries: a.quarantined_entries + b.quarantined_entries,
@@ -522,9 +513,6 @@ mod tests {
             bypassed_governor: 0,
             source_cache: SourceCacheStats::default(),
             writeback_cache: WritebackCacheStats::default(),
-            max_read_retrievals: 0,
-            mean_read_retrievals: 0.0,
-            reads_decoded: 0,
             read_decode_hops: LogHistogram::new(),
             gc_spliced: 0,
             quarantined_entries: 0,
@@ -576,8 +564,8 @@ mod tests {
         b.max_replica_lag = 7;
         let m = MetricsSnapshot::merge([a, b, snap()]).unwrap();
         assert_eq!(m.original_bytes, 3000);
-        assert_eq!((m.reads_decoded, m.mean_read_retrievals, m.max_read_retrievals), (4, 1.0, 4));
-        assert_eq!(m.read_decode_hops.count(), 4);
+        let hops = &m.read_decode_hops;
+        assert_eq!((hops.count(), hops.mean(), hops.max()), (4, 1.0, 4));
         assert_eq!(m.max_replica_lag, 7);
         assert!((m.io_idle_fraction - 0.75).abs() < 1e-12, "{}", m.io_idle_fraction);
         assert!(MetricsSnapshot::merge([]).is_none());

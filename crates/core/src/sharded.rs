@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(m.maint_degraded_backlog, 3);
         assert_eq!((m.scrub_verified, m.scrub_passes), (3, 1));
         assert_eq!(m.deduped_inserts + m.unique_inserts, 6);
-        assert_eq!((m.reads_decoded, m.mean_read_retrievals), (3, 0.0));
+        assert_eq!((m.read_decode_hops.count(), m.read_decode_hops.mean()), (3, 0.0));
         let per_shard: Vec<_> = (0..2).map(|k| e.with_shard(k, |s| s.metrics())).collect();
         assert_eq!(m.source_cache.misses, per_shard.iter().map(|s| s.source_cache.misses).sum());
         assert_eq!(m.writeback_cache.inserted, per_shard[scrubbed].writeback_cache.inserted);

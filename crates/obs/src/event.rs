@@ -79,11 +79,6 @@ pub enum EventKind {
         /// Link / replica index.
         replica: u64,
     },
-    /// A transport fault swallowed a replication frame in flight.
-    DroppedBatch {
-        /// Running total of dropped frames on this transport.
-        total: u64,
-    },
     /// A transient transport fault swallowed a fetch (cursor holds).
     TransportDrop {
         /// Link / replica index.
@@ -213,7 +208,6 @@ impl EventKind {
             EventKind::CrashRestart { .. } => "crash_restart",
             EventKind::SlowSpell { .. } => "slow_spell",
             EventKind::Backpressure { .. } => "backpressure",
-            EventKind::DroppedBatch { .. } => "dropped_batch",
             EventKind::TransportDrop { .. } => "transport_drop",
             EventKind::CatchupBatch { .. } => "catchup_batch",
             EventKind::FullResync { .. } => "full_resync",
@@ -289,9 +283,6 @@ impl Event {
             }
             EventKind::SlowSpell { replica, ticks } => {
                 s.push_str(&format!(",\"replica\":{replica},\"ticks\":{ticks}"));
-            }
-            EventKind::DroppedBatch { total } => {
-                s.push_str(&format!(",\"total\":{total}"));
             }
             EventKind::OverloadGate { on } | EventKind::IngestDegraded { on } => {
                 s.push_str(&format!(",\"on\":{on}"));
@@ -540,7 +531,6 @@ mod tests {
             EventKind::CrashRestart { replica: 2 },
             EventKind::SlowSpell { replica: 0, ticks: 3 },
             EventKind::Backpressure { replica: 1 },
-            EventKind::DroppedBatch { total: 7 },
             EventKind::TransportDrop { replica: 0 },
             EventKind::CatchupBatch { replica: 2 },
             EventKind::FullResync { replica: 2 },

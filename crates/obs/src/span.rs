@@ -200,6 +200,11 @@ impl StageTracer {
         self.clock = clock;
     }
 
+    /// The clock spans are timed on.
+    pub fn clock(&self) -> &Arc<dyn Clock> {
+        &self.clock
+    }
+
     /// Attaches an anomaly [`FlightRecorder`]: every sampled span is
     /// mirrored into its ring alongside the histogram observation.
     pub fn set_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {

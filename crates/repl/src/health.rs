@@ -18,8 +18,9 @@
 //! `Partitioned` is sticky: lag observations cannot clear it, only an
 //! explicit heal — which lands in `CatchingUp`, the state in which the
 //! replica replays its oplog gap via cursor catch-up. Catch-up completes
-//! (back to `Healthy`) only when the lag drains to zero. Transitions are
-//! counted so the engine can export them through its metrics snapshot.
+//! (back to `Healthy`) only when the lag drains to zero. Each step says
+//! whether the state changed, so the owner can count transitions into the
+//! engine's metrics snapshot.
 
 /// The four conditions a replication link can be in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,21 +64,20 @@ impl From<ReplicaHealth> for dbdedup_core::health::LinkState {
     }
 }
 
-/// Tracks one replica's [`ReplicaHealth`], counting transitions and the
-/// worst lag observed.
+/// Tracks one replica's [`ReplicaHealth`]. Its owner counts transitions
+/// and the worst lag on the primary (`health_transitions`,
+/// `max_replica_lag`).
 #[derive(Debug)]
 pub struct HealthTracker {
     state: ReplicaHealth,
     lag_threshold: u64,
-    transitions: u64,
-    max_lag: u64,
 }
 
 impl HealthTracker {
     /// Creates a tracker that declares a replica `Lagging` once it falls
     /// more than `lag_threshold` oplog entries behind.
     pub fn new(lag_threshold: u64) -> Self {
-        Self { state: ReplicaHealth::Healthy, lag_threshold, transitions: 0, max_lag: 0 }
+        Self { state: ReplicaHealth::Healthy, lag_threshold }
     }
 
     /// Current state.
@@ -85,28 +85,16 @@ impl HealthTracker {
         self.state
     }
 
-    /// State transitions observed so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Worst lag (oplog entries) observed so far.
-    pub fn max_lag(&self) -> u64 {
-        self.max_lag
-    }
-
     fn transition(&mut self, next: ReplicaHealth) -> bool {
         if self.state == next {
             return false;
         }
         self.state = next;
-        self.transitions += 1;
         true
     }
 
     /// Feeds a lag observation. Returns whether the state changed.
     pub fn observe_lag(&mut self, lag: u64) -> bool {
-        self.max_lag = self.max_lag.max(lag);
         match self.state {
             // Only an explicit heal clears a partition; a stale lag
             // number means nothing while the link is down.
@@ -154,8 +142,6 @@ mod tests {
         assert_eq!(t.state(), ReplicaHealth::Lagging);
         assert!(t.observe_lag(2), "recovers once lag drains");
         assert_eq!(t.state(), ReplicaHealth::Healthy);
-        assert_eq!(t.transitions(), 2);
-        assert_eq!(t.max_lag(), 11);
     }
 
     #[test]
@@ -169,7 +155,6 @@ mod tests {
         assert!(!t.observe_lag(5), "catch-up holds while the gap drains");
         assert!(t.observe_lag(0));
         assert_eq!(t.state(), ReplicaHealth::Healthy);
-        assert_eq!(t.transitions(), 3);
     }
 
     #[test]
@@ -179,6 +164,6 @@ mod tests {
         assert!(!t.partitioned());
         assert!(t.begin_catchup());
         assert!(!t.begin_catchup());
-        assert_eq!(t.transitions(), 2);
+        assert_eq!(t.state(), ReplicaHealth::CatchingUp);
     }
 }

@@ -11,25 +11,21 @@
 //! byte-identical storage while only the small forward delta crosses the
 //! network.
 //!
-//! Two drivers are provided:
+//! [`set::ReplicaSet`] is the one link model: one primary fanning out to
+//! N secondaries, each link with a fetch cursor, an applied cursor, a
+//! bounded in-flight queue between them, a partition flag and a
+//! [`health::HealthTracker`] (Healthy → Lagging → Partitioned →
+//! CatchingUp) surfaced through the engine's metrics, with byte-accurate
+//! network accounting (Fig. 11). [`set::ReplicaSet::sync`] runs the link's
+//! steps back to back; the [`sim`] module interleaves them with faults.
 //!
-//! * [`set::ReplicaSet`] — synchronous, deterministic, one primary fanning
-//!   out to N secondaries with per-link cursors, health and byte-accurate
-//!   network accounting; used by the experiment harnesses (Fig. 11).
-//! * [`asynch::AsyncReplicator`] — a crossbeam-channel pipeline with the
-//!   secondary applying batches on its own thread, mirroring the paper's
-//!   asynchronous push model, with bounded retry for transient apply
-//!   errors and optional transport fault injection.
-//!
-//! Replication is lossless under overload: shipping reports a typed
-//! [`asynch::ShipOutcome`] (backpressure is the caller's to absorb, with
-//! [`asynch::AsyncReplicator::ship_with_deadline`] for bounded blocking),
-//! and a replica that missed traffic — full queue, partition, crash —
-//! replays the gap from the primary's retained oplog window by LSN
-//! (*cursor catch-up*) before anything as expensive as a full resync is
-//! considered. Every link carries a [`health::HealthTracker`] state
-//! machine (Healthy → Lagging → Partitioned → CatchingUp) surfaced
-//! through the engine's metrics.
+//! Replication is lossless under overload and failure: a full queue
+//! refuses the fetch (backpressure) instead of dropping,
+//! an apply that fails leaves its entry at the head of the queue for the
+//! next attempt, and a replica that missed traffic — partition, lost
+//! frame, crash — replays the gap from the primary's retained oplog window
+//! by LSN (*cursor catch-up*) before anything as expensive as a full
+//! resync is considered.
 //!
 //! When the stream alone cannot re-converge a replica (corruption
 //! quarantined records, the retention window slid past its cursor),
@@ -44,14 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asynch;
 pub mod health;
 pub mod repair;
 pub mod resync;
 pub mod set;
 pub mod sim;
 
-pub use asynch::{AsyncReplicator, ShipOutcome};
 pub use health::{HealthTracker, ReplicaHealth};
 pub use repair::{FetchStats, RepairFetcher};
 pub use resync::{anti_entropy, anti_entropy_with_clock, ResyncReport};

@@ -26,7 +26,8 @@ const MAX_REPAIR_ATTEMPTS: u32 = 4;
 /// Retries `f` with jittered exponential backoff (the shared [`Backoff`]
 /// helper) while it fails transiently — I/O conditions clear; semantic
 /// errors don't. The resync pass is the recovery path of last resort, so
-/// it absorbs the same class of faults the replicator's apply loop does.
+/// it absorbs transient faults itself rather than leaving them to a later
+/// pass.
 fn with_retry(
     dst: &mut DedupEngine,
     clock: &Arc<dyn Clock>,

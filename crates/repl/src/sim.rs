@@ -21,13 +21,14 @@
 //!    window slid too far, the counted full-resync fallback) re-converged
 //!    every replica. No acknowledged write may ever need silent re-repair.
 //!
-//! Replicas pull from the primary's retained oplog by LSN ([`fetch_next`]
-//! cursor); a crash clears the volatile in-flight queue and rewinds the
-//! cursor to the durably applied position, and a full queue refuses the
-//! fetch (backpressure) rather than dropping — which is what makes the
+//! The simulator drives a [`ReplicaSet`] — the replication link the rest
+//! of the system runs — one step at a time, and owns only the schedule:
+//! faults, workload, slow spells, the overload gate, maintenance, and the
+//! model and convergence checks. Replicas pull from the primary's retained
+//! oplog by LSN; a crash drops the volatile in-flight queue and rewinds the
+//! fetch cursor to the applied one, and a full queue refuses the fetch
+//! (backpressure) rather than dropping — which is what makes the
 //! losslessness invariant hold by construction rather than by luck.
-//!
-//! [`fetch_next`]: SimConfig
 //!
 //! ```no_run
 //! use dbdedup_repl::sim::{SimConfig, Simulation};
@@ -38,16 +39,14 @@
 //! assert!(report.catchup_batches > 0);
 //! ```
 
-use crate::health::{HealthTracker, ReplicaHealth};
 use crate::resync::anti_entropy_with_clock;
+use crate::set::{Fetch, ReplicaSet};
 use dbdedup_core::{ChunkerKind, DedupEngine, EngineConfig, EngineError};
 use dbdedup_maint::{MaintConfig, Maintainer};
-use dbdedup_obs::{EventKind, EventLog, FlightConfig, FlightRecorder, Severity};
-use dbdedup_storage::oplog::{CursorGap, OplogEntry};
+use dbdedup_obs::{EventKind, FlightConfig, FlightRecorder, Severity};
 use dbdedup_util::dist::SplitMix64;
 use dbdedup_util::ids::RecordId;
 use dbdedup_util::time::{Clock, VirtualClock};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -177,7 +176,7 @@ impl std::error::Error for SimError {}
 
 /// What a completed (passing) run observed. Two runs of the same config
 /// are equal, trace hash included — that is the determinism contract.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// The seed that was run.
     pub seed: u64,
@@ -232,26 +231,15 @@ pub struct SimReport {
     pub flight_jsonl: String,
 }
 
-struct SimReplica {
-    engine: DedupEngine,
-    /// Volatile in-flight entries (lost on crash).
-    queue: VecDeque<OplogEntry>,
-    /// Next LSN to request from the primary.
-    fetch_next: u64,
-    /// Next LSN to apply (everything below is durably applied).
-    applied_next: u64,
-    partitioned: bool,
-    slow_until: u64,
-    health: HealthTracker,
-}
-
 /// The harness. Build with [`Simulation::new`], then [`run`](Self::run).
 pub struct Simulation {
     cfg: SimConfig,
     clock: Arc<VirtualClock>,
     rng: SplitMix64,
-    primary: DedupEngine,
-    replicas: Vec<SimReplica>,
+    /// The primary, the replicas and the links between them.
+    set: ReplicaSet,
+    /// Per replica, the tick until which it applies one entry per tick.
+    slow_until: Vec<u64>,
     /// Current content of every live record as its client was acknowledged
     /// it: drives workload generation, and is the model the primary is
     /// checked against at the end.
@@ -262,8 +250,6 @@ pub struct Simulation {
     /// asymmetry is the point: convergence must not depend on it).
     maintainer: Maintainer,
     report: SimReport,
-    /// The primary's event log (shared handle; virtual-clock timestamps).
-    events: Arc<EventLog>,
     /// The primary's anomaly flight recorder, when
     /// [`SimConfig::flight_recorder`] asked for one.
     flight: Option<Arc<FlightRecorder>>,
@@ -272,6 +258,11 @@ pub struct Simulation {
 /// Order-sensitive trace mixing (SplitMix64 finalizer over a running hash).
 fn mix(h: u64, v: u64) -> u64 {
     SplitMix64::new(h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
+}
+
+/// One seeded coin flip; `p == 0` draws nothing from the stream.
+fn chance(rng: &mut SplitMix64, p: f64) -> bool {
+    p > 0.0 && rng.next_f64() < p
 }
 
 impl Simulation {
@@ -288,9 +279,13 @@ impl Simulation {
         // Every engine's telemetry runs on the shared virtual clock, so
         // span durations and event timestamps replay with the schedule.
         let clock = VirtualClock::shared();
-        let mut primary =
-            DedupEngine::open_temp(ecfg.clone()).map_err(|e| mk(format!("open primary: {e}")))?;
-        primary.set_telemetry_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let open = |what: String| {
+            let mut engine = DedupEngine::open_temp(ecfg.clone())
+                .map_err(|e| mk(format!("open {what}: {e}")))?;
+            engine.set_telemetry_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+            Ok::<_, SimError>(engine)
+        };
+        let mut primary = open("primary".into())?;
         let flight = cfg.flight_recorder.then(|| {
             let rec = Arc::new(FlightRecorder::with_clock(
                 FlightConfig::default(),
@@ -299,46 +294,8 @@ impl Simulation {
             primary.set_flight_recorder(Arc::clone(&rec));
             rec
         });
-        let events = primary.event_log();
-        let mut replicas = Vec::with_capacity(cfg.replicas);
-        for i in 0..cfg.replicas {
-            let mut engine = DedupEngine::open_temp(ecfg.clone())
-                .map_err(|e| mk(format!("open replica {i}: {e}")))?;
-            engine.set_telemetry_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-            replicas.push(SimReplica {
-                engine,
-                queue: VecDeque::new(),
-                fetch_next: 0,
-                applied_next: 0,
-                partitioned: false,
-                slow_until: 0,
-                health: HealthTracker::new(cfg.lag_threshold),
-            });
-        }
-        let report = SimReport {
-            seed,
-            ticks: 0,
-            trace_hash: 0,
-            live_records: 0,
-            partitions: 0,
-            heals: 0,
-            crashes: 0,
-            transport_drops: 0,
-            backpressure_events: 0,
-            catchup_batches: 0,
-            full_resyncs: 0,
-            health_transitions: 0,
-            max_lag: 0,
-            bypassed_overload: 0,
-            maint_gc_records: 0,
-            maint_reclaimed_bytes: 0,
-            maint_paused_ticks: 0,
-            rededuped: 0,
-            index_runs_merged: 0,
-            events_jsonl: String::new(),
-            flight_dumps: 0,
-            flight_jsonl: String::new(),
-        };
+        let replicas =
+            (0..cfg.replicas).map(|i| open(format!("replica {i}"))).collect::<Result<_, _>>()?;
         // Eager trigger + small budget: the simulator wants maintenance
         // interleaved with faults as often as possible, in bounded bites.
         let mut mcfg = MaintConfig::default();
@@ -346,16 +303,15 @@ impl Simulation {
         mcfg.compact_budget_bytes = 8 << 10;
         Ok(Self {
             rng: SplitMix64::new(seed ^ 0xdbde_d0d0_u64.rotate_left(17)),
-            cfg,
             clock,
-            primary,
-            replicas,
+            set: ReplicaSet::with_lag_threshold(primary, replicas, cfg.lag_threshold),
+            slow_until: vec![0; cfg.replicas],
+            cfg,
             contents: Vec::new(),
             next_id: 0,
             trace: 0,
             maintainer: Maintainer::new(mcfg),
-            report,
-            events,
+            report: SimReport { seed, ..SimReport::default() },
             flight,
         })
     }
@@ -365,30 +321,13 @@ impl Simulation {
     }
 
     fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.next_f64() < p
+        chance(&mut self.rng, p)
     }
 
     fn note(&mut self, code: u64, a: u64, b: u64) {
         self.trace = mix(self.trace, code);
         self.trace = mix(self.trace, a);
         self.trace = mix(self.trace, b);
-    }
-
-    /// Drives replica `i`'s health state machine through `f`; when the
-    /// state changes, bumps the engine counter and records a typed event.
-    fn record_transition(&mut self, i: usize, f: impl FnOnce(&mut HealthTracker) -> bool) {
-        let from = self.replicas[i].health.state();
-        if f(&mut self.replicas[i].health) {
-            self.primary.record_health_transition();
-            self.events.record(
-                Severity::Info,
-                EventKind::HealthTransition {
-                    replica: i as u64,
-                    from: from.name(),
-                    to: self.replicas[i].health.state().name(),
-                },
-            );
-        }
     }
 
     /// Runs the scheduled ticks, heals and drains, verifies the invariants
@@ -398,7 +337,8 @@ impl Simulation {
             self.clock.advance(Duration::from_millis(10));
             self.inject_faults(tick);
             self.workload(tick).map_err(|e| self.fail(tick, format!("workload: {e}")))?;
-            self.ship(tick).map_err(|e| self.fail(tick, format!("ship: {e}")))?;
+            self.ship(tick, self.cfg.drop_prob)
+                .map_err(|e| self.fail(tick, format!("ship: {e}")))?;
             self.apply(tick).map_err(|e| self.fail(tick, format!("apply: {e}")))?;
             self.settle(tick);
             self.maintain(tick).map_err(|e| self.fail(tick, format!("maint: {e}")))?;
@@ -410,7 +350,7 @@ impl Simulation {
         if self.cfg.maint_every > 0 {
             let q = self
                 .maintainer
-                .run_until_quiesced(&mut self.primary)
+                .run_until_quiesced(&mut self.set.primary)
                 .map_err(|e| self.fail(self.report.ticks, format!("quiesce: {e}")))?;
             self.report.maint_reclaimed_bytes += q.compact.bytes_reclaimed;
             self.report.rededuped += q.rededuped;
@@ -420,7 +360,7 @@ impl Simulation {
                 q.reencoded ^ q.rededuped.rotate_left(24) ^ q.index_runs_merged.rotate_left(48),
                 q.compact.bytes_reclaimed,
             );
-            let backlog = self.primary.degraded_backlog_len();
+            let backlog = self.set.primary.degraded_backlog_len();
             if backlog != 0 {
                 return Err(self.fail(
                     self.report.ticks,
@@ -430,10 +370,16 @@ impl Simulation {
         }
         self.verify()?;
         self.report.trace_hash = self.trace;
-        self.report.live_records = self.primary.live_record_ids().len();
-        self.report.bypassed_overload = self.primary.metrics().bypassed_overload;
-        self.report.health_transitions = self.primary.metrics().health_transitions;
-        self.report.events_jsonl = self.events.to_jsonl();
+        let primary = &self.set.primary;
+        let m = primary.metrics();
+        self.report.live_records = primary.live_record_ids().len();
+        self.report.bypassed_overload = m.bypassed_overload;
+        self.report.health_transitions = m.health_transitions;
+        self.report.backpressure_events = m.backpressure_events;
+        self.report.catchup_batches = m.catchup_batches;
+        self.report.max_lag = m.max_replica_lag;
+        self.report.full_resyncs = self.set.full_resyncs();
+        self.report.events_jsonl = primary.event_log().to_jsonl();
         if let Some(flight) = &self.flight {
             self.report.flight_dumps = flight.dumps();
             self.report.flight_jsonl = flight.last_dump().unwrap_or_default();
@@ -451,11 +397,11 @@ impl Simulation {
         // `pump` first lets the virtual I/O device drain queued backward
         // writebacks (committing chain links), then runs the tick — the
         // same idle-time coupling a real deployment uses.
-        let (flushed, r) = self.maintainer.pump(&mut self.primary, 0.05, 32)?;
+        let (flushed, r) = self.maintainer.pump(&mut self.set.primary, 0.05, 32)?;
         // The flight recorder's periodic registry snapshot rides the
         // maintenance cadence, so an anomaly dump carries the metric
         // state leading up to the trigger.
-        self.primary.flight_snapshot();
+        self.set.primary.flight_snapshot();
         if r.paused {
             self.report.maint_paused_ticks += 1;
         }
@@ -477,40 +423,32 @@ impl Simulation {
 
     /// Seeded fault scheduling for one tick.
     fn inject_faults(&mut self, tick: u64) {
-        for i in 0..self.replicas.len() {
-            if self.replicas[i].partitioned {
+        for i in 0..self.cfg.replicas {
+            let replica = i as u64;
+            if self.set.is_partitioned(i) {
                 if self.chance(self.cfg.heal_prob) {
-                    self.replicas[i].partitioned = false;
-                    self.events.record(Severity::Info, EventKind::Heal { replica: i as u64 });
-                    self.record_transition(i, |h| h.begin_catchup());
+                    self.set.set_partitioned(i, false);
                     self.report.heals += 1;
-                    self.note(2, tick, i as u64);
+                    self.note(2, tick, replica);
                 }
             } else if self.chance(self.cfg.partition_prob) {
-                self.replicas[i].partitioned = true;
-                self.events.record(Severity::Warn, EventKind::Partition { replica: i as u64 });
-                self.record_transition(i, |h| h.partitioned());
+                self.set.set_partitioned(i, true);
                 self.report.partitions += 1;
-                self.note(1, tick, i as u64);
+                self.note(1, tick, replica);
             }
             if self.chance(self.cfg.crash_prob) {
-                // Crash-restart: the volatile queue is gone; the durable
-                // engine survives, so the fetch cursor rewinds to the
-                // applied position and nothing is lost.
-                let r = &mut self.replicas[i];
-                r.queue.clear();
-                r.fetch_next = r.applied_next;
-                self.events.record(Severity::Warn, EventKind::CrashRestart { replica: i as u64 });
+                // The durable engine survives, so nothing is lost.
+                self.set.crash_restart(i);
                 self.report.crashes += 1;
-                self.note(3, tick, i as u64);
+                self.note(3, tick, replica);
             }
             if self.chance(self.cfg.slow_prob) {
-                self.replicas[i].slow_until = tick + self.cfg.slow_ticks;
-                self.events.record(
+                self.slow_until[i] = tick + self.cfg.slow_ticks;
+                self.set.primary.event_log().record(
                     Severity::Info,
-                    EventKind::SlowSpell { replica: i as u64, ticks: self.cfg.slow_ticks },
+                    EventKind::SlowSpell { replica, ticks: self.cfg.slow_ticks },
                 );
-                self.note(4, tick, i as u64);
+                self.note(4, tick, replica);
             }
         }
     }
@@ -524,7 +462,7 @@ impl Simulation {
             if roll < self.cfg.delete_prob && self.contents.len() > 4 {
                 let at = self.rng.next_below(self.contents.len() as u64) as usize;
                 let (id, _) = self.contents.swap_remove(at);
-                self.primary.delete(id)?;
+                self.set.primary.delete(id)?;
                 self.note(6, tick, id.0);
             } else if roll < self.cfg.delete_prob + self.cfg.update_prob
                 && !self.contents.is_empty()
@@ -533,7 +471,7 @@ impl Simulation {
                 let mut doc = self.contents[at].1.clone();
                 self.mutate(&mut doc);
                 let id = self.contents[at].0;
-                self.primary.update(id, &doc)?;
+                self.set.primary.update(id, &doc)?;
                 self.contents[at].1 = doc;
                 self.note(7, tick, id.0);
             } else {
@@ -549,7 +487,7 @@ impl Simulation {
                 };
                 let id = RecordId(self.next_id);
                 self.next_id += 1;
-                self.primary.insert("sim", id, &doc)?;
+                self.set.primary.insert("sim", id, &doc)?;
                 self.contents.push((id, doc));
                 self.note(5, tick, id.0);
             }
@@ -571,115 +509,52 @@ impl Simulation {
         }
     }
 
-    /// Fetch phase: every reachable replica pulls from its oplog cursor
-    /// into its bounded queue. Full queue ⇒ backpressure (cursor holds);
-    /// transport fault ⇒ frame swallowed (cursor holds); cursor below the
-    /// retention floor ⇒ counted full-resync fallback.
-    fn ship(&mut self, tick: u64) -> Result<(), EngineError> {
+    /// Fetch phase: every reachable replica pulls from its fetch cursor
+    /// into its bounded queue, through a transport that loses a frame with
+    /// probability `drop_prob` (the cursor holds, so nothing is lost).
+    fn ship(&mut self, tick: u64, drop_prob: f64) -> Result<(), EngineError> {
+        let (budget, depth) = (self.cfg.fetch_budget, self.cfg.queue_depth);
         let mut pressured = false;
-        for i in 0..self.replicas.len() {
-            if self.replicas[i].partitioned {
-                continue;
-            }
-            let room = self.cfg.queue_depth.saturating_sub(self.replicas[i].queue.len());
-            if room == 0 {
-                pressured = true;
-                self.primary.record_backpressure();
-                self.events.record(Severity::Warn, EventKind::Backpressure { replica: i as u64 });
-                self.report.backpressure_events += 1;
-                self.note(8, tick, i as u64);
-                continue;
-            }
-            let from = self.replicas[i].fetch_next;
-            if from >= self.primary.oplog_next_lsn() {
-                continue;
-            }
-            let entries = match self.primary.oplog_entries_from(from, self.cfg.fetch_budget) {
-                Ok(entries) => entries,
-                Err(CursorGap::TrimmedBelowFloor { .. }) => {
-                    self.full_resync(i)?;
-                    self.note(14, tick, i as u64);
-                    continue;
+        for i in 0..self.cfg.replicas {
+            let rng = &mut self.rng;
+            let fetched = self.set.fetch(i, budget, depth, || chance(rng, drop_prob))?;
+            let replica = i as u64;
+            match fetched {
+                Fetch::Idle => {}
+                Fetch::Backpressured => {
+                    pressured = true;
+                    self.note(8, tick, replica);
                 }
-            };
-            if self.chance(self.cfg.drop_prob) {
-                // Transient transport fault: the frame evaporates but the
-                // cursor stays, so the next fetch re-reads it. Lossless.
-                self.events.record(Severity::Warn, EventKind::TransportDrop { replica: i as u64 });
-                self.report.transport_drops += 1;
-                self.note(9, tick, i as u64);
-                continue;
+                Fetch::Lost => {
+                    self.report.transport_drops += 1;
+                    self.note(9, tick, replica);
+                }
+                Fetch::Resynced => self.note(14, tick, replica),
+                Fetch::Queued { clipped, catchup } => {
+                    if clipped {
+                        pressured = true;
+                        self.note(8, tick, replica);
+                    }
+                    if catchup {
+                        self.note(13, tick, replica);
+                    }
+                    self.note(10, tick, replica);
+                }
             }
-            let take = entries.len().min(room);
-            if take < entries.len() {
-                pressured = true;
-                self.primary.record_backpressure();
-                self.events.record(Severity::Warn, EventKind::Backpressure { replica: i as u64 });
-                self.report.backpressure_events += 1;
-                self.note(8, tick, i as u64);
-            }
-            if take == 0 {
-                continue;
-            }
-            if self.replicas[i].health.state() == ReplicaHealth::CatchingUp {
-                self.primary.record_catchup_batch();
-                self.events.record(Severity::Info, EventKind::CatchupBatch { replica: i as u64 });
-                self.report.catchup_batches += 1;
-                self.note(13, tick, i as u64);
-            }
-            let r = &mut self.replicas[i];
-            for entry in entries.into_iter().take(take) {
-                r.fetch_next = entry.lsn + 1;
-                r.queue.push_back(entry);
-            }
-            self.note(10, tick, i as u64);
         }
         // Overload gate: sustained backpressure sheds the dedup stage on
         // the primary (records go raw) until the queues breathe again.
-        self.primary.set_replication_pressure(pressured);
+        self.set.primary.set_replication_pressure(pressured);
         self.note(if pressured { 11 } else { 12 }, tick, 0);
         Ok(())
     }
 
-    /// Retention slid past this replica's cursor: full anti-entropy.
-    fn full_resync(&mut self, i: usize) -> Result<(), EngineError> {
-        self.report.full_resyncs += 1;
-        self.events.record(Severity::Warn, EventKind::FullResync { replica: i as u64 });
-        let clock: Arc<dyn Clock> = Arc::clone(&self.clock) as Arc<dyn Clock>;
-        let r = &mut self.replicas[i];
-        r.queue.clear();
-        anti_entropy_with_clock(&mut self.primary, &mut r.engine, &clock)?;
-        let head = self.primary.oplog_next_lsn();
-        r.fetch_next = head;
-        r.applied_next = head;
-        self.record_transition(i, |h| h.begin_catchup());
-        Ok(())
-    }
-
     /// Apply phase: each replica drains its queue (one entry per tick when
-    /// slow). Entries below the applied cursor are idempotent re-reads;
-    /// entries above it would be a harness ordering bug.
+    /// slow).
     fn apply(&mut self, tick: u64) -> Result<(), EngineError> {
-        for i in 0..self.replicas.len() {
-            let slow = self.replicas[i].slow_until > tick;
-            let mut budget = if slow { 1usize } else { usize::MAX };
-            while budget > 0 {
-                let Some(entry) = self.replicas[i].queue.pop_front() else {
-                    break;
-                };
-                let r = &mut self.replicas[i];
-                if entry.lsn < r.applied_next {
-                    continue; // duplicate after a crash rewind
-                }
-                assert_eq!(
-                    entry.lsn, r.applied_next,
-                    "fetch order violated (harness bug, seed {})",
-                    self.cfg.seed
-                );
-                r.engine.apply_oplog_entry(&entry)?;
-                r.applied_next = entry.lsn + 1;
-                budget -= 1;
-            }
+        for i in 0..self.cfg.replicas {
+            let budget = if self.slow_until[i] > tick { 1 } else { usize::MAX };
+            self.set.apply(i, budget)?;
         }
         Ok(())
     }
@@ -688,55 +563,36 @@ impl Simulation {
     /// retention advance.
     fn settle(&mut self, tick: u64) {
         self.report.ticks = tick + 1;
-        let head = self.primary.oplog_next_lsn();
-        for i in 0..self.replicas.len() {
-            let lag = head - self.replicas[i].applied_next;
-            self.record_transition(i, |h| h.observe_lag(lag));
-            self.primary.observe_replica_lag(lag);
-            self.report.max_lag = self.report.max_lag.max(lag);
-        }
-        // Mark everything shipped and trim retention below the slowest
-        // durably-applied position (a crash can rewind a fetch cursor to
-        // its applied position, never below).
-        let _ = self.primary.take_oplog_batch(usize::MAX);
-        let min_applied = self.replicas.iter().map(|r| r.applied_next).min().unwrap_or(head);
-        self.primary.oplog_ack_shipped(min_applied);
+        self.set.settle();
     }
 
     /// Heals every partition, clears overload and slow spells, and pumps
     /// until every replica has applied up to the primary's head.
     fn drain(&mut self) -> Result<(), SimError> {
         let base = self.cfg.ticks;
-        self.primary.set_replication_pressure(false);
-        for i in 0..self.replicas.len() {
-            self.replicas[i].slow_until = 0;
-            if self.replicas[i].partitioned {
-                self.replicas[i].partitioned = false;
-                self.events.record(Severity::Info, EventKind::Heal { replica: i as u64 });
+        self.set.primary.set_replication_pressure(false);
+        for i in 0..self.cfg.replicas {
+            self.slow_until[i] = 0;
+            if self.set.is_partitioned(i) {
+                self.set.set_partitioned(i, false);
                 self.report.heals += 1;
-                self.record_transition(i, |h| h.begin_catchup());
             }
         }
-        let head = self.primary.oplog_next_lsn();
         // Each pass moves every replica at least one batch forward, so the
         // bound is generous; hitting it means the drain is stuck.
-        let max_passes = 4 * head + 64;
+        let max_passes = 4 * self.set.primary.oplog_next_lsn() + 64;
         for pass in 0..max_passes {
             let tick = base + pass;
             self.clock.advance(Duration::from_millis(10));
-            if self.replicas.iter().all(|r| r.applied_next >= head) {
+            if self.set.caught_up() {
                 self.report.ticks = tick;
                 return Ok(());
             }
-            // Drain with faults off: drop/crash/partition schedules ran
-            // their course during the scripted ticks.
-            let saved = (self.cfg.drop_prob, self.cfg.burst_prob);
-            self.cfg.drop_prob = 0.0;
-            self.ship(tick).map_err(|e| self.fail(tick, format!("drain ship: {e}")))?;
-            self.cfg.drop_prob = saved.0;
+            // Drain with transport faults off: the drop/crash/partition
+            // schedules ran their course during the scripted ticks.
+            self.ship(tick, 0.0).map_err(|e| self.fail(tick, format!("drain ship: {e}")))?;
             self.apply(tick).map_err(|e| self.fail(tick, format!("drain apply: {e}")))?;
             self.settle(tick);
-            let _ = saved.1;
         }
         Err(self.fail(base + max_passes, "drain did not converge (stuck cursor?)".into()))
     }
@@ -746,13 +602,14 @@ impl Simulation {
     /// pass with nothing to do.
     fn verify(&mut self) -> Result<(), SimError> {
         let tick = self.report.ticks;
-        self.primary
+        self.set
+            .primary
             .flush_all_writebacks()
             .map_err(|e| self.fail(tick, format!("primary flush: {e}")))?;
-        if !self.primary.broken_records().is_empty() {
+        if !self.set.primary.broken_records().is_empty() {
             return Err(self.fail(tick, "primary has broken decode chains".into()));
         }
-        let ids = self.primary.live_record_ids();
+        let ids = self.set.primary.live_record_ids();
         let mut acked: Vec<RecordId> = self.contents.iter().map(|&(id, _)| id).collect();
         acked.sort_unstable();
         if ids != acked {
@@ -763,6 +620,7 @@ impl Simulation {
         }
         for (id, data) in &self.contents {
             let got = self
+                .set
                 .primary
                 .read(*id)
                 .map_err(|e| self.fail(tick, format!("primary read {id}: {e}")))?;
@@ -770,12 +628,11 @@ impl Simulation {
                 return Err(self.fail(tick, format!("primary record {id} is not what was acked")));
             }
         }
-        for i in 0..self.replicas.len() {
-            self.replicas[i]
-                .engine
+        for i in 0..self.cfg.replicas {
+            self.set.secondaries[i]
                 .flush_all_writebacks()
                 .map_err(|e| self.fail(tick, format!("replica {i} flush: {e}")))?;
-            let r_ids = self.replicas[i].engine.live_record_ids();
+            let r_ids = self.set.secondaries[i].live_record_ids();
             if r_ids != ids {
                 return Err(self.fail(
                     tick,
@@ -784,11 +641,11 @@ impl Simulation {
             }
             for &id in &ids {
                 let want = self
+                    .set
                     .primary
                     .read(id)
                     .map_err(|e| self.fail(tick, format!("primary read {id}: {e}")))?;
-                let got = self.replicas[i]
-                    .engine
+                let got = self.set.secondaries[i]
                     .read(id)
                     .map_err(|e| self.fail(tick, format!("replica {i} read {id}: {e}")))?;
                 if want != got {
@@ -798,9 +655,9 @@ impl Simulation {
             // Losslessness: catch-up (plus counted resyncs) already did all
             // the work — the pass of last resort must find a clean pair.
             let clock: Arc<dyn Clock> = Arc::clone(&self.clock) as Arc<dyn Clock>;
-            let report =
-                anti_entropy_with_clock(&mut self.primary, &mut self.replicas[i].engine, &clock)
-                    .map_err(|e| self.fail(tick, format!("verify resync {i}: {e}")))?;
+            let (primary, secondary) = (&mut self.set.primary, &mut self.set.secondaries[i]);
+            let report = anti_entropy_with_clock(primary, secondary, &clock)
+                .map_err(|e| self.fail(tick, format!("verify resync {i}: {e}")))?;
             if !report.is_clean() {
                 return Err(self.fail(
                     tick,

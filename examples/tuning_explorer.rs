@@ -21,7 +21,7 @@ fn run(cfg: EngineConfig, inserts: usize) -> (f64, usize, u64) {
     }
     engine.flush_all_writebacks().expect("flush");
     let m = engine.metrics();
-    (m.storage_ratio(), m.index_bytes, m.max_read_retrievals)
+    (m.storage_ratio(), m.index_bytes, m.read_decode_hops.max())
 }
 
 fn main() {

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("network compression:    {}", format_ratio(m.network_ratio()));
     println!("index memory:           {}", format_bytes(m.index_bytes as u64));
     println!("source cache miss:      {:.1}%", 100.0 * m.source_cache.miss_ratio());
-    println!("mean decode retrievals: {:.2}", m.mean_read_retrievals);
-    println!("max decode retrievals:  {} (hop-bounded)", m.max_read_retrievals);
+    println!("mean decode retrievals: {:.2}", m.read_decode_hops.mean());
+    println!("max decode retrievals:  {} (hop-bounded)", m.read_decode_hops.max());
     Ok(())
 }

@@ -120,11 +120,17 @@ echo "==> perf determinism guard"
 #   byte-identical segments, oplog bytes and counters to the serial engine;
 #   `smoke_fixed_seed_four_workers` is the fixed seed 0xD1FF; `rabin_kind*`
 #   crosses the Rabin kind with serial/parallel ingest). Timing-independent.
-# * replication — `sim_harness` (the deterministic simulator over the fixed
-#   seed sweep, each run checking the primary against what its clients were
-#   acknowledged and then every replica against the primary; a failure
-#   prints the seed, and re-running it replays the exact schedule) and
-#   dbdedup-repl `catchup_props`.
+# * replication — `sim_harness` (the deterministic simulator driving a
+#   `ReplicaSet` over the fixed seed sweep, each run checking the primary
+#   against what its clients were acknowledged and then every replica
+#   against the primary; a failure prints the seed, and re-running it
+#   replays the exact schedule); dbdedup-repl `catchup_props`; the root
+#   package's `replication`
+#   `transient_secondary_fault_mid_batch_resumes_from_the_applied_cursor`
+#   (a secondary store error mid-batch fails one `sync`, the next resumes
+#   at the failed entry and applies and counts each entry once); and
+#   `fault_injection` `replication_converges_after_faults_*` (store errors
+#   and a partition past a small retention window, repaired by the set).
 # * one update rule — the root package's `update_rule` (`cargo test -q
 #   --test update_rule`: two nodes whose write-back flushes disagree on
 #   whether a record is a decode base read the same bytes after it is

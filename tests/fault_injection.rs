@@ -1,15 +1,17 @@
 //! Crash/corruption sweeps over the whole stack: every byte-offset crash
 //! point, seeded one-byte corruption fuzzing, scripted write-fault plans,
-//! and fault-injected replication that re-converges through anti-entropy
-//! resync.
+//! and a fault-injected replica set that re-converges by resuming applies
+//! and through anti-entropy resync.
 
 use dbdedup::delta::{DbDeltaConfig, DbDeltaEncoder};
 use dbdedup::engine::engine::RededupOutcome;
-use dbdedup::repl::{anti_entropy, AsyncReplicator, ShipOutcome};
+use dbdedup::repl::anti_entropy;
 use dbdedup::storage::store::{RecordStore, StorageForm, StoreConfig};
 use dbdedup::util::dist::SplitMix64;
 use dbdedup::workloads::{Enron, MessageBoards, Op, StackExchange, Wikipedia, Workload};
-use dbdedup::{DedupEngine, EngineConfig, FaultInjector, FaultKind, FaultPlan, RecordId};
+use dbdedup::{
+    DedupEngine, EngineConfig, FaultInjector, FaultKind, FaultPlan, RecordId, ReplicaSet,
+};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -826,7 +828,7 @@ fn rot_in_a_cached_junctions_own_frame_is_found_and_healed_by_the_scrub() {
     let below = RecordId(1);
     let path = e.chains().decode_path(below).expect("tracked");
     assert_eq!(&e.read(below).expect("read")[..], &docs[1][..]);
-    assert_eq!(e.metrics().max_read_retrievals, path.len() as u64 - 1);
+    assert_eq!(e.metrics().read_decode_hops.max(), path.len() as u64 - 1);
     let junction = path[1..path.len() - 1]
         .iter()
         .copied()
@@ -850,14 +852,16 @@ fn rot_in_a_cached_junctions_own_frame_is_found_and_healed_by_the_scrub() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Drives one workload through a fault-injected replication pipeline, then
-/// proves anti-entropy resync restores byte-identical reads.
-fn converges_after_faults(name: &str, ops: Vec<Op>, transport_seed: u64) {
-    let mut primary = engine();
-
-    // Secondary store throws transient I/O errors (absorbed by apply
-    // retries); the transport loses and corrupts frames (repaired by
-    // resync).
+/// Drives one workload through a replica set whose secondary store throws
+/// transient I/O errors and whose link is cut from insert `cut_at` for
+/// longer than the primary's oplog retention, then proves the set
+/// re-converged on its own: each failed `sync` is resumed by the next from
+/// the applied cursor, and the cut is repaired by the anti-entropy fallback.
+fn converges_after_faults(name: &str, ops: Vec<Op>, cut_at: usize) {
+    let mut cfg = EngineConfig::default();
+    cfg.min_benefit_bytes = 16;
+    // A dozen inserts slide this window past the cut link's cursor.
+    cfg.oplog_retain_bytes = 1_000;
     let store_faults = Arc::new(FaultInjector::new(
         FaultPlan::new().fault_at(3, FaultKind::IoError).fault_at(11, FaultKind::IoError),
     ));
@@ -866,77 +870,65 @@ fn converges_after_faults(name: &str, ops: Vec<Op>, transport_seed: u64) {
         ..Default::default()
     })
     .expect("secondary store");
-    let mut cfg = EngineConfig::default();
-    cfg.min_benefit_bytes = 16;
-    let secondary = DedupEngine::new(store, cfg).expect("secondary engine");
+    let secondary = DedupEngine::new(store, cfg.clone()).expect("secondary engine");
+    let mut set = ReplicaSet::new(DedupEngine::open_temp(cfg).expect("primary"), vec![secondary]);
 
-    let transport_faults = Arc::new(FaultInjector::new(
-        FaultPlan::new()
-            .fault_at(4, FaultKind::IoError)
-            .fault_at(9, FaultKind::BitFlip { pos: transport_seed, bit: 3 })
-            .fault_at(17, FaultKind::IoError),
-    ));
-    let repl =
-        AsyncReplicator::spawn(secondary, 8).with_transport_faults(Arc::clone(&transport_faults));
-
-    let mut ids = Vec::new();
-    for op in ops {
-        if let Op::Insert { id, data } = op {
-            primary.insert(name, id, &data).expect("insert");
-            ids.push((id, data));
-            let batch = primary.take_oplog_batch(usize::MAX);
-            // LostInTransit is this test's point (the injected transport
-            // faults create the divergence resync must repair); only a
-            // full queue warrants a retry.
-            let mut outcome = repl.ship(&batch);
-            while outcome == ShipOutcome::Backpressured {
-                std::thread::yield_now();
-                outcome = repl.ship(&batch);
-            }
+    let mut acked = Vec::new();
+    let mut failed_syncs = 0;
+    for (k, op) in ops.into_iter().enumerate() {
+        let Op::Insert { id, data } = op else { continue };
+        if k == cut_at {
+            set.set_partitioned(0, true);
+        } else if k == cut_at + 12 {
+            set.set_partitioned(0, false);
+        }
+        set.primary.insert(name, id, &data).expect("insert");
+        acked.push((id, data));
+        if set.sync().is_err() {
+            failed_syncs += 1;
         }
     }
-    let mut secondary = repl.join().expect("join");
-    assert!(
-        transport_faults.faults_injected() > 0,
-        "{name}: the transport plan must actually fire"
-    );
+    set.sync().expect("final sync");
+    assert_eq!(store_faults.faults_injected(), 2, "{name}: the store plan must fire");
+    assert_eq!(failed_syncs, 2, "{name}: each store error fails one sync");
+    assert!(set.full_resyncs() >= 1, "{name}: the cut must outlive retention");
 
-    // The pair has diverged (lost/corrupt frames); resync must repair it.
-    let report = anti_entropy(&mut primary, &mut secondary).expect("resync");
+    set.flush_all().expect("flush");
+    let (primary, secondary) = (&mut set.primary, &mut set.secondaries[0]);
     assert_eq!(primary.live_record_ids(), secondary.live_record_ids(), "{name}: live sets");
-    for (id, data) in &ids {
+    for (id, data) in &acked {
         assert_eq!(&primary.read(*id).unwrap()[..], &data[..], "{name}: primary {id}");
         assert_eq!(&secondary.read(*id).unwrap()[..], &data[..], "{name}: secondary {id}");
     }
-    // And a second pass finds nothing left to fix.
-    let second = anti_entropy(&mut primary, &mut secondary).expect("resync 2");
-    assert!(second.is_clean(), "{name}: second pass clean, first was {report:?}");
+    // The set's own fallback was the first pass; a second finds nothing.
+    let second = anti_entropy(primary, secondary).expect("resync");
+    assert!(second.is_clean(), "{name}: second pass clean, was {second:?}");
 }
 
 #[test]
 fn replication_converges_after_faults_wikipedia() {
     let w = Wikipedia::insert_only(36, 0xAE01);
     let db = w.db();
-    converges_after_faults(db, w.collect(), 7);
+    converges_after_faults(db, w.collect(), 14);
 }
 
 #[test]
 fn replication_converges_after_faults_enron() {
     let w = Enron::insert_only(36, 0xAE02);
     let db = w.db();
-    converges_after_faults(db, w.collect(), 13);
+    converges_after_faults(db, w.collect(), 16);
 }
 
 #[test]
 fn replication_converges_after_faults_stackexchange() {
     let w = StackExchange::insert_only(36, 0xAE03);
     let db = w.db();
-    converges_after_faults(db, w.collect(), 23);
+    converges_after_faults(db, w.collect(), 18);
 }
 
 #[test]
 fn replication_converges_after_faults_msgboards() {
     let w = MessageBoards::insert_only(36, 0xAE04);
     let db = w.db();
-    converges_after_faults(db, w.collect(), 29);
+    converges_after_faults(db, w.collect(), 20);
 }

@@ -48,7 +48,7 @@ fn insert(e: &mut DedupEngine, docs: &[Vec<u8>], ids: std::ops::Range<usize>) {
 /// Hops every read so far decoded, from the engine's own counts.
 fn hops_so_far(e: &DedupEngine) -> u64 {
     let m = e.metrics();
-    (m.mean_read_retrievals * m.reads_decoded as f64).round() as u64
+    (m.read_decode_hops.mean() * m.read_decode_hops.count() as f64).round() as u64
 }
 
 /// Reads `id`, checks it against its version, and returns the hops it took.

@@ -227,7 +227,7 @@ fn run(seed: u64, source_cache_bytes: usize) -> Ran {
                 let before = e.metrics();
                 assert_eq!(&e.read(id).expect(&what)[..], &model[&id][..], "{what}: {id}");
                 let after = e.metrics();
-                let walked = after.reads_decoded > before.reads_decoded;
+                let walked = after.read_decode_hops.count() > before.read_decode_hops.count();
                 let splice = after.gc_spliced > before.gc_spliced;
                 assert!(!splice || tombstone, "{what}: {id} spliced with no tombstone");
                 if walked && tombstone && source_cache_bytes == 0 {

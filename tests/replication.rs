@@ -1,9 +1,14 @@
 //! Replication integration: forward-encoded shipping, secondary
-//! re-encoding, convergence under mixed mutations, async pipeline.
+//! re-encoding, convergence under mixed mutations, resuming after a
+//! transient secondary fault.
 
-use dbdedup::repl::{AsyncReplicator, ShipOutcome};
+use dbdedup::storage::store::{RecordStore, StoreConfig};
+use dbdedup::util::dist::SplitMix64;
 use dbdedup::workloads::{standard_suite, Op};
-use dbdedup::{DedupEngine, EngineConfig, RecordId, ReplicaSet};
+use dbdedup::{
+    DedupEngine, EngineConfig, FaultInjector, FaultKind, FaultPlan, RecordId, ReplicaSet,
+};
+use std::sync::Arc;
 
 fn cfg() -> EngineConfig {
     let mut c = EngineConfig::default();
@@ -95,34 +100,39 @@ fn interleaved_sync_and_mutation() {
     }
 }
 
+/// A secondary store error partway through a batch: the first `sync`
+/// fails after two entries applied, and the next resumes at the failed
+/// entry instead of re-applying the batch from its start.
 #[test]
-fn async_replicator_under_load() {
-    let mut primary = DedupEngine::open_temp(cfg()).expect("engine");
-    let secondary = DedupEngine::open_temp(cfg()).expect("engine");
-    let repl = AsyncReplicator::spawn(secondary, 4);
-    let mut wl = standard_suite(150, 10).into_iter().nth(1).expect("enron");
-    let mut ids = Vec::new();
-    for op in &mut *wl {
-        if let Op::Insert { id, data } = op {
-            primary.insert("enron", id, &data).expect("insert");
-            ids.push(id);
-            let batch = primary.take_oplog_batch(32 << 10);
-            // A full queue surfaces as Backpressured with the batch still
-            // ours; block until the apply thread makes room.
-            let outcome = repl.ship_with_deadline(&batch, std::time::Duration::from_secs(30), id.0);
-            assert_eq!(outcome, ShipOutcome::Enqueued, "ship refused under load");
-        }
+fn transient_secondary_fault_mid_batch_resumes_from_the_applied_cursor() {
+    // Write 0 is the segment header, so write 3 is the third record.
+    let faults = Arc::new(FaultInjector::new(FaultPlan::new().fault_at(3, FaultKind::IoError)));
+    let store = RecordStore::open_temp(StoreConfig {
+        fault: Some(Arc::clone(&faults)),
+        ..Default::default()
+    })
+    .expect("secondary store");
+    let secondary = DedupEngine::new(store, cfg()).expect("secondary");
+    let primary = DedupEngine::open_temp(cfg()).expect("primary");
+    let mut set = ReplicaSet::new(primary, vec![secondary]);
+    // Unrelated records: every entry is a raw insert.
+    let mut rng = SplitMix64::new(35);
+    for i in 0..8u64 {
+        let doc: Vec<u8> = (0..3_000).map(|_| (rng.next_u64() % 26 + 97) as u8).collect();
+        set.primary.insert("raw", RecordId(i), &doc).expect("insert");
     }
-    let tail = primary.take_oplog_batch(usize::MAX);
-    let outcome = repl.ship_with_deadline(&tail, std::time::Duration::from_secs(30), 0);
-    assert_eq!(outcome, ShipOutcome::Enqueued);
-    assert_eq!(repl.apply_errors(), 0, "apply error: {:?}", repl.last_error());
-    let mut secondary = repl.join().expect("join");
-    primary.flush_all_writebacks().expect("flush");
-    secondary.flush_all_writebacks().expect("flush");
-    for id in ids {
-        assert_eq!(&primary.read(id).unwrap()[..], &secondary.read(id).unwrap()[..]);
+    assert!(set.sync().is_err(), "the injected store error surfaces");
+    assert_eq!(set.secondaries[0].store().len(), 2, "two entries applied before the fault");
+    set.sync().expect("the retry resumes at the failed entry");
+    set.flush_all().expect("flush");
+    for i in 0..8u64 {
+        let want = set.primary.read(RecordId(i)).unwrap();
+        assert_eq!(&set.secondaries[0].read(RecordId(i)).unwrap()[..], &want[..], "record {i}");
     }
+    // No entry applied twice: the secondary counted each insert once.
+    let (p, s) = (set.primary.metrics(), set.secondaries[0].metrics());
+    assert_eq!((s.unique_inserts, s.original_bytes), (8, 24_000));
+    assert_eq!((p.unique_inserts, p.original_bytes), (s.unique_inserts, s.original_bytes));
 }
 
 #[test]
