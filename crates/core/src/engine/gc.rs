@@ -86,7 +86,7 @@ impl DedupEngine {
             if let Some(nb) = new_base {
                 match &base {
                     None => {
-                        let (content, path, _) = self.decode_with_path(nb, false)?;
+                        let (content, path, _) = self.decode_with_path(nb, false, None)?;
                         base = Some((content, path));
                     }
                     Some((_, path)) => self.recharge_decode(path),
