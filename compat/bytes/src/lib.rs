@@ -56,6 +56,21 @@ impl Bytes {
         Self { buf, range }
     }
 
+    /// A view of `self[range]` that shares the same buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds of `self` or decreasing.
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} out of bounds of a {}-byte view",
+            self.len()
+        );
+        let start = self.range.start;
+        Self { buf: Arc::clone(&self.buf), range: start + range.start..start + range.end }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.range.len()
@@ -179,6 +194,24 @@ mod tests {
         for at in [0, 13, buf.len()] {
             assert!(Bytes::from_shared(Arc::clone(&buf), at..at).is_empty());
         }
+    }
+
+    #[test]
+    fn a_slice_of_a_view_shares_its_buffer() {
+        let buf = Arc::new(b"frame header|payload bytes|tail".to_vec());
+        let view = Bytes::from_shared(Arc::clone(&buf), 13..31);
+        let payload = view.slice(0..13);
+        assert_eq!(payload, Bytes::copy_from_slice(b"payload bytes"));
+        assert_eq!(payload.as_ptr(), buf[13..].as_ptr(), "no copy");
+        assert_eq!(view.slice(14..18), Bytes::copy_from_slice(b"tail"));
+        assert!(view.slice(18..18).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_slice_past_the_end_of_the_view_panics() {
+        let view = Bytes::from_shared(Arc::new(vec![0u8; 8]), 2..6);
+        let _ = view.slice(1..5);
     }
 
     #[test]
