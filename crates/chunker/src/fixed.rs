@@ -5,8 +5,8 @@
 //! problem*: inserting a single byte re-aligns every subsequent chunk, so
 //! both exact dedup and similarity sketches lose all matches after the
 //! edit point. The tests here demonstrate exactly that failure mode, which
-//! is why dbDedup (like every dedup system since LBFS) pays for Rabin
-//! chunking.
+//! is why dbDedup (like every dedup system since LBFS) pays for
+//! content-defined chunking.
 
 use crate::cdc::Chunk;
 

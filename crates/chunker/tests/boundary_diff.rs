@@ -1,8 +1,7 @@
-//! Boundary- and anchor-equivalence differential harness for both scans.
+//! Boundary- and anchor-equivalence differential harness for the gear scan.
 //!
-//! **Gear** (`ChunkerKind::Gear`, the default): one hash rolled over the
-//! whole record yields chunk-boundary candidates and delta anchors
-//! together. The suite holds
+//! One hash rolled over the whole record yields chunk-boundary candidates
+//! and delta anchors together. The suite holds
 //!
 //! * the boundaries `ContentChunker::{chunk, scan}` select to
 //!   [`gear_oracle`] — a byte-at-a-time loop with the min/max rule inline —
@@ -31,22 +30,14 @@
 //! * the sketches built on those boundaries (streaming top-K vs
 //!   sort-dedup-truncate reference).
 //!
-//! **Rabin** (`ChunkerKind::Rabin`): pinned against golden boundary and
-//! sketch hashes computed before any of this existed — every store, sim
-//! trace and oplog written under it stays byte-identical — and held to the
-//! byte-at-a-time loop its lane-parallel candidate scan replaced
-//! ([`rabin_oracle`]) over the same input classes and the scan's own seams.
-//!
 //! Every assertion message carries the seed, class, average and length
 //! that failed, so a failure is a one-line repro.
 
 use dbdedup_chunker::{
-    Anchor, AnchorSampler, Chunk, ChunkerConfig, ChunkerKind, ContentChunker, RecordScan,
-    SketchExtractor,
+    Anchor, AnchorSampler, Chunk, ChunkerConfig, ContentChunker, RecordScan, SketchExtractor,
 };
 use dbdedup_util::dist::SplitMix64;
 use dbdedup_util::hash::gear::GearTable;
-use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
 
 /// Fixed seed for the CI `kernel-diff` step; change it and the suite
 /// explores a different corner of the space, but every failure still
@@ -54,11 +45,7 @@ use dbdedup_util::hash::rabin::{RabinTables, RollingRabin};
 const SUITE_SEED: u64 = 0xB0D1_FF01;
 
 fn gear(avg: usize) -> ContentChunker {
-    ContentChunker::with_kind(ChunkerConfig::with_avg(avg), ChunkerKind::Gear)
-}
-
-fn rabin(cfg: ChunkerConfig) -> ContentChunker {
-    ContentChunker::with_kind(cfg, ChunkerKind::Rabin)
+    ContentChunker::new(ChunkerConfig::with_avg(avg))
 }
 
 /// One named input generator; `len` is the exact output length.
@@ -379,8 +366,8 @@ fn gear_below_128_differs_from_the_reset_function() {
     }
 }
 
-/// Golden pin for the gear kind, same fold as the Rabin pin below. The
-/// 128 B, 1 KiB and 4 KiB rows were captured from the scanner this scan
+/// Golden pin: chunk count, a boundary hash and a sketch hash per row
+/// ([`assert_golden`]). The 128 B, 1 KiB and 4 KiB rows were captured from the scanner this scan
 /// replaced (reset-per-chunk, skip-ahead, unrolled) and must never move;
 /// the 64 B row is new with the continuous function (it was 520 chunks,
 /// `0xa867_3a84_797a_2bf8` / `0x614e_4d9e_bbb5_2d06` under the old one).
@@ -393,7 +380,7 @@ fn gear_boundaries_and_sketches_match_golden() {
         (4096, 0xAB5A_0003, 400_000, 86, 0xf04a_ea93_2ff1_2bac, 0xeb2d_5b9f_08ce_25d1),
     ];
     for row in golden {
-        assert_golden(ChunkerKind::Gear, row);
+        assert_golden(row);
     }
 }
 
@@ -404,7 +391,7 @@ fn gear_boundaries_and_sketches_match_golden() {
 /// The scan's anchors are the independent oracle's on every input class,
 /// at intervals below, at and above the chunker's average (whichever test
 /// is the narrower drives the hot branch), through `ContentChunker::scan`
-/// under both kinds and through `AnchorSampler::scan`.
+/// at two averages and through `AnchorSampler::scan`.
 #[test]
 fn anchors_equal_independent_oracle_across_all_input_classes() {
     let mut scanned = RecordScan::default();
@@ -422,13 +409,12 @@ fn anchors_equal_independent_oracle_across_all_input_classes() {
                 );
                 sampler.scan(&data, &mut alone);
                 assert_eq!(alone, want, "sampler anchors diverged — {repro}");
-                for chunker in [gear(1024), gear(64), rabin(ChunkerConfig::with_avg(1024))] {
+                for chunker in [gear(1024), gear(64)] {
                     chunker.scan(&sampler, &data, &mut scanned);
                     assert_eq!(
                         scanned.anchors,
                         want,
-                        "{:?} avg={} scan anchors diverged — {repro}",
-                        chunker.kind(),
+                        "avg={} scan anchors diverged — {repro}",
                         chunker.config().avg_size
                     );
                 }
@@ -472,169 +458,28 @@ fn repeated_byte_runs_collapse_for_every_byte_value() {
 }
 
 /// One `(avg, seed, len, chunk count, boundary hash, sketch hash)` golden
-/// row, checked against `kind` on seeded random bytes.
-fn assert_golden(kind: ChunkerKind, row: (usize, u64, usize, usize, u64, u64)) {
+/// row, checked on seeded random bytes.
+fn assert_golden(row: (usize, u64, usize, usize, u64, u64)) {
     fn mix(h: u64, v: u64) -> u64 {
         SplitMix64::new(h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
     }
     let (avg, seed, len, n_chunks, bhash, shash) = row;
     let mut rng = SplitMix64::new(seed);
     let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-    let c = ContentChunker::with_kind(ChunkerConfig::with_avg(avg), kind);
+    let c = gear(avg);
     let chunks = c.chunk(&data);
-    assert_eq!(chunks.len(), n_chunks, "{kind:?} avg={avg}: chunk count drifted from golden");
+    assert_eq!(chunks.len(), n_chunks, "avg={avg}: chunk count drifted from golden");
     let mut h = 0u64;
     for ch in &chunks {
         h = mix(h, ch.offset as u64);
         h = mix(h, ch.len as u64);
     }
-    assert_eq!(h, bhash, "{kind:?} avg={avg}: boundaries drifted from golden");
+    assert_eq!(h, bhash, "avg={avg}: boundaries drifted from golden");
     let ex = SketchExtractor::new(c, 8);
     let s = ex.extract(&data);
     let mut hs = 0u64;
     for f in s.features() {
         hs = mix(hs, *f);
     }
-    assert_eq!(hs, shash, "{kind:?} avg={avg}: sketch drifted from golden");
-}
-
-// ---------------------------------------------------------------------
-// Rabin
-// ---------------------------------------------------------------------
-
-/// Golden pin: the Rabin kind must produce exactly the boundaries and
-/// sketches it produced before any other kind existed (hashes captured
-/// from the pre-`ChunkerKind` implementation). This is the "stores, sims
-/// and traces written under Rabin are untouched" contract.
-#[test]
-fn rabin_boundaries_and_sketches_match_pre_kind_golden() {
-    // (avg, seed, len, chunk count, boundary hash, sketch hash) — captured
-    // by running this exact fold against the pre-refactor chunker.
-    let golden: [(usize, u64, usize, usize, u64, u64); 3] = [
-        (64, 0xAB5A_0001, 50_000, 522, 0xa0fd_ce15_2c9e_6e8f, 0x43f0_2643_1c87_1ec5),
-        (1024, 0xAB5A_0002, 200_000, 164, 0xd084_69c4_8977_fa1c, 0x57ea_8d0a_5faa_f896),
-        (4096, 0xAB5A_0003, 400_000, 92, 0xd23a_7a0b_f087_9f59, 0xc34e_38a1_edf2_317e),
-    ];
-    for row in golden {
-        assert_golden(ChunkerKind::Rabin, row);
-    }
-}
-
-/// The Rabin chunker exactly as it ran before the candidates/selection
-/// split: one rolling hash fed a byte at a time through a ring buffer,
-/// reset at every chunk start. Kept here, outside the library, so the
-/// oracle shares no code with the scan it checks (the magic is restated).
-fn rabin_oracle(cfg: &ChunkerConfig, data: &[u8]) -> Vec<Chunk> {
-    let tables = RabinTables::new(cfg.window);
-    let mask = (1u64 << cfg.avg_size.trailing_zeros()) - 1;
-    let magic = 0x0078_35b1_ab5a_9c27 & mask;
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut roll = RollingRabin::new(&tables);
-    for (pos, &byte) in data.iter().enumerate() {
-        roll.roll(byte);
-        let chunk_len = pos - start + 1;
-        let at_boundary =
-            chunk_len >= cfg.min_size && roll.window_full() && (roll.hash() & mask) == magic;
-        if at_boundary || chunk_len >= cfg.max_size {
-            out.push(Chunk { offset: start, len: chunk_len });
-            start = pos + 1;
-            roll.reset();
-        }
-    }
-    if start < data.len() {
-        out.push(Chunk { offset: start, len: data.len() - start });
-    }
-    out
-}
-
-/// [`lengths_for`] plus the Rabin scan's own edges: the window (below it
-/// no lane can be primed), whole multiples of the window, and a run of
-/// consecutive lengths a few windows long (lanes shorter than their own
-/// priming window, every remainder of the lane division).
-fn rabin_lengths_for(cfg: &ChunkerConfig) -> Vec<usize> {
-    let w = cfg.window;
-    let mut lens = lengths_for(cfg);
-    lens.extend([w - 1, w, w + 1]);
-    for n in [2, 3, 4, 5, 8, 9] {
-        lens.extend([n * w - 1, n * w, n * w + 1]);
-    }
-    lens.extend(2 * w + 2..=2 * w + 14);
-    lens.sort_unstable();
-    lens.dedup();
-    lens
-}
-
-/// The lane-parallel candidate scan plus selection is the old loop,
-/// boundary for boundary, on every class × average × length.
-#[test]
-fn rabin_lanes_equal_byte_at_a_time_oracle() {
-    let mut avg = 16usize;
-    while avg <= 64 * 1024 {
-        let cfg = ChunkerConfig::with_avg(avg);
-        let chunker = rabin(cfg);
-        for class in CLASSES {
-            for (i, len) in rabin_lengths_for(&cfg).iter().enumerate() {
-                let seed = SUITE_SEED ^ 0x4AB1 ^ ((avg as u64) << 20) ^ (i as u64);
-                let data = input(class, seed, *len);
-                assert_eq!(
-                    chunker.chunk(&data),
-                    rabin_oracle(&cfg, &data),
-                    "rabin divergence — repro: class={class} avg={avg} len={len} \
-                     seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
-                );
-            }
-        }
-        avg *= 2;
-    }
-}
-
-/// Unstructured lengths, and configurations `with_avg` never builds — the
-/// tightest admissible one (`window == min_size`, where a boundary is
-/// admissible the moment the window fills) and a `max_size` that is not a
-/// multiple of anything.
-#[test]
-fn rabin_lanes_equal_oracle_random_lengths_and_tight_configs() {
-    let mut rng = SplitMix64::new(SUITE_SEED ^ 0x4AB1_0002);
-    for round in 0..96 {
-        let avg = 1usize << (4 + rng.next_index(8) as u32); // 16..2048
-        let mut cfg = ChunkerConfig::with_avg(avg);
-        if round % 3 == 1 {
-            cfg.min_size = cfg.window;
-            cfg.max_size = avg + 1 + rng.next_index(3 * avg);
-        }
-        let class = CLASSES[rng.next_index(CLASSES.len())];
-        let len = rng.next_index(50_000);
-        let seed = rng.next_u64();
-        let data = input(class, seed, len);
-        assert_eq!(
-            rabin(cfg).chunk(&data),
-            rabin_oracle(&cfg, &data),
-            "rabin divergence — repro: round={round} class={class} cfg={cfg:?} len={len} \
-             seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
-        );
-    }
-}
-
-/// Lane seams: at small averages candidates are dense (one position in
-/// `avg`), so over every prefix length of one noisy buffer each seam of
-/// the lane division lands on, just before and just after a candidate
-/// many times over — a lane that mis-primes its window, drops its first
-/// position or double-reports its neighbour's last diverges here.
-#[test]
-fn rabin_lane_seams_swept_over_consecutive_lengths() {
-    for avg in [16usize, 32, 64] {
-        let cfg = ChunkerConfig::with_avg(avg);
-        let chunker = rabin(cfg);
-        let seed = SUITE_SEED ^ 0x5EA4 ^ avg as u64;
-        let data = input("random", seed, 1600);
-        for len in cfg.window - 1..=data.len() {
-            assert_eq!(
-                chunker.chunk(&data[..len]),
-                rabin_oracle(&cfg, &data[..len]),
-                "rabin seam divergence — repro: class=random avg={avg} len={len} \
-                 seed={seed:#x} (crates/chunker/tests/boundary_diff.rs)"
-            );
-        }
-    }
+    assert_eq!(hs, shash, "avg={avg}: sketch drifted from golden");
 }

@@ -14,16 +14,10 @@ pub struct EngineConfig {
     /// Average content-defined chunk size for feature extraction (power of
     /// two). The paper sweeps 64 B – 1 KiB.
     pub chunk_avg_size: usize,
-    /// Boundary-detection algorithm. The default, [`ChunkerKind::Gear`],
-    /// finds chunk boundaries and the delta encoder's anchors in one gear-
-    /// hash pass over each record. [`ChunkerKind::Rabin`] is the paper's
-    /// windowed Rabin scan, kept as the reference configuration (its
-    /// boundaries are pinned to golden hashes); it pays a second pass for
-    /// the anchors. The two cut different, equally content-defined
-    /// boundaries. Chunking only feeds the similarity sketch, so a store
-    /// written under one kind opens and keeps ingesting under the other:
-    /// every record stays readable, and new records merely do not find
-    /// records sketched under the other kind similar.
+    /// Boundary detector. [`ChunkerKind::Gear`] is its only value: one gear-
+    /// hash pass over each record finds chunk boundaries and the delta
+    /// encoder's anchors together. Kept only because the `perf/` benchmark
+    /// names it; the engine does not read it.
     pub chunker_kind: ChunkerKind,
     /// Sketch size K: features kept per record.
     pub sketch_k: usize,
@@ -177,9 +171,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = EngineConfig::default();
         assert_eq!(c.chunk_avg_size, 1024);
-        // The default boundary detector is the gear scan (the paper's Rabin
-        // scan is the reference kind); changing it would silently re-cut
-        // every existing store.
         assert_eq!(c.chunker_kind, ChunkerKind::Gear);
         assert_eq!(c.sketch_k, 8);
         assert_eq!(c.cache_reward, 2);

@@ -38,8 +38,7 @@ pub mod repair;
 pub mod sharded;
 
 pub use config::{EngineConfig, IngestConfig};
-// Re-exported so engine embedders can set `EngineConfig::chunker_kind`
-// without depending on the chunker crate directly.
+// Re-exported because `EngineConfig::chunker_kind` holds one.
 pub use dbdedup_chunker::ChunkerKind;
 pub use engine::{DedupEngine, EngineError, InsertOutcome, ScrubSlice};
 pub use health::{

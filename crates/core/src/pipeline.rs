@@ -93,10 +93,7 @@ impl InsertPreparer {
     ///
     /// [`DedupEngine::new`]: crate::engine::DedupEngine::new
     pub fn from_config(config: &EngineConfig) -> Self {
-        let chunker = ContentChunker::with_kind(
-            ChunkerConfig::with_avg(config.chunk_avg_size),
-            config.chunker_kind,
-        );
+        let chunker = ContentChunker::new(ChunkerConfig::with_avg(config.chunk_avg_size));
         Self::from_parts(
             SketchExtractor::new(chunker, config.sketch_k),
             AnchorSampler::new(config.anchor_interval),

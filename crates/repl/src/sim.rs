@@ -41,7 +41,7 @@
 
 use crate::resync::anti_entropy_with_clock;
 use crate::set::{Fetch, ReplicaSet};
-use dbdedup_core::{ChunkerKind, DedupEngine, EngineConfig, EngineError};
+use dbdedup_core::{DedupEngine, EngineConfig, EngineError};
 use dbdedup_maint::{MaintConfig, Maintainer};
 use dbdedup_obs::{EventKind, FlightConfig, FlightRecorder, Severity};
 use dbdedup_util::dist::SplitMix64;
@@ -101,13 +101,6 @@ pub struct SimConfig {
     /// matter how its schedule interleaves with faults — which is exactly
     /// what the simulator checks.
     pub maint_every: u64,
-    /// Boundary-detection algorithm for every engine in the run. The
-    /// simulator's default stays the paper's Rabin scan — not the engine's
-    /// default — keeping existing seed → trace mappings byte-stable;
-    /// [`ChunkerKind::Gear`] runs the whole fault schedule over the
-    /// engine's default kind instead (its own, equally deterministic,
-    /// trace family).
-    pub chunker_kind: ChunkerKind,
     /// Hot-tier memory budget for every engine's feature index (`None`
     /// keeps the index fully in memory). Small values force spills into
     /// cold on-disk runs, interleaving the tiered-index maintenance task
@@ -143,7 +136,6 @@ impl Default for SimConfig {
             lag_threshold: 8,
             oplog_retain_bytes: 8 << 20,
             maint_every: 4,
-            chunker_kind: ChunkerKind::Rabin,
             index_hot_budget_bytes: None,
             flight_recorder: false,
         }
@@ -212,6 +204,9 @@ pub struct SimReport {
     pub maint_reclaimed_bytes: u64,
     /// Maintenance ticks skipped because the overload gate was up.
     pub maint_paused_ticks: u64,
+    /// Updates of a record that some node (the primary or a replica)
+    /// decoded another record through when the update was issued.
+    pub decode_base_updates: u64,
     /// Overload-degraded records the primary's maintainer re-deduplicated
     /// out-of-line after the bursts passed.
     pub rededuped: u64,
@@ -271,11 +266,17 @@ impl Simulation {
         assert!(cfg.replicas >= 1, "need at least one replica");
         let seed = cfg.seed;
         let mk = |detail: String| SimError { seed, tick: 0, detail };
-        let mut ecfg = EngineConfig::default();
-        ecfg.min_benefit_bytes = 16;
-        ecfg.oplog_retain_bytes = cfg.oplog_retain_bytes;
-        ecfg.chunker_kind = cfg.chunker_kind;
-        ecfg.index_hot_budget_bytes = cfg.index_hot_budget_bytes;
+        // Every engine runs the engine's defaults except:
+        let ecfg = EngineConfig {
+            // dedup any delta that saves a little, so more records sit in
+            // chains (and more are decode bases) for the faults to hit;
+            min_benefit_bytes: 16,
+            // a scenario shrinks retention to force the full-resync fallback;
+            oplog_retain_bytes: cfg.oplog_retain_bytes,
+            // a scenario bounds the hot tier to interleave spills and merges.
+            index_hot_budget_bytes: cfg.index_hot_budget_bytes,
+            ..EngineConfig::default()
+        };
         // Every engine's telemetry runs on the shared virtual clock, so
         // span durations and event timestamps replay with the schedule.
         let clock = VirtualClock::shared();
@@ -471,6 +472,10 @@ impl Simulation {
                 let mut doc = self.contents[at].1.clone();
                 self.mutate(&mut doc);
                 let id = self.contents[at].0;
+                let is_base = |e: &DedupEngine| e.chains().refcount(id) > 0;
+                if is_base(&self.set.primary) || self.set.secondaries.iter().any(is_base) {
+                    self.report.decode_base_updates += 1;
+                }
                 self.set.primary.update(id, &doc)?;
                 self.contents[at].1 = doc;
                 self.note(7, tick, id.0);
@@ -732,33 +737,6 @@ mod tests {
         let b = Simulation::new(cfg).unwrap().run().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(a, b, "tiering must not perturb the determinism contract");
         assert_eq!(a.events_jsonl, b.events_jsonl, "event trace must be byte-identical");
-    }
-
-    #[test]
-    fn gear_chunker_keeps_the_trace_byte_stable_per_seed() {
-        // The gear kind cuts a different (but equally deterministic)
-        // boundary family, so a gear run is its own trace — two runs of
-        // the same seed must still replay byte-identically, and the gear
-        // trace must diverge from the Rabin trace for the same seed
-        // (proving the knob actually reached the engines).
-        let cfg = SimConfig {
-            seed: 0x6EA2_51B1,
-            ticks: 40,
-            chunker_kind: ChunkerKind::Gear,
-            ..Default::default()
-        };
-        let a = Simulation::new(cfg.clone()).unwrap().run().unwrap_or_else(|e| panic!("{e}"));
-        let b = Simulation::new(cfg.clone()).unwrap().run().unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(a, b, "gear runs must replay their seed exactly");
-        assert_eq!(a.events_jsonl, b.events_jsonl, "event trace must be byte-identical");
-        let rabin = Simulation::new(SimConfig { chunker_kind: ChunkerKind::Rabin, ..cfg })
-            .unwrap()
-            .run()
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_ne!(
-            a.trace_hash, rabin.trace_hash,
-            "gear must actually change chunking (else the knob is dead)"
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! input byte's influence shifts out after 64 steps, so the hash is a
 //! function of (at most) the trailing 64 bytes — making it a drop-in
 //! *rolling, content-defined* fingerprint without the explicit expire step
-//! classic Rabin needs. This is the same trade FastCDC made over
-//! Rabin-based chunkers: identical boundary semantics, ~3× the speed.
+//! the paper's Rabin fingerprint needs. This is the same trade FastCDC made
+//! over Rabin-based chunkers: identical boundary semantics, ~3× the speed.
 //!
 //! **The scan.** A record's bytes are hashed for two purposes — finding
 //! content-defined chunk boundaries and sampling the *anchors* the delta
@@ -34,9 +34,9 @@
 //! two the position satisfies. (Bit `i` of a gear hash depends on the
 //! trailing `i + 1` bytes, so testing from bit 32 gives every decision a
 //! window of at least 33 bytes; low bits would let a handful of bytes
-//! decide. The pattern is non-zero for the reason the Rabin scanner's is:
-//! a constant run drives the hash to a fixed point, and a zero pattern
-//! would turn the all-zero run's into a match at every position.)
+//! decide. The pattern is non-zero because a constant run drives the hash
+//! to a fixed point, and a zero pattern would turn the all-zero run's into
+//! a match at every position.)
 
 use std::sync::OnceLock;
 
@@ -83,9 +83,8 @@ impl GearTable {
 /// The lowest hash bit either test looks at.
 const GEAR_SHIFT: u32 = 32;
 
-/// The bit pattern both tests match against (the Rabin scanner's constant;
-/// its low bits are `0b100111`, so every test of one bit or more is
-/// non-zero).
+/// The bit pattern both tests match against (its low bits are `0b100111`,
+/// so every test of one bit or more is non-zero).
 const PATTERN: u64 = 0x0078_35b1_ab5a_9c27;
 
 /// "One position in `span`": the `log2(span)` hash bits from
@@ -156,7 +155,7 @@ impl AnchorSampler {
 
     /// The anchors of `data`, ascending, replacing what `anchors` held —
     /// the whole scan for a record that needs no chunk boundaries (a delta
-    /// source that arrived without its anchors, the Rabin kind).
+    /// source that arrived without its anchors).
     pub fn scan(&self, data: &[u8], anchors: &mut Vec<Anchor>) {
         anchors.clear();
         scan(data, Some(self.test), None, anchors, &mut Vec::new());

@@ -2,9 +2,10 @@
 //!
 //! The paper's pipeline deliberately mixes hash strengths:
 //!
-//! * **Rabin fingerprints** ([`rabin`]) drive content-defined chunk
-//!   boundaries and the delta compressor's anchor selection. Their algebraic
-//!   sliding-window property is what makes both single-pass.
+//! * The **gear hash** ([`gear`]) drives content-defined chunk boundaries
+//!   and the delta compressor's anchor selection. It stands in for the
+//!   paper's Rabin fingerprint: it is a function of the trailing 64 bytes
+//!   only, so one pass over a record finds both.
 //! * **MurmurHash3** ([`murmur3`]) identifies chunks for *similarity*
 //!   detection. Because dbDedup delta-compresses in the final step, a false
 //!   positive merely wastes a little effort — so a weak-but-fast hash is the
@@ -25,7 +26,6 @@ pub mod crc32;
 pub mod fx;
 pub mod gear;
 pub mod murmur3;
-pub mod rabin;
 pub mod sha1;
 
 pub use adler32::{adler32, RollingAdler32};
@@ -33,5 +33,4 @@ pub use crc32::{crc32, Crc32};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use gear::GearTable;
 pub use murmur3::{murmur3_x64_128, murmur3_x86_32};
-pub use rabin::{RabinTables, RollingRabin};
 pub use sha1::{sha1, Sha1, Sha1Digest};

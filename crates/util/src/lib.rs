@@ -3,7 +3,7 @@
 //! Foundational utilities shared by every dbDedup crate:
 //!
 //! * [`hash`] — the hash functions the paper's pipeline is built on, all
-//!   implemented from scratch: Rabin fingerprints (content-defined chunking
+//!   implemented from scratch: the gear hash (content-defined chunking
 //!   and anchor selection), MurmurHash3 (cheap chunk features),
 //!   Adler-32 (xDelta block checksums), and SHA-1 (the exact-dedup
 //!   baseline's collision-resistant chunk identity).

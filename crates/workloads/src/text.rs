@@ -5,7 +5,7 @@
 //! properties delta compression and chunking respond to: a Zipfian word
 //! vocabulary (so block compression finds intra-record redundancy at
 //! roughly Snappy-on-English rates), whitespace structure, and
-//! content-defined variety (so Rabin chunking produces healthy boundaries).
+//! content-defined variety (so the chunker finds healthy boundaries).
 
 use dbdedup_util::dist::{SplitMix64, Zipf};
 

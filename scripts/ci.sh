@@ -57,8 +57,9 @@ echo "==> perf determinism guard"
 #   keeps the allocation, a view compares/hashes/prints by content);
 #   `hash::gear`; dbdedup-chunker `boundary_diff` (the one gear scan against
 #   two byte-at-a-time oracles with golden pins, anchors against an oracle
-#   that rolls nothing, the lane-parallel Rabin scan against the loop it
-#   replaced) and `props`; dbdedup-delta `roundtrip_props` (anchored encoder
+#   that rolls nothing) and `props`; dbdedup-chunker
+#   `cdc::tests::with_avg_min_size_clamp_invariants` (min and max chunk
+#   size of every average 16 B – 64 KiB, pinned); dbdedup-delta `roundtrip_props` (anchored encoder
 #   round trip under arbitrary anchor lists, identity with the stand-alone
 #   encode, size on the Fig. 15 pairs); dbdedup-storage `store::tests` (the
 #   size-carrying directory: no frame re-read on supersede, live counters
@@ -115,13 +116,16 @@ echo "==> perf determinism guard"
 #   (a scrub pass admits nothing to the cache, and still finds and heals a
 #   flipped byte in the frame of a junction a read cached).
 # * one scan, one pipeline — `one_scan` (serial ≡ 4-worker parallel, primary
-#   ≡ secondary, cache miss ≡ hit, a Rabin store reopened under the default
-#   kind) and `differential` (ParallelIngest at every worker count commits
-#   byte-identical segments, oplog bytes and counters to the serial engine;
-#   `smoke_fixed_seed_four_workers` is the fixed seed 0xD1FF; `rabin_kind*`
-#   crosses the Rabin kind with serial/parallel ingest). Timing-independent.
+#   ≡ secondary, cache miss ≡ hit, a store written at a 256 B average chunk
+#   reopened at 1 KiB) and `differential` (ParallelIngest at every worker
+#   count commits byte-identical segments, oplog bytes and counters to the
+#   serial engine; `smoke_fixed_seed_four_workers` is the fixed seed
+#   0xD1FF). Timing-independent.
 # * replication — `sim_harness` (the deterministic simulator driving a
-#   `ReplicaSet` over the fixed seed sweep, each run checking the primary
+#   `ReplicaSet` of engines on `EngineConfig::default()` but for three
+#   overrides, over the fixed seeds 1, 2, 3, 42, 0xD15EA5E and 0xFEED_FACE
+#   that together partition, crash, drop, backpressure and catch up; each
+#   run checking the primary
 #   against what its clients were acknowledged and then every replica
 #   against the primary; a failure prints the seed, and re-running it
 #   replays the exact schedule); dbdedup-repl `catchup_props`; the root
@@ -140,7 +144,10 @@ echo "==> perf determinism guard"
 #   `update_of_a_decode_base_crash_sweep_reads_old_or_new` (a crash at every
 #   write of such an update reads every record back, the updated one old or
 #   new); `sim_harness` `updates_of_decode_bases_converge_to_what_was_acked`
-#   (seeds 13, 81, 95, 111, 149, 216, 290 and 292 at `update_prob` 0.3);
+#   (seeds 6, 13, 75, 95, 104, 111, 124, 216, 226, 231, 247, 265, 274 and
+#   290 at `update_prob` 0.3, each asserted to update a decode base, plus
+#   81, 149 and 292, which stopped doing so when the simulator moved to the
+#   gear chunker);
 #   dbdedup-storage `oplog::tests::an_update_ships_as_a_raw_payload_only`
 #   (an update's wire bytes are a raw payload's, and a forward one is
 #   refused).

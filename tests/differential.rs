@@ -17,8 +17,7 @@
 //! worker count that failed.
 
 use dbdedup_core::{
-    ChunkerKind, DedupEngine, EngineConfig, IngestConfig, InsertOutcome, ParallelIngest,
-    ShardedEngine,
+    DedupEngine, EngineConfig, IngestConfig, InsertOutcome, ParallelIngest, ShardedEngine,
 };
 use dbdedup_util::dist::{LogNormal, SplitMix64};
 use dbdedup_util::ids::RecordId;
@@ -293,65 +292,4 @@ fn overload_pass_through_matches_serial() {
         "degraded_total must count exactly the overload-shed commits — repro: {repro}"
     );
     parallel.with_shard(0, |shard| assert_engines_identical(&mut serial, shard, &repro));
-}
-
-/// A [`config`] variant selecting a specific boundary detector; everything
-/// else stays at the harness's small-threshold settings.
-fn config_with_kind(kind: ChunkerKind) -> EngineConfig {
-    let mut cfg = config();
-    cfg.chunker_kind = kind;
-    cfg
-}
-
-/// The paper-reference kind under parallelism: `ParallelIngest` with 4
-/// workers on [`ChunkerKind::Rabin`] vs a plain serial engine on the same
-/// kind. The sweeps above run the default (gear) kind, where a worker's
-/// one scan yields chunks and anchors together; under Rabin the worker
-/// makes two passes, and both still have to arrive intact in the
-/// `PreparedInsert`.
-#[test]
-fn rabin_kind_parallel_matches_serial() {
-    let seed = 0x6EA2_0013u64;
-    let repro = format!("seed={seed:#x} workers=4 kind=rabin (tests/differential.rs)");
-    let ops = workload(seed, 140);
-
-    let mut serial = DedupEngine::open_temp(config_with_kind(ChunkerKind::Rabin)).expect("serial");
-    for (db, id, data) in &ops {
-        serial.insert(db, *id, data).expect("serial insert");
-    }
-
-    let sharded =
-        ShardedEngine::open_temp(config_with_kind(ChunkerKind::Rabin), 1).expect("sharded");
-    let mut ingest = ParallelIngest::new(sharded, IngestConfig::with_workers(4));
-    for (db, id, data) in &ops {
-        ingest.submit(db, *id, data);
-    }
-    let (parallel, report) = ingest.finish().expect("parallel finish");
-    assert_eq!(report.committed, ops.len() as u64, "repro: {repro}");
-    parallel.with_shard(0, |shard| assert_engines_identical(&mut serial, shard, &repro));
-}
-
-/// The kind must actually change boundaries — otherwise the test above
-/// compares a knob that isn't connected.
-#[test]
-fn rabin_kind_differs_from_gear_end_to_end() {
-    let ops = workload(0x6EA2_0014, 60);
-    let mut rabin = DedupEngine::open_temp(config_with_kind(ChunkerKind::Rabin)).expect("rabin");
-    let mut gear = DedupEngine::open_temp(config()).expect("gear");
-    for (db, id, data) in &ops {
-        rabin.insert(db, *id, data).expect("rabin insert");
-        gear.insert(db, *id, data).expect("gear insert");
-    }
-    rabin.flush_all_writebacks().expect("flush");
-    gear.flush_all_writebacks().expect("flush");
-    assert_ne!(
-        rabin.store().segment_bytes().expect("segments"),
-        gear.store().segment_bytes().expect("segments"),
-        "Rabin must cut different boundaries than gear (else the knob is dead)"
-    );
-    // Both remain readable end-to-end regardless of the boundary family.
-    for (_, id, data) in &ops {
-        assert_eq!(&gear.read(*id).expect("read")[..], &data[..]);
-        assert_eq!(&rabin.read(*id).expect("read")[..], &data[..]);
-    }
 }

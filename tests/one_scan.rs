@@ -16,10 +16,9 @@
 //! * an engine whose source cache never holds anything (every source is
 //!   decoded from the store and scanned on demand) ships the same deltas as
 //!   one that always hits;
-//! * a store written under the Rabin kind reopens under the default kind
-//!   and keeps ingesting.
+//! * a store written at one chunk size reopens at another and keeps
+//!   ingesting.
 
-use dbdedup::engine::ChunkerKind;
 use dbdedup::storage::store::{RecordStore, StoreConfig};
 use dbdedup::workloads::wikipedia::revision_chain;
 use dbdedup::{
@@ -146,39 +145,42 @@ fn a_source_cache_miss_ships_the_same_delta_as_a_hit() {
     );
 }
 
+/// Chunking only feeds the sketch, and sketches live in the in-memory
+/// index: a store written at a 256-byte average chunk reopens at the
+/// default 1 KiB, its chains still decode and new records still dedup.
 #[test]
-fn a_store_written_under_rabin_keeps_ingesting_under_the_default_kind() {
+fn a_store_written_at_one_chunk_size_keeps_ingesting_at_another() {
     let dir = std::env::temp_dir().join(format!("dbdedup-it-one-scan-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let chain = revision_chain(36, 73);
     let (old, new) = chain.split_at(20);
     {
-        let mut rabin = cfg();
-        rabin.chunker_kind = ChunkerKind::Rabin;
+        let mut small = cfg();
+        small.chunk_avg_size = 256;
         let store = RecordStore::open(&dir, StoreConfig::default()).expect("open");
-        let mut e = DedupEngine::new(store, rabin).expect("engine");
+        let mut e = DedupEngine::new(store, small).expect("engine");
         for (i, rev) in old.iter().enumerate() {
             e.insert("wikipedia", RecordId(i as u64), rev).expect("insert");
         }
         assert!(deduped(&e) >= 15);
         e.flush_all_writebacks().expect("flush");
     }
-    assert_eq!(cfg().chunker_kind, ChunkerKind::Gear);
+    assert_eq!(cfg().chunk_avg_size, 1024);
     let store = RecordStore::open(&dir, StoreConfig::default()).expect("recover");
     let mut e = DedupEngine::new(store, cfg()).expect("engine");
     let mut outcomes = Vec::new();
     for (i, rev) in new.iter().enumerate() {
         let id = RecordId((old.len() + i) as u64);
-        outcomes.push(e.insert("wikipedia", id, rev).expect("insert under the default kind"));
+        outcomes.push(e.insert("wikipedia", id, rev).expect("insert at the default chunk size"));
     }
     // The index is in memory, so the first revision after the reopen finds
-    // nothing similar whatever the kind; from then on revisions sketched
-    // under gear find each other.
+    // nothing similar whatever the chunk size; from then on revisions
+    // sketched at 1 KiB find each other.
     assert_eq!(outcomes[0], InsertOutcome::Unique);
     let found = outcomes.iter().filter(|o| matches!(o, InsertOutcome::Deduped { .. })).count();
     assert!(found >= 12, "only {found} of {} later revisions deduplicated", outcomes.len() - 1);
     e.flush_all_writebacks().expect("flush");
-    // Chains written under Rabin decode; so do the new ones.
+    // Chains written at 256 B decode; so do the new ones.
     for (i, rev) in chain.iter().enumerate() {
         assert_eq!(&e.read(RecordId(i as u64)).expect("read")[..], &rev[..], "revision {i}");
     }

@@ -45,15 +45,29 @@ fn sim_smoke_fixed_seeds_converge() {
 }
 
 /// Seeds whose schedules, at a higher update rate, update records that
-/// others decode through while the nodes' write-back flushes disagree about
-/// it. A rule that branched on that left a replica's bytes silently
-/// diverged on each of them.
-const UPDATE_RULE_SEEDS: [u64; 8] = [13, 81, 95, 111, 149, 216, 290, 292];
+/// some node decodes through (`SimReport::decode_base_updates`) while the
+/// nodes' write-back flushes disagree about it. A rule that branched on
+/// that left a replica's bytes silently diverged on each of them at commit
+/// bf8270d, before updates had one rule: 13, 95, 111, 216 and 290 under
+/// its default chunker (the paper's Rabin fingerprint), the others with its
+/// gear chunker selected (the only 9 failures among the 207 other seeds
+/// below 300 that reach the case under gear).
+const UPDATE_RULE_SEEDS: [u64; 14] =
+    [6, 13, 75, 95, 104, 111, 124, 216, 226, 231, 247, 265, 274, 290];
+
+/// Seeds picked the same way when the simulator cut chunks with the paper's
+/// Rabin fingerprint. Under gear their schedules no longer update a decode
+/// base; they still run as convergence seeds.
+const FORMER_UPDATE_RULE_SEEDS: [u64; 3] = [81, 149, 292];
 
 #[test]
 fn updates_of_decode_bases_converge_to_what_was_acked() {
+    let cfg = |seed| SimConfig { seed, ticks: 60, update_prob: 0.3, ..Default::default() };
     for seed in UPDATE_RULE_SEEDS {
-        run(SimConfig { seed, ticks: 60, update_prob: 0.3, ..Default::default() });
+        assert!(run(cfg(seed)).decode_base_updates > 0, "seed {seed} updates no decode base");
+    }
+    for seed in FORMER_UPDATE_RULE_SEEDS {
+        run(cfg(seed));
     }
 }
 
